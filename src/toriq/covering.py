@@ -26,7 +26,15 @@ from .intmat import (
     lattice_index,
     quotient_matrix,
 )
-from .polytope import VPolytope, fmatrix_index, normalized_volume, polar_dual, polar_vertex_matrix
+from .polytope import (
+    VPolytope,
+    _hull,
+    _simplices,
+    fmatrix_index,
+    normalized_volume,
+    polar_dual,
+    polar_vertex_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,7 @@ class CoveringData:
     def modulus_polar(self) -> int:
         return weight_modulus(self.Qpolar)
 
-    @property
+    @functools.cached_property
     def degree(self) -> Fraction:
         """Anticanonical self-intersection, n! Vol of the polar polytope."""
         return normalized_volume(VPolytope(self.Vpolar))
@@ -110,7 +118,7 @@ class CoveringData:
         assert d.denominator == 1
         return int(d)
 
-    @property
+    @functools.cached_property
     def cover_degree(self) -> Fraction:
         return normalized_volume(VPolytope(self.Wpolar))
 
@@ -126,7 +134,7 @@ class CoveringData:
         assert d.denominator == 1
         return int(d)
 
-    @property
+    @functools.cached_property
     def dual_cover_degree(self) -> Fraction:
         """n! Vol of conv(Λ), Λ the polar of the dual covering's polytope."""
         return normalized_volume(VPolytope(self.Lambda))
@@ -149,28 +157,6 @@ def multiplicity(v: IntMatrix) -> int:
     return lattice_index(v)
 
 
-def _boundary_simplicial_cones(w: IntMatrix):
-    """Generator index sets of a simplicial complete fan over w supported
-    on the boundary of conv(w): triangulate every facet and cone over the
-    pieces.
-
-    Requires every column to be a vertex of the hull (the domain on which
-    the modulus identities hold at all)."""
-    from .polytope import _simplices, facet_enumeration
-
-    p = VPolytope(w, prune=False)
-    cols = p.vertex_list()
-    cones = []
-    for f in facet_enumeration(p).facets:
-        if len(f.incident) == w.rows:
-            cones.append(tuple(sorted(f.incident)))
-            continue
-        pts = [cols[i] for i in f.incident]
-        for s in _simplices(pts, w.rows - 1):
-            cones.append(tuple(sorted(f.incident[t] for t in s)))
-    return cones
-
-
 @functools.cache
 def weight_modulus(q: IntMatrix) -> int:
     """Normalized volume of conv(G(q)), cross-checked against the sum of
@@ -185,10 +171,15 @@ def weight_modulus(q: IntMatrix) -> int:
     vol = normalized_volume(VPolytope(w))
     assert vol.denominator == 1
     m = q.cols
+    # cone over a triangulation of every facet; needs every column to be a
+    # vertex of the hull (the domain on which the identities hold at all)
+    cols = w.columns()
+    facets = [mask for _, mask in _hull(cols)[1]]
     minor_sum = 0
-    for g in _boundary_simplicial_cones(w):
-        comp = _complement(g, m)
-        minor_sum += abs(q.cols_at(list(comp)).det())
+    for f in facets:
+        for g in _simplices(cols, facets, f, w.rows - 1):
+            comp = _complement(g, m)
+            minor_sum += abs(q.cols_at(list(comp)).det())
     assert minor_sum == vol, (minor_sum, vol)
     return int(vol)
 

@@ -17,9 +17,9 @@ from fractions import Fraction
 
 from .errors import InvalidFan, OriginNotInterior, OutsideMoving, RankDeficient
 from .gale import gale_dual
-from .intmat import IntMatrix, RatMatrix, primitive_vector, rank, rat_kernel, solve_integer
+from .intmat import IntMatrix, rank, solve_integer
 from .linprog import cone_contains, cone_contains_strict, nonneg_solution
-from .polytope import VPolytope, facet_enumeration
+from .polytope import VPolytope, _bits, _cone_facets, facet_enumeration
 
 
 @dataclass(frozen=True)
@@ -82,26 +82,8 @@ def face_fan(v: IntMatrix) -> FanData:
 def _cone_walls(v: IntMatrix, g):
     """Facets of the cone over columns g: (inward primitive normal,
     generator indices on the wall)."""
-    n = v.rows
-    cols = {j: v.col(j) for j in g}
-    walls = {}
-    for sub in itertools.combinations(g, n - 1):
-        rows = [cols[j] for j in sub]
-        ker = rat_kernel(RatMatrix(rows)) if rows else rat_kernel(RatMatrix([[Fraction(0)] * n]))
-        if len(ker) != 1:
-            continue
-        a = primitive_vector(ker[0])
-        vals = {j: sum(x * y for x, y in zip(a, cols[j])) for j in g}
-        if all(val >= 0 for val in vals.values()):
-            pass
-        elif all(val <= 0 for val in vals.values()):
-            a = tuple(-x for x in a)
-            vals = {j: -val for j, val in vals.items()}
-        else:
-            continue
-        wall = tuple(sorted(j for j, val in vals.items() if val == 0))
-        walls[a] = wall
-    return list(walls.items())
+    _, facets = _cone_facets([v.col(j) for j in g], v.rows)
+    return [(a, tuple(g[t] for t in _bits(mask))) for a, mask in facets]
 
 
 def _wall_key(a):
@@ -150,76 +132,28 @@ class GkzCone:
         return cone_contains(list(self.generators), w)
 
 
-def _extreme_gens(cols) -> tuple:
-    """Prune a generating set to its extremal rays (primitive, sorted)."""
-    prims = []
-    for c in cols:
-        if any(c):
-            p = primitive_vector(c)
-            if p not in prims:
-                prims.append(p)
-    keep = []
-    for i, c in enumerate(prims):
-        others = [p for j, p in enumerate(prims) if j != i]
-        if not others or not cone_contains(others, c):
-            keep.append(c)
-    return tuple(sorted(keep))
-
-
-def _cone_hrep(gens, dim):
-    """(equalities, inequalities) describing cone(gens) in R^dim."""
-    if not gens:
-        eye = IntMatrix.identity(dim)
-        return [tuple(r) for r in eye.data], []
-    eqs = [primitive_vector(k) for k in rat_kernel(RatMatrix(list(gens)))]
-    s = dim - len(eqs)
-    ineqs = []
-    for sub in itertools.combinations(range(len(gens)), max(s - 1, 0)):
-        rows = [list(gens[i]) for i in sub] + [list(e) for e in eqs]
-        ker = rat_kernel(RatMatrix(rows)) if rows else rat_kernel(RatMatrix([[Fraction(0)] * dim]))
-        if len(ker) != 1:
-            continue
-        a = primitive_vector(ker[0])
-        vals = [sum(x * y for x, y in zip(a, g)) for g in gens]
-        if all(v >= 0 for v in vals):
-            ineqs.append(a)
-        elif all(v <= 0 for v in vals):
-            ineqs.append(tuple(-x for x in a))
-    return eqs, sorted(set(ineqs))
-
-
 def _cone_intersection(gen_lists, dim) -> tuple:
-    """Generators of the intersection of finitely many generated cones."""
-    eqs = []
-    ineqs = []
+    """Primitive generators of the intersection of finitely many generated
+    cones: its extreme rays orthogonal to its lineality space, and both
+    signs of a basis of that space."""
+    rows = set()
     for gens in gen_lists:
-        e, q = _cone_hrep(gens, dim)
-        eqs.extend(e)
-        ineqs.extend(q)
-    eqs = sorted(set(eqs))
-    ineqs = sorted(set(ineqs))
-    base_rank = rank(IntMatrix(list(eqs))) if eqs else 0
-    need = dim - 1 - base_rank
-    if need < 0:
-        return ()
-    rays = set()
-    for sub in itertools.combinations(range(len(ineqs)), need):
-        rows = [list(e) for e in eqs] + [list(ineqs[i]) for i in sub]
-        ker = rat_kernel(RatMatrix(rows)) if rows else rat_kernel(RatMatrix([[Fraction(0)] * dim]))
-        if len(ker) != 1:
-            continue
-        z = primitive_vector(ker[0])
-        for cand in (z, tuple(-x for x in z)):
-            if all(sum(a * x for a, x in zip(q, cand)) >= 0 for q in ineqs):
-                rays.add(cand)
-    # drop rays interior to the cone of the others
-    return _extreme_gens(sorted(rays))
+        eqs, facets = _cone_facets(gens, dim)
+        rows.update(a for a, _ in facets)
+        rows.update(eqs)
+        rows.update(tuple(-x for x in e) for e in eqs)
+    # {x : <a, x> >= 0 for a in rows} is the dual of the cone over the
+    # rows, so its lineality basis and rays are that cone's equalities and
+    # facet normals
+    lin, rays = _cone_facets(sorted(rows), dim)
+    gens = {r for r, _ in rays} | set(lin) | {tuple(-x for x in l) for l in lin}
+    return tuple(sorted(gens))
 
 
 @functools.cache
 def eff_cone(q: IntMatrix) -> GkzCone:
     """Cone spanned by the weight columns (pseudo-effective classes)."""
-    return GkzCone(_extreme_gens(q.columns()))
+    return GkzCone(_cone_intersection([q.columns()], q.rows))
 
 
 @functools.cache

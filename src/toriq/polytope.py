@@ -1,10 +1,13 @@
-"""Exact rational polytopes: facet enumeration, polar duals, lattice
-points, normalized volume, reflexivity and the Gorenstein index of a fan
-matrix.
+"""Exact rational polytopes and cones: facet enumeration, polar duals,
+lattice points, normalized volume, reflexivity and the Gorenstein index of
+a fan matrix.
 
-Everything is brute force over exact rationals; inputs are desk scale
-(dimension <= ~6, a handful of vertices), so enumerating hyperplanes
-through vertex subsets is simpler and safer than a convex-hull library.
+Every hull goes through one exact integer double-description routine
+(`_dd`, Fukuda & Prodon 1996): a cone's facets are the extreme rays of
+its dual (`_cone_facets`), and a polytope is the cone over its points
+lifted to (1, v).  Facets come with the bitmask of the generators on
+them, as in PALP, and vertex pruning, triangulation, fan walls and cone
+intersections are all read off those incidences.
 """
 
 from __future__ import annotations
@@ -12,9 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,24 +27,108 @@ from .intmat import (
     rat_kernel,
     rat_solve,
 )
-from .linprog import nonneg_solution
 
 _ONE = Fraction(1)
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("TORIQ_THREADS", "1")))
-    except ValueError:
-        return 1
+def _dot(a, x):
+    return sum(p * q for p, q in zip(a, x))
 
 
-def _affine_rank(points) -> int:
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    diffs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    return len(diffs[0]) - len(rat_kernel(RatMatrix(diffs)))
+def _primitive(v) -> tuple:
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def _dd(rows, dim):
+    """Extreme rays of the pointed cone {x : <a, x> >= 0 for a in rows}
+    (integer rows of rank dim), each as (primitive ray, bitmask of the
+    rows it makes tight).
+
+    Double description (Fukuda & Prodon 1996): start from the whole space
+    as a lineality basis, pivot rows that meet the lineality space into
+    rays, and cut by the others, pairing a positive with a negative ray
+    exactly when no third ray is tight on every row both are tight on.
+    """
+    lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays = []
+    for i, a in enumerate(rows):
+        bit = 1 << i
+        p = next((j for j, l in enumerate(lin) if _dot(a, l)), None)
+        if p is not None:
+            piv = lin.pop(p)
+            s = _dot(a, piv)
+            if s < 0:
+                piv, s = tuple(-x for x in piv), -s
+
+            def project(v):
+                t = _dot(a, v)
+                return _primitive([s * x - t * y for x, y in zip(v, piv)]) if t else v
+
+            lin = [project(l) for l in lin]
+            rays = [(project(r), m | bit) for r, m in rays]
+            rays.append((piv, bit - 1))
+            continue
+        vals = [_dot(a, r) for r, _ in rays]
+        need = dim - len(lin) - 2
+        new = []
+        for ri, ((r, mr), vr) in enumerate(zip(rays, vals)):
+            if vr <= 0:
+                continue
+            for si, ((s, ms), vs) in enumerate(zip(rays, vals)):
+                if vs >= 0:
+                    continue
+                common = mr & ms
+                if common.bit_count() < need or any(
+                    mt & common == common
+                    for ti, (_, mt) in enumerate(rays)
+                    if ti != ri and ti != si
+                ):
+                    continue
+                new.append((_primitive([vr * y - vs * x for x, y in zip(r, s)]), common | bit))
+        rays = [(r, m | bit if v == 0 else m) for (r, m), v in zip(rays, vals) if v >= 0] + new
+    return rays
+
+
+def _cone_facets(gens, dim):
+    """(equalities, facets) of the cone over integer generators in Q^dim:
+    a primitive basis of the vectors orthogonal to every generator, and
+    each facet as (inward primitive normal in the span of the generators,
+    bitmask of the generators on it).
+
+    Dually: the lineality basis and the extreme rays, with their tight-row
+    bitmasks, of {x : <g, x> >= 0 for g in gens}; the rays are the
+    canonical ones orthogonal to the lineality space.
+    """
+    gens = list(gens)
+    if not gens:
+        return [tuple(int(i == j) for j in range(dim)) for i in range(dim)], []
+    eqs = [primitive_vector(k) for k in rat_kernel(RatMatrix(gens))]
+    if not eqs:
+        return [], _dd(gens, dim)
+    if len(eqs) == dim:
+        return eqs, []
+    basis = [primitive_vector(k) for k in rat_kernel(RatMatrix(eqs))]
+    projected = [tuple(_dot(b, g) for b in basis) for g in gens]
+    facets = []
+    for y, mask in _dd(projected, len(basis)):
+        a = [sum(c * b[j] for c, b in zip(y, basis)) for j in range(dim)]
+        facets.append((_primitive(a), mask))
+    return eqs, facets
+
+
+def _bits(mask) -> tuple:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _hull(points):
+    """(equalities, facets) of the cone over the points lifted to (1, p):
+    a facet normal (c, a) is the facet <a, x> >= -c of conv(points)."""
+    lifted = []
+    for p in points:
+        den = math.lcm(*(x.denominator for x in p))
+        lifted.append([den] + [int(x * den) for x in p])
+    return _cone_facets(lifted, len(points[0]) + 1)
 
 
 class VPolytope:
@@ -51,7 +136,8 @@ class VPolytope:
 
     Input columns that are not vertices (duplicates or convex
     combinations of the others) are pruned with a warning; `pruned`
-    records whether that happened.
+    records whether that happened.  A column is a vertex exactly when
+    the facets through it share no other column.
     """
 
     __slots__ = ("dim", "vertices", "pruned")
@@ -67,16 +153,19 @@ class VPolytope:
                 pruned = True
             else:
                 uniq.append(c)
-        if prune:
+        keep = uniq
+        if prune and len(uniq) > 1:
+            _, facets = _hull(uniq)
             keep = []
             for i, c in enumerate(uniq):
-                others = [u for j, u in enumerate(uniq) if j != i]
-                if others and _in_hull(others, c):
-                    pruned = True
-                else:
+                common = (1 << len(uniq)) - 1
+                for _, mask in facets:
+                    if mask >> i & 1:
+                        common &= mask
+                if common == 1 << i:
                     keep.append(c)
-        else:
-            keep = uniq
+                else:
+                    pruned = True
         if pruned:
             warnings.warn("non-vertex columns pruned from polytope input", stacklevel=2)
         self.vertices = RatMatrix.from_columns(keep)
@@ -88,13 +177,6 @@ class VPolytope:
 
     def __repr__(self):
         return f"VPolytope(dim={self.dim}, vertices={self.vertices.cols})"
-
-
-def _in_hull(points, q) -> bool:
-    rows = [[p[i] for p in points] for i in range(len(q))]
-    rows.append([_ONE] * len(points))
-    rhs = list(q) + [_ONE]
-    return nonneg_solution(rows, rhs) is not None
 
 
 @dataclass(frozen=True)
@@ -119,56 +201,22 @@ class HPolytope:
         return True
 
 
-def _scan_candidates(verts, subsets):
-    found = {}
-    n = len(verts[0])
-    for sub in subsets:
-        pts = [verts[i] for i in sub]
-        diffs = [[x - b for x, b in zip(p, pts[0])] for p in pts[1:]]
-        if diffs:
-            ker = rat_kernel(RatMatrix(diffs))
-        else:
-            ker = rat_kernel(RatMatrix([[Fraction(0)] * n]))
-        if len(ker) != 1:
-            continue
-        a = primitive_vector(ker[0])
-        c = sum(x * y for x, y in zip(a, pts[0]))
-        vals = [sum(x * y for x, y in zip(a, v)) for v in verts]
-        lo, hi = min(vals), max(vals)
-        if lo == c < hi:
-            pass
-        elif hi == c > lo:
-            a = tuple(-x for x in a)
-            c = -c
-            vals = [-v for v in vals]
-        else:
-            continue
-        incident = tuple(j for j, v in enumerate(vals) if v == c)
-        found[(a, -c)] = Facet(normal=a, offset=-c, incident=incident)
-    return found
+def _full_hull(verts):
+    eqs, facets = _hull(verts)
+    if eqs:
+        raise NotFullDimensional("polytope is not full-dimensional")
+    return facets
 
 
 def facet_enumeration(p: VPolytope) -> HPolytope:
-    """Complete irredundant facet list of a full-dimensional polytope.
-
-    Exhaustive: every facet hyperplane is spanned by n affinely
-    independent vertices, so scanning all n-subsets finds them all.
-    """
-    verts = p.vertex_list()
-    n = p.dim
-    if _affine_rank(verts) != n:
-        raise NotFullDimensional("polytope is not full-dimensional")
-    subsets = list(itertools.combinations(range(len(verts)), n))
-    workers = _thread_count()
-    if workers > 1 and len(subsets) > 64:
-        chunks = [subsets[i::workers] for i in range(workers)]
-        found = {}
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for part in ex.map(lambda ch: _scan_candidates(verts, ch), chunks):
-                found.update(part)
-    else:
-        found = _scan_candidates(verts, subsets)
-    facets = sorted(found.values(), key=lambda f: (f.normal, f.offset))
+    """Complete irredundant facet list of a full-dimensional polytope,
+    sorted by (normal, offset)."""
+    facets = []
+    for (c, *a), mask in _full_hull(p.vertex_list()):
+        g = math.gcd(*a)
+        normal = tuple(x // g for x in a)
+        facets.append(Facet(normal=normal, offset=Fraction(c, g), incident=_bits(mask)))
+    facets.sort(key=lambda f: (f.normal, f.offset))
     return HPolytope(facets=tuple(facets))
 
 
@@ -184,53 +232,21 @@ def polar_dual(p: VPolytope) -> VPolytope:
     return VPolytope(RatMatrix.from_columns(verts), prune=False)
 
 
-def _project_coords(points, d):
-    """Coordinate subset of size d on which the points' affine hull maps
-    bijectively."""
-    base = points[0]
-    diffs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    mat = [list(r) for r in RatMatrix(diffs).t().data]  # coords x points
-    used = set()
-    for _ in range(d):
-        coord = None
-        for i in range(len(mat)):
-            if i in used:
-                continue
-            trial = [mat[j] for j in sorted(used | {i})]
-            if not rat_kernel(RatMatrix(trial).t()):
-                coord = i
-                break
-        assert coord is not None
-        used.add(coord)
-    return sorted(used)
-
-
-def _facet_incidences(verts, d):
-    """Facet vertex-index sets of a d-dimensional polytope given by its
-    vertices (embedded in any R^k)."""
-    k = len(verts[0])
-    if d == k:
-        pts = verts
-    else:
-        coords = _project_coords(verts, d)
-        pts = [tuple(v[i] for i in coords) for v in verts]
-    found = _scan_candidates(pts, itertools.combinations(range(len(pts)), d))
-    return [f.incident for f in found.values()]
-
-
-def _simplices(verts, d):
-    """Triangulate (indices into verts) by coning the lex-least vertex
-    over recursively triangulated opposite facets."""
-    if len(verts) == d + 1:
-        return [tuple(range(d + 1))]
-    apex = min(range(len(verts)), key=lambda i: verts[i])
+def _simplices(verts, facets, face, d):
+    """Triangulate the d-dimensional face (vertex bitmask) of a polytope
+    with facet bitmasks `facets`: cone the face's lex-least vertex over
+    the triangulated facets of the face that miss it.  The facets of a
+    face are its inclusion-maximal proper traces face & facet."""
+    idx = _bits(face)
+    if len(idx) == d + 1:
+        return [idx]
+    apex = min(idx, key=verts.__getitem__)
+    traces = {face & g for g in facets} - {face}
     out = []
-    for inc in sorted(_facet_incidences(verts, d)):
-        if apex in inc:
+    for t in sorted(traces):
+        if t >> apex & 1 or any(t & u == t for u in traces if u != t):
             continue
-        sub = [verts[i] for i in inc]
-        for s in _simplices(sub, d - 1):
-            out.append((apex,) + tuple(inc[t] for t in s))
+        out.extend((apex,) + s for s in _simplices(verts, facets, t, d - 1))
     return out
 
 
@@ -259,10 +275,9 @@ def normalized_volume(p: VPolytope) -> Fraction:
     polytopes."""
     verts = p.vertex_list()
     n = p.dim
-    if _affine_rank(verts) != n:
-        raise NotFullDimensional("polytope is not full-dimensional")
+    facets = [mask for _, mask in _full_hull(verts)]
     total = Fraction(0)
-    for s in _simplices(verts, n):
+    for s in _simplices(verts, facets, (1 << len(verts)) - 1, n):
         base = verts[s[0]]
         rows = [[verts[i][j] - base[j] for j in range(n)] for i in s[1:]]
         total += abs(_det_fraction(rows))

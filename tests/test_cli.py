@@ -158,6 +158,24 @@ def test_report_round_trip_byte_stable_on_every_fixture():
         assert s1 == s2, name
 
 
+def test_analyze_matches_golden_reports_on_every_fixture(capsys):
+    # the benchmark's reference reports: exit code and exact stdout of
+    # `toriq analyze` per fixture (read only; rebuilt by perfbench/golden.py)
+    import glob
+    import os
+
+    with open(os.path.join(FIXTURES, "..", "perfbench", "golden.json")) as fh:
+        golden = json.load(fh)["fixtures"]
+    names = sorted(
+        os.path.splitext(os.path.basename(p))[0] for p in glob.glob(os.path.join(FIXTURES, "*.json"))
+    )
+    assert names == sorted(golden)
+    for name in names:
+        code = main(["analyze", fixture_path(name)])
+        out = capsys.readouterr().out
+        assert (code, out) == (golden[name]["exit"], golden[name]["stdout"]), name
+
+
 def test_non_complete_fan_is_rejected(capsys):
     code, out = run_cli(capsys, "analyze", fixture_path("mds_W"))
     assert code == 2

@@ -201,3 +201,21 @@ def test_gorenstein_implies_qfano_on_reflexive_face_fans():
         q = gale_dual(v)
         assert is_gorenstein_weight(q, fan)
         assert is_qfano_weight(q, fan)
+
+
+def test_eff_cone_of_a_half_plane():
+    # (-1,0) and (1,0) each lie in the cone of the other: the cone is the
+    # half-plane y >= 0, not the line
+    half = eff_cone(IntMatrix([[-1, 3, 1, 0, -1, 0], [0, 2, 0, 1, 1, 0]]))
+    for w in ((0, 1), (1, 0), (-1, 0), (-5, 2)):
+        assert half.contains(w)
+    for w in ((0, -1), (3, -1)):
+        assert not half.contains(w)
+    assert half.dim == 2
+
+
+def test_eff_cone_of_the_whole_plane():
+    # (0,3), (0,-1), (1,3) and (-1,3) span the whole plane
+    plane = eff_cone(IntMatrix([[0, 0, 1, 3, -1, 3], [3, -1, 3, 3, 3, 3]]))
+    for w in ((0, 1), (0, -1), (1, 0), (-1, 0), (-2, -7)):
+        assert plane.contains(w)

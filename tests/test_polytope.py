@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from fractions import Fraction
 
@@ -169,13 +170,40 @@ def test_lattice_polytope_offsets_integral():
             assert f.offset.denominator == 1
 
 
-def test_thread_cap_gives_identical_facets(monkeypatch):
-    # a stretched cube: 9 vertices, enough hyperplane candidates to engage
-    # the worker pool
-    cube = [(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
-    stretched = IntMatrix.from_columns(cube + [(0, 0, 2)])
-    base = facet_enumeration(VPolytope(stretched))
-    monkeypatch.setenv("TORIQ_THREADS", "3")
-    assert facet_enumeration(VPolytope(stretched)) == base
-    monkeypatch.setenv("TORIQ_THREADS", "not-a-number")
-    assert facet_enumeration(VPolytope(stretched)) == base
+def twenty_four_cell():
+    # the permutations of (+-1, +-1, 0, 0)
+    pts = set()
+    for i, j in itertools.combinations(range(4), 2):
+        for si, sj in itertools.product((1, -1), repeat=2):
+            p = [0] * 4
+            p[i], p[j] = si, sj
+            pts.add(tuple(p))
+    return sorted(pts)
+
+
+def test_twenty_four_cell():
+    verts = twenty_four_cell()
+    assert len(verts) == 24
+    p = VPolytope(IntMatrix.from_columns(verts))
+    h = facet_enumeration(p)
+    assert len(h.facets) == 24
+    assert all(len(f.incident) == 6 for f in h.facets)
+    assert {f.offset for f in h.facets} <= {1, 2}
+    assert normalized_volume(p) == 192
+
+
+def test_twenty_four_cell_prunes_origin_and_edge_midpoints():
+    verts = twenty_four_cell()
+    # edges join the vertices at squared distance 2
+    mids = {
+        tuple(Fraction(a + b, 2) for a, b in zip(u, v))
+        for u, v in itertools.combinations(verts, 2)
+        if sum((a - b) ** 2 for a, b in zip(u, v)) == 2
+    }
+    assert len(mids) == 96
+    cols = verts + [(0, 0, 0, 0)] + sorted(mids)
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        p = VPolytope(RatMatrix.from_columns(cols))
+    assert p.pruned
+    assert set(p.vertex_list()) == set(verts)
