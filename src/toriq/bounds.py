@@ -177,9 +177,9 @@ def _cert_equals(name, inputs, expected, observed):
 def is_canonical_input(cd) -> bool:
     """Canonical singularities: the only interior lattice point of the
     fan polytope is the origin."""
-    from .polytope import VPolytope, interior_lattice_points
+    from .polytope import interior_lattice_points
 
-    pts = interior_lattice_points(VPolytope(cd.V))
+    pts = interior_lattice_points(cd.fan_polytope)
     return pts == [tuple(0 for _ in range(cd.n))]
 
 
@@ -219,9 +219,9 @@ def certify(cd) -> list:
     certs.append(
         _cert_equals("dual-cover-degree-identity", (k,), g_hat * mod, int(scaled_dual))
     )
-    from .polytope import VPolytope, normalized_volume
+    from .polytope import normalized_volume
 
-    vol = normalized_volume(VPolytope(cd.V))
+    vol = normalized_volume(cd.fan_polytope)
     assert vol.denominator == 1
     certs.append(_cert_equals("mult-modulus-volume-identity", (n,), mult * mod, int(vol)))
     canonical = is_canonical_input(cd)

@@ -15,7 +15,7 @@ from math import lcm, prod
 from .covering import analyze
 from .errors import InconsistentAction, NotFanoWeight, RankDeficient, TooLarge
 from .fans import fan_from_point, is_gorenstein_weight
-from .gale import gale_dual, gl_equivalent, is_reduced_f
+from .gale import gale_dual, gl_canonical_form, is_reduced_f
 from .intmat import (
     FiniteAbelianGroup,
     IntMatrix,
@@ -225,21 +225,14 @@ def quotient_by_subgroup(w: IntMatrix, gamma: TorsionMatrix, sub: SubgroupHandle
 
 
 def _gl_classes(entries):
-    """Group (subgroup, matrix, mult) triples into GL-equivalence classes,
-    keeping the first representative of each class."""
-    reps = []
+    """Group (subgroup, matrix, mult) triples into GL-equivalence classes
+    in order of first appearance, each matrix canonicalised once and
+    bucketed by (mult, canonical key); all matrices share one shape."""
+    classes = {}
     for entry in entries:
-        placed = False
-        for rep in reps:
-            if entry[2] == rep[0][2]:
-                eq, _, _ = gl_equivalent(entry[1], rep[0][1])
-                if eq:
-                    rep.append(entry)
-                    placed = True
-                    break
-        if not placed:
-            reps.append([entry])
-    return reps
+        key = gl_canonical_form(entry[1])[0]
+        classes.setdefault((entry[2], key), []).append(entry)
+    return list(classes.values())
 
 
 def enumerate_fano_family(q: IntMatrix):

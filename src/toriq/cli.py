@@ -178,7 +178,7 @@ def build_report(v: IntMatrix, fan: FanData) -> dict:
         ],
     }
     # render-time re-assertions of the covering identities
-    assert cd.mult * cd.modulus == normalized_volume(VPolytope(cd.V))
+    assert cd.mult * cd.modulus == normalized_volume(cd.fan_polytope)
     assert cd.cover_degree_scaled_k == cd.h_extension_order * cd.modulus_polar
     assert cd.k % cd.k_hat == 0
     return report

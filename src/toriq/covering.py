@@ -1,6 +1,7 @@
 """The covering pipeline: universal 1-coverings, multiplicity, polar
 duality data, weight group / order / modulus, Gorenstein indices and
-degrees, bundled per variety into a CoveringData value.
+degrees, bundled per variety into a CoveringData value, the one source
+of these invariants.
 
 The whole chain lives on one column index space: V, Q = G(V) and
 W = G(Q) share m columns; the polar side V°, Q° = G(kV°) and
@@ -15,8 +16,8 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonIntegralFactor, NotReflexive
-from .fans import FanData, _complement, fan_from_point
+from .errors import InvalidFan, NonIntegralFactor, NotReflexive
+from .fans import FanData, _complement, fan_from_point, is_complete
 from .gale import gale_dual
 from .intmat import (
     FiniteAbelianGroup,
@@ -28,7 +29,6 @@ from .intmat import (
 )
 from .polytope import (
     VPolytope,
-    _hull,
     _simplices,
     fmatrix_index,
     normalized_volume,
@@ -108,6 +108,11 @@ class CoveringData:
         return weight_modulus(self.Qpolar)
 
     @functools.cached_property
+    def fan_polytope(self) -> VPolytope:
+        """conv(V), built once per bundle."""
+        return VPolytope(self.V)
+
+    @functools.cached_property
     def degree(self) -> Fraction:
         """Anticanonical self-intersection, n! Vol of the polar polytope."""
         return normalized_volume(VPolytope(self.Vpolar))
@@ -168,17 +173,20 @@ def weight_modulus(q: IntMatrix) -> int:
     two computations agree.
     """
     w = gale_dual(q)
-    vol = normalized_volume(VPolytope(w))
+    p = VPolytope(w)
+    vol = normalized_volume(p)
     assert vol.denominator == 1
     m = q.cols
-    # cone over a triangulation of every facet; needs every column to be a
-    # vertex of the hull (the domain on which the identities hold at all)
-    cols = w.columns()
-    facets = [mask for _, mask in _hull(cols)[1]]
+    # cone over a triangulation of every facet of the hull; the identities
+    # hold when every column is a vertex, and the simplices only ever use
+    # vertices (the first column equal to each)
+    verts = p.vertex_list()
+    column = {c: j for j, c in reversed(list(enumerate(w.columns())))}
+    facets = [mask for _, mask in p.hull()[1]]
     minor_sum = 0
     for f in facets:
-        for g in _simplices(cols, facets, f, w.rows - 1):
-            comp = _complement(g, m)
+        for g in _simplices(verts, facets, f, w.rows - 1):
+            comp = _complement([column[verts[i]] for i in g], m)
             minor_sum += abs(q.cols_at(list(comp)).det())
     assert minor_sum == vol, (minor_sum, vol)
     return int(vol)
@@ -192,34 +200,13 @@ def _dedup_columns(mat: RatMatrix) -> RatMatrix:
     return RatMatrix.from_columns(seen)
 
 
-def polar_weight(v: IntMatrix, fan: FanData):
-    """Polar weight matrix and Gorenstein index: Q° = G(k V°) where V°
-    collects the polar points of the fan's maximal cones.
-
-    Q° does not depend on the integer used to clear the denominators of
-    V°, which is asserted by recomputing with 2k.
-    """
-    vpolar = _dedup_columns(polar_vertex_matrix(v, fan))
-    k = fmatrix_index(v)
-    scaled = vpolar.scale(k).to_int()
-    qpolar = gale_dual(scaled)
-    assert gale_dual(vpolar.scale(2 * k).to_int()) == qpolar
-    return qpolar, k
-
-
 @functools.cache
 def analyze(v: IntMatrix, fan: FanData) -> CoveringData:
     """Build the full covering bundle for a complete fan over v."""
-    from .errors import InvalidFan
-    from .fans import is_complete
-
     if not is_complete(fan):
         raise InvalidFan("covering invariants need a complete fan")
     q = gale_dual(v)
-    w = gale_dual(q)
-    b = quotient_matrix(v, w)
-    g = cokernel(b.t())
-    fan_cover = FanData(w, fan.max_cones)
+    w, fan_cover, b, g = universal_cover(v, fan)
 
     k = fmatrix_index(v)
     k_hat = fmatrix_index(w)
@@ -268,58 +255,6 @@ def analyze(v: IntMatrix, fan: FanData) -> CoveringData:
     )
 
 
-@dataclass(frozen=True)
-class WeightGroupData:
-    group: FiniteAbelianGroup
-    order: int
-    h_extension: FiniteAbelianGroup
-
-
-def weight_group(q: IntMatrix, fan: FanData, h: int = 1):
-    """Weight group of q computed through the covering bundle of G(q)."""
-    cd = analyze(fan.fan_matrix, fan)
-    wg = WeightGroupData(
-        group=cd.weight_group_type,
-        order=cd.weight_order,
-        h_extension=h_extension_group(cd.A, h),
-    )
-    return wg, cd
-
-
-def h_extension_group(a: IntMatrix, h: int) -> FiniteAbelianGroup:
-    """Cokernel of h times the weight quotient map."""
-    if h < 1:
-        raise ValueError("extension factor must be >= 1")
-    return cokernel(a.t() * h)
-
-
-def h_extension(wg: WeightGroupData, a: IntMatrix, h: int) -> FiniteAbelianGroup:
-    g = h_extension_group(a, h)
-    order = g.order
-    assert order == h ** a.rows * wg.order
-    return g
-
-
-def factor(v: IntMatrix, fan: FanData) -> int:
-    """Ratio of the Gorenstein index of v to the index of its universal
-    1-covering; always an integer."""
-    k = fmatrix_index(v)
-    k_hat = fmatrix_index(gale_dual(gale_dual(v)))
-    if k % k_hat:
-        raise NonIntegralFactor(f"{k_hat} does not divide {k}")
-    return k // k_hat
-
-
-def degree(v: IntMatrix, fan: FanData) -> Fraction:
-    """Anticanonical self-intersection as n! times the polar volume."""
-    vpolar = _dedup_columns(polar_vertex_matrix(v, fan))
-    return normalized_volume(VPolytope(vpolar))
-
-
-def scaled_degree(v: IntMatrix, fan: FanData, k: int) -> Fraction:
-    return k ** v.rows * degree(v, fan)
-
-
 def fano_splitting(v: IntMatrix, fan: FanData):
     """Reflexive-case splitting data (B, C, A, G, G°) with the direct-sum
     identity between the covering groups and the weight group."""
@@ -346,6 +281,6 @@ def mds_multiplicity(q: IntMatrix, fan: FanData) -> int:
     n = w.rows
     h = fmatrix_index(fan.fan_matrix) // fmatrix_index(w)
     qfan = fan_from_point(q, tuple(sum(r) for r in q.data))
-    _, cd = weight_group(q, qfan, h=h)
+    cd = analyze(qfan.fan_matrix, qfan)
     assert (h ** n * cd.weight_order) % mult == 0, "multiplicity fails the weight-order bound"
     return mult

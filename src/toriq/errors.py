@@ -17,10 +17,6 @@ class NonIntegerQuotient(ToriqError):
     pass
 
 
-class SingularGram(ToriqError):
-    pass
-
-
 class NotFullDimensional(ToriqError):
     pass
 

@@ -81,6 +81,18 @@ def _coordinate_pair_lattice(q: IntMatrix, i: int, j: int):
     return gens
 
 
+def _fan_conditions(m: IntMatrix) -> tuple:
+    """(F.a, F.b, F.c, F.d): full rank, positively spanning columns, no
+    zero column, no positively parallel column pair."""
+    full_rank = rank(m) == m.rows
+    return (
+        full_rank,
+        full_rank and has_positive_kernel_vector([list(r) for r in m.data]),
+        all(any(m.col(j)) for j in range(m.cols)),
+        not _positive_parallel_pair(m),
+    )
+
+
 @functools.cache
 def classify_matrix(m: IntMatrix) -> MatrixClassReport:
     """Evaluate every fan-matrix and weight-matrix condition on m.
@@ -94,18 +106,15 @@ def classify_matrix(m: IntMatrix) -> MatrixClassReport:
     """
     violated = []
     n = m.rows
-    full_rank = rank(m) == n
+    full_rank, f_complete, no_zero_col, no_parallel = _fan_conditions(m)
     if not full_rank:
         violated.append("F.a")
         violated.append("W.a")
-    f_complete = full_rank and has_positive_kernel_vector([list(r) for r in m.data])
     if not f_complete:
         violated.append("F.b")
-    no_zero_col = all(any(m.col(j)) for j in range(m.cols))
     if not no_zero_col:
         violated.append("F.c")
         violated.append("W.d")
-    no_parallel = not _positive_parallel_pair(m)
     if not no_parallel:
         violated.append("F.d")
     diag = snf(m).diagonal
@@ -236,54 +245,56 @@ def _colmajor_key(h: IntMatrix, ncols: int):
     return tuple(h[i, j] for j in range(ncols) for i in range(h.rows))
 
 
+def gl_canonical_form(m: IntMatrix):
+    """Canonical form of m under GL_n(Z) x column permutations: the
+    lexicographically least row HNF over all column orderings, compared
+    column-major (which makes prefix pruning valid, because the leading
+    columns of a row HNF depend only on the leading columns of the input).
+
+    Returns (key, perm, H, U): the column-major key of H, the column
+    order, and H = U * (m reordered by perm).  Two matrices of one shape
+    are GL-equivalent exactly when their keys are equal.
+    """
+    cols = m.columns()
+    best = {"key": None, "perm": None}
+
+    def dfs(chosen, remaining):
+        sub = IntMatrix.from_columns([cols[i] for i in chosen])
+        h, _ = hnf(sub)
+        key = _colmajor_key(h, len(chosen))
+        if best["key"] is not None and key > best["key"][: len(key)]:
+            return
+        if not remaining:
+            if best["key"] is None or key < best["key"]:
+                best["key"] = key
+                best["perm"] = tuple(chosen)
+            return
+        tried = set()
+        for i in remaining:
+            c = cols[i]
+            if c in tried:
+                continue
+            tried.add(c)
+            dfs(chosen + [i], [x for x in remaining if x != i])
+
+    dfs([], list(range(len(cols))))
+    perm = best["perm"]
+    h, u = hnf(IntMatrix.from_columns([cols[i] for i in perm]))
+    return best["key"], perm, h, u
+
+
 def gl_equivalent(m1: IntMatrix, m2: IntMatrix):
     """Decide whether m2 = P * m1 * S for some P in GL_n(Z) and a column
     permutation S; on success also return the witness pair (P, S).
 
-    Both matrices are put into a canonical form: the lexicographically
-    least row HNF over all column orderings (compared column-major, which
-    makes prefix pruning valid because the leading columns of a row HNF
-    depend only on the leading columns of the input). Equality of the
-    canonical forms is exactly GL-equivalence.
-
-    Returns (equivalent, P, S) with P, S IntMatrix witnesses or (False,
-    None, None).
+    Equality of the canonical forms (`gl_canonical_form`) is exactly
+    GL-equivalence.  Returns (equivalent, P, S) with P, S IntMatrix
+    witnesses or (False, None, None).
     """
     if (m1.rows, m1.cols) != (m2.rows, m2.cols):
         return False, None, None
-
-    def canonicalize(m):
-        cols = m.columns()
-        mm = len(cols)
-        best = {"key": None, "perm": None}
-
-        def dfs(chosen, remaining):
-            sub = IntMatrix.from_columns([cols[i] for i in chosen])
-            h, _ = hnf(sub)
-            key = _colmajor_key(h, len(chosen))
-            if best["key"] is not None and key > best["key"][: len(key)]:
-                return
-            if not remaining:
-                if best["key"] is None or key < best["key"]:
-                    best["key"] = key
-                    best["perm"] = tuple(chosen)
-                return
-            tried = set()
-            for i in remaining:
-                c = cols[i]
-                if c in tried:
-                    continue
-                tried.add(c)
-                dfs(chosen + [i], [x for x in remaining if x != i])
-
-        dfs([], list(range(mm)))
-        perm = best["perm"]
-        ordered = IntMatrix.from_columns([cols[i] for i in perm])
-        h, u = hnf(ordered)
-        return best["key"], perm, h, u
-
-    k1, p1, h1, u1 = canonicalize(m1)
-    k2, p2, h2, u2 = canonicalize(m2)
+    k1, p1, _, u1 = gl_canonical_form(m1)
+    k2, p2, _, u2 = gl_canonical_form(m2)
     if k1 != k2:
         return False, None, None
     # u1 * m1 * S(p1) = u2 * m2 * S(p2)  =>  m2 = (u2^-1 u1) m1 S(p1) S(p2)^-1

@@ -1,6 +1,8 @@
 """Exact dense matrices over Z and Q, with the integer normal forms
 (Smith, Hermite), kernels, cokernels and the matrix-division operation
-that every quotient construction in the library is built on.
+that every quotient construction in the library is built on.  Determinant,
+rank, rational solve, null space and inverse share one fraction-free
+elimination (`_eliminate`).
 
 All entries are Python ints / Fractions, so nothing ever overflows. The
 matrices are immutable; every operation returns a fresh value.
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import NonIntegerQuotient, NotSquare, RankDeficient, SingularGram
+from .errors import NonIntegerQuotient, NotSquare, RankDeficient
 
 
 def _as_int(x) -> int:
@@ -23,6 +25,86 @@ def _as_int(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"non-integer entry {x!r}")
     return x
+
+
+def _eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss,
+    Math. Comp. 1968): the one exact elimination behind det, solve,
+    kernel, inverse and rank.
+
+    Returns (m, pivots, d, sign): m is d times the reduced row echelon
+    form (pivot rows first), pivots its pivot columns, d the last pivot
+    (the minor on the pivot rows and columns, 1 at rank 0) and sign the
+    parity of the row swaps.  Each update (piv*row_i - m[i][c]*row_r) //
+    prev divides exactly by Sylvester's identity.
+    """
+    m = [list(r) for r in rows]
+    nr = len(m)
+    pivots = []
+    prev, sign = 1, 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == nr:
+            break
+        p = next((i for i in range(r, nr) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        top, piv = m[r], m[r][c]
+        for i in range(nr):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = piv
+        pivots.append(c)
+    return m, pivots, prev, sign
+
+
+def _integral(rows):
+    """Rows of ints or Fractions, each scaled by the lcm of its
+    denominators to ints."""
+    out = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def _det(rows) -> int:
+    """Determinant of square integer rows."""
+    _, pivots, d, sign = _eliminate(rows)
+    return sign * d if len(pivots) == len(rows) else 0
+
+
+def solve_unique(rows, b):
+    """The unique solution x of rows * x = b (ints or Fractions) as a
+    tuple of Fractions, or None when there is none or more than one."""
+    n = len(rows[0])
+    m, pivots, d, _ = _eliminate(_integral([list(r) + [y] for r, y in zip(rows, b)]))
+    if pivots != list(range(n)):
+        return None
+    return tuple(Fraction(m[i][n], d) for i in range(n))
+
+
+def primitive_kernel(rows) -> list:
+    """Basis of the rational null space of nonempty integer rows: one
+    primitive integer vector per free column f, positive at f."""
+    m, pivots, d, _ = _eliminate(rows)
+    if d < 0:
+        m, d = [[-x for x in r] for r in m], -d
+    basis = []
+    for f in range(len(rows[0])):
+        if f in pivots:
+            continue
+        vec = [0] * len(rows[0])
+        vec[f] = d
+        for i, c in enumerate(pivots):
+            vec[c] = -m[i][f]
+        g = gcd(*vec)
+        basis.append(tuple(x // g for x in vec))
+    return basis
 
 
 class IntMatrix:
@@ -122,30 +204,10 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(r, v)) for r in self.data)
 
     def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant by fraction-free elimination."""
         if self.rows != self.cols:
             raise NotSquare(f"{self.rows}x{self.cols} matrix has no determinant")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return _det(self.data)
 
     def to_rat(self) -> "RatMatrix":
         return RatMatrix([[Fraction(x) for x in r] for r in self.data])
@@ -447,8 +509,7 @@ def hnf(a: IntMatrix) -> tuple:
 
 
 def rank(a: IntMatrix) -> int:
-    h, _ = hnf(a)
-    return sum(1 for row in h.data if any(row))
+    return len(_eliminate(a.data)[1])
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -481,7 +542,8 @@ def lattice_index(a: IntMatrix) -> int:
 
 def quotient_matrix(v: IntMatrix, w: IntMatrix) -> IntMatrix:
     """Unique integer B with v = B*w (division of one matrix by another
-    spanning a finer row lattice).
+    spanning a finer row lattice), solved as B = v_J * w_J^-1 on the
+    pivot columns J of w.
 
     Raises RankDeficient if w has rank < rows, NonIntegerQuotient if the
     rational solution is not integral.
@@ -489,17 +551,14 @@ def quotient_matrix(v: IntMatrix, w: IntMatrix) -> IntMatrix:
     if v.rows != w.rows or v.cols != w.cols:
         raise ValueError("shape mismatch")
     n = w.rows
-    if rank(w) < n:
+    pivots = _eliminate(w.data)[1]
+    if len(pivots) < n:
         raise RankDeficient("divisor matrix is rank deficient")
-    gram = (w * w.t()).to_rat()
-    try:
-        gram_inv = rat_inverse(gram)
-    except SingularGram:
-        raise RankDeficient("divisor matrix is rank deficient")
-    b = (v.to_rat() * w.t().to_rat()) * gram_inv
-    if not b.is_integral():
+    # w_J^T B^T = v_J^T: one row per pivot column j
+    m, _, d, _ = _eliminate([w.col(j) + v.col(j) for j in pivots])
+    if any(x % d for r in m for x in r[n:]):
         raise NonIntegerQuotient("quotient has non-integer entries")
-    bi = b.to_int()
+    bi = IntMatrix([[m[j][n + i] // d for j in range(n)] for i in range(n)])
     if bi * w != v:
         raise NonIntegerQuotient("rows of dividend outside the row span of divisor")
     if bi.det() == 0:
@@ -507,75 +566,17 @@ def quotient_matrix(v: IntMatrix, w: IntMatrix) -> IntMatrix:
     return bi
 
 
-def rat_inverse(a: RatMatrix) -> RatMatrix:
-    """Exact inverse of a square rational matrix (Gauss-Jordan)."""
-    if a.rows != a.cols:
-        raise NotSquare("inverse of a non-square matrix")
-    n = a.rows
-    m = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(a.data)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            raise SingularGram("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        inv = Fraction(1) / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return RatMatrix([r[n:] for r in m])
-
-
 def unimodular_inverse(u: IntMatrix) -> IntMatrix:
-    inv = rat_inverse(u.to_rat())
-    return inv.to_int()
-
-
-def transverse(a: RatMatrix) -> RatMatrix:
-    """(a*a^T)^{-1} * a; equals the inverse transpose for square a."""
-    if isinstance(a, IntMatrix):
-        a = a.to_rat()
-    gram = a * a.t()
-    return rat_inverse(gram) * a
-
-
-def rat_solve(a: RatMatrix, b) -> tuple:
-    """Unique solution x of a*x = b for square nonsingular a."""
-    inv = rat_inverse(a)
-    return inv.mul_vec(tuple(Fraction(x) for x in b))
-
-
-def rat_kernel(a: RatMatrix):
-    """Basis of the rational null space {x : a*x = 0} (list of tuples)."""
-    nr, nc = a.rows, a.cols
-    m = [list(r) for r in a.data]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * nc
-        vec[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -m[i][f]
-        basis.append(tuple(vec))
-    return basis
+    """Inverse of a square integer matrix of determinant +-1."""
+    if u.rows != u.cols:
+        raise NotSquare("inverse of a non-square matrix")
+    n = u.rows
+    m, pivots, d, _ = _eliminate(
+        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(u.data)]
+    )
+    if pivots[:n] != list(range(n)) or abs(d) != 1:
+        raise NonIntegerQuotient("matrix is not unimodular")
+    return IntMatrix([[x * d for x in r[n:]] for r in m])
 
 
 def solve_integer(a: IntMatrix, b):
@@ -595,11 +596,3 @@ def solve_integer(a: IntMatrix, b):
             z[i] = y[i] // d
     return dec.U.mul_vec(tuple(z))
 
-
-def primitive_vector(v) -> tuple:
-    """Scale a rational vector to a primitive integer vector (same ray)."""
-    v = [Fraction(x) for x in v]
-    den = lcm(*(x.denominator for x in v)) if v else 1
-    w = [int(x * den) for x in v]
-    g = gcd(*w) if any(w) else 1
-    return tuple(x // (g or 1) for x in w)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .intmat import solve_unique
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -137,25 +139,6 @@ def strict_solution(a_rows, b):
     return tuple(xi + eps for xi in x[:n])
 
 
-def _square_solve(rows, w):
-    """Unique solution of a square system by Gaussian elimination, or
-    None when the matrix is singular."""
-    n = len(rows)
-    m = [list(r) + [w[i]] for i, r in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return None
-        m[c], m[piv] = m[piv], m[c]
-        inv = _ONE / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return [m[i][-1] for i in range(n)]
-
-
 def cone_contains(generators, w) -> bool:
     """Is w a nonnegative combination of the generator vectors?"""
     w = tuple(Fraction(x) for x in w)
@@ -163,7 +146,7 @@ def cone_contains(generators, w) -> bool:
         return all(x == 0 for x in w)
     rows = [[Fraction(g[i]) for g in generators] for i in range(len(w))]
     if len(generators) == len(w):
-        sol = _square_solve(rows, w)
+        sol = solve_unique(rows, w)
         if sol is not None:
             return all(x >= 0 for x in sol)
     return nonneg_solution(rows, w) is not None
@@ -180,7 +163,7 @@ def cone_contains_strict(generators, w) -> bool:
         return all(x == 0 for x in w)
     rows = [[Fraction(g[i]) for g in generators] for i in range(len(w))]
     if len(generators) == len(w):
-        sol = _square_solve(rows, w)
+        sol = solve_unique(rows, w)
         if sol is not None:
             return all(x > 0 for x in sol)
     return strict_solution(rows, w) is not None

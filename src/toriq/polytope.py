@@ -20,15 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateCone, NotFMatrix, NotFullDimensional, OriginNotInterior
-from .intmat import (
-    IntMatrix,
-    RatMatrix,
-    primitive_vector,
-    rat_kernel,
-    rat_solve,
-)
-
-_ONE = Fraction(1)
+from .gale import _fan_conditions
+from .intmat import IntMatrix, RatMatrix, _det, _eliminate, _integral, primitive_kernel
 
 
 def _dot(a, x):
@@ -103,12 +96,12 @@ def _cone_facets(gens, dim):
     gens = list(gens)
     if not gens:
         return [tuple(int(i == j) for j in range(dim)) for i in range(dim)], []
-    eqs = [primitive_vector(k) for k in rat_kernel(RatMatrix(gens))]
+    eqs = primitive_kernel(gens)
     if not eqs:
         return [], _dd(gens, dim)
     if len(eqs) == dim:
         return eqs, []
-    basis = [primitive_vector(k) for k in rat_kernel(RatMatrix(eqs))]
+    basis = primitive_kernel(eqs)
     projected = [tuple(_dot(b, g) for b in basis) for g in gens]
     facets = []
     for y, mask in _dd(projected, len(basis)):
@@ -124,11 +117,7 @@ def _bits(mask) -> tuple:
 def _hull(points):
     """(equalities, facets) of the cone over the points lifted to (1, p):
     a facet normal (c, a) is the facet <a, x> >= -c of conv(points)."""
-    lifted = []
-    for p in points:
-        den = math.lcm(*(x.denominator for x in p))
-        lifted.append([den] + [int(x * den) for x in p])
-    return _cone_facets(lifted, len(points[0]) + 1)
+    return _cone_facets(_integral([(1, *p) for p in points]), len(points[0]) + 1)
 
 
 class VPolytope:
@@ -137,10 +126,11 @@ class VPolytope:
     Input columns that are not vertices (duplicates or convex
     combinations of the others) are pruned with a warning; `pruned`
     records whether that happened.  A column is a vertex exactly when
-    the facets through it share no other column.
+    the facets through it share no other column.  The hull that decides
+    this is kept (see `hull`), so it is built once per polytope.
     """
 
-    __slots__ = ("dim", "vertices", "pruned")
+    __slots__ = ("dim", "vertices", "pruned", "_facets")
 
     def __init__(self, matrix, prune: bool = True):
         if isinstance(matrix, IntMatrix):
@@ -154,18 +144,24 @@ class VPolytope:
             else:
                 uniq.append(c)
         keep = uniq
+        self._facets = None
         if prune and len(uniq) > 1:
-            _, facets = _hull(uniq)
-            keep = []
-            for i, c in enumerate(uniq):
+            eqs, facets = _hull(uniq)
+            kept = []
+            for i in range(len(uniq)):
                 common = (1 << len(uniq)) - 1
                 for _, mask in facets:
                     if mask >> i & 1:
                         common &= mask
                 if common == 1 << i:
-                    keep.append(c)
+                    kept.append(i)
                 else:
                     pruned = True
+            keep = [uniq[i] for i in kept]
+            self._facets = eqs, [
+                (a, sum(1 << j for j, i in enumerate(kept) if mask >> i & 1))
+                for a, mask in facets
+            ]
         if pruned:
             warnings.warn("non-vertex columns pruned from polytope input", stacklevel=2)
         self.vertices = RatMatrix.from_columns(keep)
@@ -174,6 +170,13 @@ class VPolytope:
 
     def vertex_list(self):
         return self.vertices.columns()
+
+    def hull(self):
+        """`_hull` of the vertices: (equalities, facets), each facet's
+        bitmask indexing the vertex columns; computed at most once."""
+        if self._facets is None:
+            self._facets = _hull(self.vertex_list())
+        return self._facets
 
     def __repr__(self):
         return f"VPolytope(dim={self.dim}, vertices={self.vertices.cols})"
@@ -201,8 +204,8 @@ class HPolytope:
         return True
 
 
-def _full_hull(verts):
-    eqs, facets = _hull(verts)
+def _full_hull(p: VPolytope):
+    eqs, facets = p.hull()
     if eqs:
         raise NotFullDimensional("polytope is not full-dimensional")
     return facets
@@ -212,7 +215,7 @@ def facet_enumeration(p: VPolytope) -> HPolytope:
     """Complete irredundant facet list of a full-dimensional polytope,
     sorted by (normal, offset)."""
     facets = []
-    for (c, *a), mask in _full_hull(p.vertex_list()):
+    for (c, *a), mask in _full_hull(p):
         g = math.gcd(*a)
         normal = tuple(x // g for x in a)
         facets.append(Facet(normal=normal, offset=Fraction(c, g), incident=_bits(mask)))
@@ -250,37 +253,17 @@ def _simplices(verts, facets, face, d):
     return out
 
 
-def _det_fraction(rows) -> Fraction:
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = _ONE
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = _ONE / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
-
-
 def normalized_volume(p: VPolytope) -> Fraction:
     """n! times the Euclidean volume, exact; an integer for lattice
     polytopes."""
+    facets = [mask for _, mask in _full_hull(p)]
     verts = p.vertex_list()
-    n = p.dim
-    facets = [mask for _, mask in _full_hull(verts)]
+    lifted = _integral([(1, *v) for v in verts])
     total = Fraction(0)
-    for s in _simplices(verts, facets, (1 << len(verts)) - 1, n):
-        base = verts[s[0]]
-        rows = [[verts[i][j] - base[j] for j in range(n)] for i in s[1:]]
-        total += abs(_det_fraction(rows))
+    for s in _simplices(verts, facets, (1 << len(verts)) - 1, p.dim):
+        # det of the rows (1, v_i) is det(v_i - v_0); _integral scales row i by den_i
+        rows = [lifted[i] for i in s]
+        total += Fraction(abs(_det(rows)), math.prod(r[0] for r in rows))
     return total
 
 
@@ -322,9 +305,7 @@ def is_reflexive(p: VPolytope) -> bool:
 def fmatrix_index(v: IntMatrix) -> int:
     """Least k making k times the polar of conv(v) a lattice polytope
     (the Gorenstein index when v is the fan matrix of a Q-Fano variety)."""
-    from .gale import classify_matrix
-
-    if not classify_matrix(v).is_F:
+    if not all(_fan_conditions(v)):
         raise NotFMatrix("index is defined for fan-type matrices only")
     polar = polar_dual(VPolytope(v))
     return polar.vertices.denominator_lcm()
@@ -341,20 +322,13 @@ def polar_vertex_matrix(v: IntMatrix, fan) -> RatMatrix:
     n = v.rows
     cols = []
     for g in max_cones:
-        sub = v.cols_at(list(g))
-        sol = None
-        for pick in itertools.combinations(range(len(g)), n):
-            h = sub.cols_at(list(pick))
-            if h.det() != 0:
-                sol = rat_solve(h.t().to_rat(), [Fraction(-1)] * n)
-                break
-        if sol is None:
+        # one elimination of [sub^T | -1]: rank n, and no pivot on the -1 column
+        m, pivots, d, _ = _eliminate([v.col(j) + (-1,) for j in g])
+        if len(pivots) < n or pivots[n - 1] != n - 1:
             raise DegenerateCone(f"cone {tuple(g)} has no nonsingular n x n submatrix")
-        for j in range(len(g)):
-            pairing = sum(a * b for a, b in zip(sub.col(j), sol))
-            if pairing != -1:
-                raise DegenerateCone(
-                    f"cone {tuple(g)} generators do not lie on a common polar hyperplane"
-                )
-        cols.append(sol)
+        if len(pivots) > n:
+            raise DegenerateCone(
+                f"cone {tuple(g)} generators do not lie on a common polar hyperplane"
+            )
+        cols.append(tuple(Fraction(m[i][n], d) for i in range(n)))
     return RatMatrix.from_columns(cols)

@@ -176,6 +176,34 @@ def test_analyze_matches_golden_reports_on_every_fixture(capsys):
         assert (code, out) == (golden[name]["exit"], golden[name]["stdout"]), name
 
 
+def test_classify_matches_golden_family_signatures(capsys, tmp_path):
+    # the benchmark's `families` references: `toriq classify --factor h`
+    # on each weight matrix, plus the reflexive family where recorded
+    import os
+
+    from toriq.classify import enumerate_fano_family
+
+    with open(os.path.join(FIXTURES, "..", "perfbench", "golden.json")) as fh:
+        golden = json.load(fh)
+    assert golden["families"]
+    for item, expected in sorted(golden["families"].items()):
+        name, h = item.rsplit(":h", 1)
+        q = golden["weights"][name]["q"]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"matrix": q, "role": "weight-matrix"}))
+        code, out = run_cli(capsys, "classify", str(path), "--factor", h)
+        assert code == 0, item
+        got = {
+            "kept": len(out["kept"]),
+            "rejected": len(out["rejected"]),
+            "kept_sig": sorted([k["order"], k["mult"], k["index"]] for k in out["kept"]),
+            "fano": None,
+        }
+        if expected["fano"] is not None:
+            got["fano"] = sorted(e[2] for e in enumerate_fano_family(IntMatrix(q)))
+        assert got == expected, item
+
+
 def test_non_complete_fan_is_rejected(capsys):
     code, out = run_cli(capsys, "analyze", fixture_path("mds_W"))
     assert code == 2

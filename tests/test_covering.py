@@ -2,16 +2,10 @@ import pytest
 
 from toriq.covering import (
     analyze,
-    degree,
-    factor,
     fano_splitting,
-    h_extension,
     mds_multiplicity,
     multiplicity,
-    polar_weight,
-    scaled_degree,
     universal_cover,
-    weight_group,
     weight_modulus,
 )
 from toriq.errors import NotReflexive, RankDeficient
@@ -68,8 +62,8 @@ def test_weight_modulus():
 
 
 def test_polar_weight():
-    fan = FanData(BLUP_V, SIGMA)
-    qpol, k = polar_weight(BLUP_V, fan)
+    cd = analyze(BLUP_V, FanData(BLUP_V, SIGMA))
+    qpol, k = cd.Qpolar, cd.k
     assert k == 1
     printed = IntMatrix(
         [[1, 1, 1, 0, 0, 0, 1], [0, 1, 0, 0, 0, 1, 0], [0, 0, 1, 0, 1, 0, 0], [1, 0, 0, 1, 1, 1, 0]]
@@ -77,7 +71,8 @@ def test_polar_weight():
     assert gl_equivalent(qpol, printed)[0]
     # rank-1: the polar weight is the weight itself (up to column order,
     # since polar columns are indexed by maximal cones)
-    qpol_b, k_b = polar_weight(BAUERLE_V, face_fan(BAUERLE_V))
+    cd_b = analyze(BAUERLE_V, face_fan(BAUERLE_V))
+    qpol_b, k_b = cd_b.Qpolar, cd_b.k
     assert k_b == 6
     assert gl_equivalent(qpol_b, IntMatrix([[1, 3, 4]]))[0]
 
@@ -85,9 +80,9 @@ def test_polar_weight():
 def test_weight_group_bauerle():
     q = IntMatrix([[1, 3, 4]])
     fan = face_fan(gale_dual(q))
-    wg, cd = weight_group(q, fan)
-    assert wg.group == FiniteAbelianGroup((6,))
-    assert wg.order == 6
+    cd = analyze(fan.fan_matrix, fan)
+    assert cd.weight_group_type == FiniteAbelianGroup((6,))
+    assert cd.weight_order == 6
 
 
 def test_weight_group_blowup_and_mds():
@@ -96,34 +91,38 @@ def test_weight_group_blowup_and_mds():
     assert cd.weight_group_type == FiniteAbelianGroup((2, 2))
     q = gale_dual(MDS_V)
     anti = tuple(sum(r) for r in q.data)
-    wg, _ = weight_group(q, fan_from_point(q, anti))
-    assert wg.group == FiniteAbelianGroup((15, 30))
-    assert wg.order == 450
+    qfan = fan_from_point(q, anti)
+    cd_q = analyze(qfan.fan_matrix, qfan)
+    assert cd_q.weight_group_type == FiniteAbelianGroup((15, 30))
+    assert cd_q.weight_order == 450
 
 
 def test_h_extension():
     fan = face_fan(BAUERLE_V)
     cd = analyze(BAUERLE_V, fan)
-    wg, _ = weight_group(IntMatrix([[1, 3, 4]]), face_fan(cd.W))
-    ext = h_extension(wg, cd.A, 2)
-    assert ext == FiniteAbelianGroup((2, 12))
-    assert h_extension(wg, cd.A, 1) == wg.group
+    cd_w = analyze(cd.W, face_fan(cd.W))
+    assert cd.h == 2
+    assert cd.h_extension_type == FiniteAbelianGroup((2, 12))
+    assert cd.h_extension_type.order == 2 ** 2 * cd_w.weight_order
+    assert cokernel(cd.A.t()) == cd_w.weight_group_type
     trivial_a = IntMatrix.identity(2)
     assert cokernel(trivial_a * 3) == FiniteAbelianGroup((3, 3))
 
 
 def test_factor():
-    assert factor(BAUERLE_V, face_fan(BAUERLE_V)) == 2
-    assert factor(QFC_V, face_fan(QFC_V)) == 2
-    assert factor(BLUP_V, FanData(BLUP_V, SIGMA)) == 1
+    assert analyze(BAUERLE_V, face_fan(BAUERLE_V)).h == 2
+    assert analyze(QFC_V, face_fan(QFC_V)).h == 2
+    assert analyze(BLUP_V, FanData(BLUP_V, SIGMA)).h == 1
 
 
 def test_degrees():
     fan = FanData(BLUP_V, SIGMA)
-    assert degree(BLUP_V, fan) == 48
-    assert scaled_degree(BAUERLE_V, face_fan(BAUERLE_V), 6) == 48
+    assert analyze(BLUP_V, fan).degree == 48
+    cd = analyze(BAUERLE_V, face_fan(BAUERLE_V))
+    assert cd.k == 6
+    assert cd.degree_scaled == 48
     p2 = IntMatrix([[1, 0, -1], [0, 1, -1]])
-    assert degree(p2, face_fan(p2)) == 9
+    assert analyze(p2, face_fan(p2)).degree == 9
 
 
 def test_fano_splitting_blowup():

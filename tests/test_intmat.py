@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -6,21 +8,38 @@ from toriq.errors import NonIntegerQuotient, NotSquare, RankDeficient
 from toriq.intmat import (
     FiniteAbelianGroup,
     IntMatrix,
+    _det,
+    _integral,
     cokernel,
     hnf,
     kernel_basis,
     lattice_index,
+    primitive_kernel,
     quotient_matrix,
     rank,
     snf,
     solve_integer,
-    transverse,
+    solve_unique,
     unimodular_inverse,
 )
 
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):
     return IntMatrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+
+
+def expand(rows):
+    """Cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * expand([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def snf_rank(rows) -> int:
+    return sum(1 for d in snf(IntMatrix(rows)).diagonal if d)
 
 
 def test_snf_fixed_values():
@@ -167,23 +186,6 @@ def test_quotient_matrix_index_consistency():
         assert abs(got.det()) == abs(b.det())
 
 
-def test_transverse():
-    ident = IntMatrix.identity(3).to_rat()
-    assert transverse(ident) == ident
-    a = IntMatrix([[2, 0], [0, 1]]).to_rat()
-    t = transverse(a)
-    from fractions import Fraction
-
-    assert t.data == ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1)))
-    assert (a.t() * t) == IntMatrix.identity(2).to_rat()
-    rng = random.Random(31)
-    for _ in range(20):
-        m = random_matrix(rng, 3, 3)
-        if m.det() == 0:
-            continue
-        assert (m.t().to_rat() * transverse(m.to_rat())) == IntMatrix.identity(3).to_rat()
-
-
 def test_det():
     assert IntMatrix([[1, 2], [0, 4]]).det() == 4
     assert abs(IntMatrix([[-3, -6, -6], [-3, -6, 4], [9, 3, -2]]).det()) == 450
@@ -197,16 +199,50 @@ def test_det_matches_float_free_expansion():
     for _ in range(30):
         n = rng.randint(1, 4)
         m = random_matrix(rng, n, n)
-
-        def expand(rows):
-            if len(rows) == 1:
-                return rows[0][0]
-            return sum(
-                (-1) ** j * rows[0][j] * expand([r[:j] + r[j + 1 :] for r in rows[1:]])
-                for j in range(len(rows))
-            )
-
         assert m.det() == expand([list(r) for r in m.data])
+
+
+def test_elimination_core_randomized():
+    # det, kernel and solve on integer and rational, square and
+    # non-square, full-rank and rank-deficient matrices; ranks come from
+    # the Smith form, independently of the elimination
+    rng = random.Random(53)
+    for trial in range(400):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 6)
+        a = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
+        if trial % 3 == 0:  # rank k < min(nr, nc), as a product through Z^k
+            k = rng.randint(0, min(nr, nc) - 1)
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nr)]
+            right = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(k)]
+            a = [[sum(x * right[t][j] for t, x in enumerate(row)) for j in range(nc)] for row in left]
+        if trial % 5 == 0:
+            rational = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in a]
+        else:
+            rational = a
+        r = snf_rank(_integral(rational))
+        if nr == nc:
+            assert IntMatrix(a).det() == expand(a)
+            # a rational row is scaled by the lcm of its denominators
+            dens = [lcm(*(Fraction(x).denominator for x in row)) for row in rational]
+            assert Fraction(_det(_integral(rational)), prod(dens)) == expand(rational)
+        kernel = primitive_kernel(_integral(rational))
+        assert len(kernel) == nc - r
+        for k in kernel:
+            assert gcd(*k) == 1
+            assert all(sum(x * y for x, y in zip(row, k)) == 0 for row in rational)
+        if kernel:
+            assert snf_rank(kernel) == len(kernel)
+        x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nc)]
+        b = [sum(x * y for x, y in zip(row, x0)) for row in rational]
+        if trial % 2:
+            b[-1] += 1  # inconsistent unless the last row is independent
+        sol = solve_unique(rational, b)
+        consistent = snf_rank(_integral([list(row) + [y] for row, y in zip(rational, b)])) == r
+        assert (sol is not None) == (r == nc and consistent)
+        if sol is not None:
+            assert all(sum(x * y for x, y in zip(row, sol)) == y for row, y in zip(rational, b))
+            if not trial % 2:
+                assert sol == tuple(x0)
 
 
 def test_solve_integer():

@@ -68,6 +68,28 @@ def test_nonvertex_columns_pruned():
     assert caught
 
 
+def test_hull_built_once_per_polytope(monkeypatch):
+    import toriq.polytope as polytope
+
+    calls = []
+    hull = polytope._hull
+    monkeypatch.setattr(polytope, "_hull", lambda pts: calls.append(pts) or hull(pts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = VPolytope(IntMatrix([[0, 2, 1, 0, -2, 0, 1], [0, 0, 0, 2, -2, 0, 1]]))
+    facets = facet_enumeration(p)
+    volume = normalized_volume(p)
+    points = polytope.lattice_points(p)
+    assert len(calls) == 1
+    # the pruning hull's facet bitmasks, re-indexed to the kept vertices,
+    # equal those of a hull built on the vertices alone
+    fresh = VPolytope(p.vertices, prune=False)
+    assert facet_enumeration(fresh) == facets
+    assert normalized_volume(fresh) == volume == 12
+    assert polytope.lattice_points(fresh) == points
+    assert len(calls) == 2
+
+
 def test_normalized_volume_values():
     assert normalized_volume(VPolytope(BLUP_V)) == 8
     vpol = IntMatrix(
