@@ -9,13 +9,12 @@ quotient-matrix equation in the covering pipeline literally aligned.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 
 from .errors import RankDeficient
-from .intmat import IntMatrix, hnf, kernel_basis, rank, snf, unimodular_inverse
-from .linprog import has_positive_kernel_vector
+from .intmat import IntMatrix, hnf, kernel_basis, rank, snf, solve_unique, unimodular_inverse
+from .linprog import positive_kernel_vector
 
 
 @dataclass(frozen=True)
@@ -37,17 +36,17 @@ def _column_content(col) -> int:
     return g
 
 
-def _positive_parallel_pair(m: IntMatrix) -> bool:
-    seen = {}
-    for j in range(m.cols):
-        c = m.col(j)
+def _positive_parallel_pair(cols) -> bool:
+    """Are two of the nonzero vectors cols positive multiples of each other?"""
+    seen = set()
+    for c in cols:
         if not any(c):
             continue
         g = _column_content(c)
         prim = tuple(x // g for x in c)
         if prim in seen:
             return True
-        seen[prim] = j
+        seen.add(prim)
     return False
 
 
@@ -66,30 +65,15 @@ def _row_lattice_member(h: IntMatrix, v) -> bool:
     return not any(v)
 
 
-def _coordinate_pair_lattice(q: IntMatrix, i: int, j: int):
-    """Generators of {(x_i, x_j) : x in L_r(q), x supported on {i, j}}."""
-    others = [c for c in range(q.cols) if c not in (i, j)]
-    # coefficient vectors y with (y*q) vanishing outside {i, j}
-    restricted = q.cols_at(others).t() if others else IntMatrix([[0] * q.rows])
-    k = kernel_basis(restricted)
-    gens = []
-    for t in range(k.cols):
-        y = k.col(t)
-        x = [sum(a * b for a, b in zip(y, q.col(c))) for c in (i, j)]
-        if any(x):
-            gens.append(tuple(x))
-    return gens
-
-
 def _fan_conditions(m: IntMatrix) -> tuple:
     """(F.a, F.b, F.c, F.d): full rank, positively spanning columns, no
     zero column, no positively parallel column pair."""
     full_rank = rank(m) == m.rows
     return (
         full_rank,
-        full_rank and has_positive_kernel_vector([list(r) for r in m.data]),
+        full_rank and positive_kernel_vector([list(r) for r in m.data]) is not None,
         all(any(m.col(j)) for j in range(m.cols)),
-        not _positive_parallel_pair(m),
+        not _positive_parallel_pair(m.columns()),
     )
 
 
@@ -103,6 +87,16 @@ def classify_matrix(m: IntMatrix) -> MatrixClassReport:
     saturated row lattice (W.b), existence of a nonnegative row basis
     (W.c), no zero column (W.d), no unit vector (W.e) and no two-entry
     opposite-sign vector (W.f) in the row lattice.
+
+    W.c and W.f are read on a Gale dual g of m (the rows of
+    `kernel_basis(m)` are its columns): over Q the row space of m is the
+    kernel of g.  W.c holds exactly when a nonnegative basis exists, which
+    by Gordan's alternative is when the row space holds a vector positive
+    on the support S of m, i.e. when g restricted to S has a positive
+    kernel vector (one LP).  A row-space vector supported on {i, j} with
+    opposite signs exists exactly when g's columns i and j are both zero or
+    positively parallel (W.f).  W.e needs the lattice itself, which may be
+    unsaturated, so it is an HNF membership test.
     """
     violated = []
     n = m.rows
@@ -127,7 +121,10 @@ def classify_matrix(m: IntMatrix) -> MatrixClassReport:
     is_f = full_rank and f_complete and no_zero_col and no_parallel
 
     h, _ = hnf(m)
-    w_positive = _find_nonnegative_basis(m) is not None
+    k = kernel_basis(m)
+    support = [j for j in range(m.cols) if any(m.col(j))]
+    g_support = [[k[j, t] for j in support] for t in range(k.cols)]
+    w_positive = positive_kernel_vector(g_support) is not None
     if not w_positive:
         violated.append("W.c")
     no_unit = True
@@ -139,20 +136,7 @@ def classify_matrix(m: IntMatrix) -> MatrixClassReport:
             break
     if not no_unit:
         violated.append("W.e")
-    no_mixed_pair = True
-    for i, j in itertools.combinations(range(m.cols), 2):
-        gens = _coordinate_pair_lattice(m, i, j)
-        if not gens:
-            continue
-        pair_rank = rank(IntMatrix(gens))
-        if pair_rank == 2:
-            no_mixed_pair = False
-        elif pair_rank == 1:
-            a, b = gens[0]
-            if a * b < 0:
-                no_mixed_pair = False
-        if not no_mixed_pair:
-            break
+    no_mixed_pair = sum(1 for c in k.data if not any(c)) < 2 and not _positive_parallel_pair(k.data)
     if not no_mixed_pair:
         violated.append("W.f")
 
@@ -177,68 +161,67 @@ def is_reduced_w(q: IntMatrix) -> bool:
     return is_reduced_f(gale_dual(q))
 
 
-def _find_nonnegative_basis(m: IntMatrix):
-    """Search for a basis of the row lattice of m consisting of
-    nonnegative vectors; None if the bounded search finds none.
+def _nonnegative_basis(rows):
+    """A nonnegative basis of the lattice L spanned by the rows of a row
+    HNF with a negative entry (so on the support S of L, rank L < |S|),
+    or None when L has none.
 
-    Enumerates small integer combinations of the HNF basis rows and then
-    looks for a sub-collection spanning the full lattice. Coefficient
-    bounds shrink with the rank to keep the enumeration at desk scale.
+    By Gordan's alternative L has a nonnegative basis exactly when it holds
+    a vector positive on S; over Q, L on S is the kernel of a Gale dual of
+    its columns there, so one LP decides it.  The L-primitive positive
+    vector p is extended to a basis, every other row is lifted by the least
+    multiple of p that makes it nonnegative, and b_i is replaced by
+    b_i - b_j while that stays nonnegative (each step lowers the entry sum).
     """
-    h, _ = hnf(m)
-    rows = [r for r in h.data if any(r)]
-    r = len(rows)
-    if r == 0:
-        return []
-    if all(all(x >= 0 for x in row) for row in rows):
-        return rows
-    bound = {1: 24, 2: 12, 3: 8, 4: 5}.get(r, 2 if r <= 6 else 1)
-    cands = set()
-    for coeffs in itertools.product(range(-bound, bound + 1), repeat=r):
-        if not any(coeffs):
-            continue
-        v = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0])))
-        if all(x >= 0 for x in v) and any(v):
-            cands.add(v)
-    cands = sorted(cands, key=lambda v: (sum(v), v))[:600]
-    target = IntMatrix(rows)
-    target_h, _ = hnf(target)
-
-    def dfs(start, chosen):
-        if len(chosen) == r:
-            got, _ = hnf(IntMatrix(chosen))
-            return chosen if got == target_h else None
-        for i in range(start, len(cands)):
-            nxt = chosen + [cands[i]]
-            if rank(IntMatrix(nxt)) == len(nxt):
-                found = dfs(i + 1, nxt)
-                if found is not None:
-                    return found
+    support = [j for j in range(len(rows[0])) if any(r[j] for r in rows)]
+    on_support = IntMatrix([[r[j] for j in support] for r in rows])
+    x = positive_kernel_vector(kernel_basis(on_support).t().data)
+    if x is None:
         return None
-
-    return dfs(0, [])
+    # coordinates of x in the rows, scaled to a primitive integer vector c
+    c = solve_unique(on_support.t().data, x)
+    den = lcm(*(f.denominator for f in c))
+    c = [int(f * den) for f in c]
+    g = gcd(*c)
+    c = [a // g for a in c]
+    # u * c = e_1, so c is the first column of the unimodular u^-1
+    _, u = hnf(IntMatrix([[a] for a in c]))
+    basis = [list(b) for b in (unimodular_inverse(u).t() * IntMatrix(rows)).data]
+    p = basis[0]
+    for b in basis[1:]:
+        t = max(-(a // q) for a, q in zip(b, p) if q)
+        b[:] = [a + t * q for a, q in zip(b, p)]
+    reduced = False
+    while not reduced:
+        reduced = True
+        for bi in basis:
+            for bj in basis:
+                if bi is not bj and all(a >= q for a, q in zip(bi, bj)):
+                    t = min(a // q for a, q in zip(bi, bj) if q)
+                    bi[:] = [a - t * q for a, q in zip(bi, bj)]
+                    reduced = False
+    return basis
 
 
 @functools.cache
 def gale_dual(m: IntMatrix) -> IntMatrix:
-    """Gale dual: a canonical basis of the saturated kernel of m, as rows.
+    """Gale dual: a basis of the saturated kernel of m, as rows.
 
-    The output is the row HNF of the kernel basis, upgraded to a
-    deterministic nonnegative basis whenever one exists, so repeated
-    calls compare bit-exactly.
+    The basis is nonnegative exactly when the kernel lattice has a
+    nonnegative basis (decided by one LP, see `_nonnegative_basis`);
+    otherwise it is the row HNF.  Either way it is computed from the
+    lattice alone, never from m, so equal kernels give bit-equal duals.
     """
     if rank(m) < m.rows:
         raise RankDeficient("Gale dual requires full row rank")
-    k = kernel_basis(m)
-    g = k.t()
-    h, _ = hnf(g)
+    h, _ = hnf(kernel_basis(m).t())
     rows = [r for r in h.data if any(r)]
     if not rows:
         return IntMatrix([[0] * m.cols][:0])
-    basis = _find_nonnegative_basis(IntMatrix(rows))
-    if basis is None:
-        return IntMatrix(rows)
-    return IntMatrix(sorted(basis))
+    if all(x >= 0 for r in rows for x in r):
+        return IntMatrix(sorted(rows))
+    basis = _nonnegative_basis(rows)
+    return IntMatrix(rows if basis is None else sorted(basis))
 
 
 def _colmajor_key(h: IntMatrix, ncols: int):

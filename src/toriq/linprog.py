@@ -169,13 +169,15 @@ def cone_contains_strict(generators, w) -> bool:
     return strict_solution(rows, w) is not None
 
 
-def has_positive_kernel_vector(a_rows) -> bool:
-    """Does A x = 0 admit a strictly positive solution?
+def positive_kernel_vector(a_rows):
+    """Some x > 0 with A x = 0, or None if there is none.
 
     The kernel is a linear subspace, so x > 0 exists iff x >= 1 exists;
-    substituting x = 1 + s reduces to plain feasibility.
+    substituting x = 1 + s reduces to plain feasibility, and x = 1 + s is
+    returned.  With no rows every vector qualifies; the result is then ().
     """
     if not a_rows:
-        return True
+        return ()
     rhs = [-sum(Fraction(x) for x in r) for r in a_rows]
-    return nonneg_solution(a_rows, rhs) is not None
+    s = nonneg_solution(a_rows, rhs)
+    return None if s is None else tuple(_ONE + x for x in s)

@@ -1,6 +1,8 @@
 """Independent oracles used only by the test suite.
 
-The volume oracle integrates exact cross-section measures over the slabs
+The W.f oracle computes, for every column pair, the lattice of row-lattice
+vectors supported on that pair, straight from the definition.  The volume
+oracle integrates exact cross-section measures over the slabs
 between vertex coordinates (trapezoid rule in 2D, Simpson in 3D, both of
 which are exact for the piecewise-polynomial sections of a polytope), so
 it shares no code path with the library's facet-pyramid triangulation.
@@ -11,6 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from toriq.intmat import IntMatrix, kernel_basis, rank
 from toriq.linprog import cone_contains
 from toriq.polytope import VPolytope, facet_enumeration
 
@@ -97,3 +100,36 @@ def rays_covered(fan, rng, trials: int = 40) -> bool:
         if not hit:
             return False
     return True
+
+
+def _coordinate_pair_lattice(q: IntMatrix, i: int, j: int):
+    """Generators of {(x_i, x_j) : x in L_r(q), x supported on {i, j}}."""
+    others = [c for c in range(q.cols) if c not in (i, j)]
+    # coefficient vectors y with (y*q) vanishing outside {i, j}
+    restricted = q.cols_at(others).t() if others else IntMatrix([[0] * q.rows])
+    k = kernel_basis(restricted)
+    gens = []
+    for t in range(k.cols):
+        y = k.col(t)
+        x = [sum(a * b for a, b in zip(y, q.col(c))) for c in (i, j)]
+        if any(x):
+            gens.append(tuple(x))
+    return gens
+
+
+def has_mixed_pair(q: IntMatrix) -> bool:
+    """Does the row lattice of q hold a vector with exactly two nonzero
+    entries of opposite signs (the negation of W.f)?  Checked pair by
+    pair: a rank-2 pair lattice holds every sign pattern, a rank-1 one
+    only the signs of its generator."""
+    for i, j in itertools.combinations(range(q.cols), 2):
+        gens = _coordinate_pair_lattice(q, i, j)
+        if not gens:
+            continue
+        pair_rank = rank(IntMatrix(gens))
+        if pair_rank == 2:
+            return True
+        a, b = gens[0]
+        if a * b < 0:
+            return True
+    return False

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from oracles import has_mixed_pair
 from toriq.errors import RankDeficient
-from toriq.gale import classify_matrix, gale_dual, gl_equivalent
-from toriq.intmat import IntMatrix, rank
+from toriq.gale import _fan_conditions, classify_matrix, gale_dual, gl_equivalent
+from toriq.intmat import IntMatrix, hnf, kernel_basis, rank, snf
+from toriq.linprog import nonneg_solution
 
 BLUP_V = IntMatrix([[1, 0, 0, 0, -1, 1], [0, 1, 0, 0, -1, 1], [0, 0, 1, -1, -1, 1]])
 BLUP_Q = IntMatrix([[1, 1, 1, 0, 1, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]])
@@ -191,3 +193,98 @@ def test_gl_equivalent_scrambled_random():
         scrambled = IntMatrix.from_columns([(u * m).col(j) for j in perm])
         eq, p, s = gl_equivalent(m, scrambled)
         assert eq and p * m * s == scrambled
+
+
+def _nonnegative(m: IntMatrix) -> bool:
+    return all(x >= 0 for row in m.data for x in row)
+
+
+def _is_gale_dual_of(q: IntMatrix, v: IntMatrix) -> bool:
+    """q's rows are a basis of the saturated kernel of v."""
+    return (
+        all(not any(v.mul_vec(row)) for row in q.data)
+        and hnf(q)[0] == hnf(kernel_basis(v).t())[0]
+    )
+
+
+def test_gale_dual_nonnegative_on_large_weights():
+    # a bounded coefficient search found no nonnegative basis here, and
+    # the classification then reported a spurious W.c violation
+    v = IntMatrix([[1, 88, 75, 43, -56, -68, -83], [0, 112, 96, 56, -71, -87, -106]])
+    q = gale_dual(v)
+    assert _nonnegative(q)
+    assert _is_gale_dual_of(q, v)
+    assert "W.c" not in classify_matrix(q).violated_conditions
+
+
+def _random_plane_fan(rng) -> IntMatrix:
+    while True:
+        m = rng.randint(7, 8)
+        v = IntMatrix([[rng.randint(-9, 9) for _ in range(m)] for _ in range(2)])
+        if all(_fan_conditions(v)):
+            return v
+
+
+def test_gale_dual_nonnegative_on_random_plane_fans():
+    # positively spanning columns give a positive kernel vector, so by
+    # Gordan's alternative a nonnegative kernel basis always exists
+    rng = random.Random(5)
+    for _ in range(60):
+        v = _random_plane_fan(rng)
+        q = gale_dual(v)
+        assert _nonnegative(q), (v, q)
+        assert _is_gale_dual_of(q, v), (v, q)
+
+
+def _random_weight_side_matrix(rng) -> IntMatrix:
+    kind = rng.random()
+    rows = rng.randint(2 if kind < 0.2 else 1, 3)
+    cols = rng.randint(rows + 1, 6)
+    data = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+    if kind < 0.2:  # rank-deficient: a multiple of another row
+        c = rng.choice((-2, -1, 2))
+        data[-1] = [c * x for x in data[0]]
+    elif kind < 0.4:  # a zero column
+        j = rng.randrange(cols)
+        for r in data:
+            r[j] = 0
+    elif kind < 0.7:  # mostly nonnegative rows, where W.c tends to hold
+        data = [[abs(x) - (x == -3) for x in r] for r in data]
+    return IntMatrix(data)
+
+
+def test_weight_side_against_oracles():
+    """W.f against the pairwise definition; W.c against a Gordan
+    certificate when reported, and against the double Gale dual when not."""
+    rng = random.Random(2024)
+    kinds = ("W.c", "not W.c", "W.f", "not W.f", "rank-deficient", "zero column", "double dual")
+    counts = dict.fromkeys(kinds, 0)
+    for _ in range(400):
+        m = _random_weight_side_matrix(rng)
+        violated = classify_matrix(m).violated_conditions
+        mixed = has_mixed_pair(m)
+        assert ("W.f" in violated) == mixed, (m, violated)
+        counts["W.f" if mixed else "not W.f"] += 1
+        counts["rank-deficient"] += rank(m) < m.rows
+        support = [j for j in range(m.cols) if any(m.col(j))]
+        counts["zero column"] += len(support) < m.cols
+        if "W.c" in violated:
+            counts["W.c"] += 1
+            # y >= 0, sum(y) = 1, m_S y = 0: no row-space vector is positive on S
+            rows = [list(r) for r in m.cols_at(support).data] + [[1] * len(support)]
+            y = nonneg_solution(rows, [0] * m.rows + [1])
+            assert y is not None, (m, violated)
+            assert sum(y) == 1 and all(x >= 0 for x in y)
+            for r in m.cols_at(support).data:
+                assert sum(a * b for a, b in zip(r, y)) == 0
+        else:
+            counts["not W.c"] += 1
+        saturated = rank(m) == m.rows and all(d == 1 for d in snf(m).diagonal)
+        if saturated:
+            # the double dual is a basis of m's row lattice, nonnegative
+            # exactly when such a basis exists
+            counts["double dual"] += 1
+            w = gale_dual(gale_dual(m))
+            assert hnf(w)[0] == hnf(m)[0], m
+            assert _nonnegative(w) == ("W.c" not in violated), (m, w, violated)
+    assert all(c >= 20 for c in counts.values()), counts
