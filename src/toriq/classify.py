@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .covering import analyze
 from .errors import InconsistentAction, NotFanoWeight, RankDeficient, TooLarge
@@ -298,19 +298,10 @@ def enumerate_qgorenstein_family(q: IntMatrix, h: int) -> QGorensteinFamily:
             witness = next(
                 j
                 for j in range(v_h.cols)
-                if _column_gcd(v_h.col(j)) > 1
+                if gcd(*v_h.col(j)) > 1
             )
             rejected.append((sub, v_h, witness))
     return QGorensteinFamily(kept=tuple(kept), rejected=tuple(rejected))
-
-
-def _column_gcd(col) -> int:
-    from math import gcd
-
-    g = 0
-    for x in col:
-        g = gcd(g, x)
-    return g
 
 
 def unitary_cover(v: IntMatrix, fan: FanData) -> IntMatrix:

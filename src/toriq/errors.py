@@ -57,6 +57,10 @@ class InconsistentAction(ToriqError):
     """A finite quotient produced a cokernel that differs from the acting subgroup."""
 
 
+class NotConverged(ToriqError):
+    """An iterative reduction exceeded its round limit."""
+
+
 class TooLarge(ToriqError):
     pass
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import InvalidFan, OriginNotInterior, OutsideMoving, RankDeficient
 from .gale import gale_dual
-from .intmat import IntMatrix, rank, solve_integer
+from .intmat import IntMatrix, rank, solve_integer, solve_unique
 from .linprog import cone_contains, cone_contains_strict, nonneg_solution
 from .polytope import VPolytope, _bits, _cone_facets, facet_enumeration
 
@@ -209,12 +209,16 @@ def fan_from_point(q: IntMatrix, w, fan_matrix: IntMatrix | None = None) -> FanD
     """Fan dual to the secondary-fan cell whose relative interior
     contains w.
 
-    Candidate simplicial cones are the complements of the r-subsets J
-    with w in the cone over Q_J; adjacent candidates are merged whenever
-    w lies on their shared weight-side wall, iterated to a fixpoint, so
-    every returned maximal cone I satisfies w in relint of the cone over
-    the complementary weight columns.  The result is validated (relative
-    interior condition per cone plus completeness) and never returned
+    The maximal cones are the complements of the inclusion-minimal index
+    sets J with w in the relative interior of the cone over Q_J (the
+    minimal w-relevant faces).  By Caratheodory such a J is linearly
+    independent, so it extends to an r-subset B with Q_B invertible and
+    is the support of the unique solution of Q_B x = w.  Conversely the
+    support of a nonnegative unique solution on B is minimal: a relevant
+    proper subset would give Q_B x = w a second solution.  So one solve
+    per r-subset finds exactly the maximal cones.  The result is
+    validated (w in the relative interior of the complementary weight
+    cone of each maximal cone, plus completeness) and never returned
     silently on failure.
     """
     m = q.cols
@@ -228,50 +232,21 @@ def fan_from_point(q: IntMatrix, w, fan_matrix: IntMatrix | None = None) -> FanD
     if v.cols != m:
         raise RankDeficient("fan matrix has the wrong number of columns")
 
-    cands = set()
-    for j_set in itertools.combinations(range(m), r):
-        qj = q.cols_at(list(j_set))
-        if rank(qj) < r:
-            continue
-        if cone_contains(qj.columns(), w):
-            cands.add(frozenset(_complement(j_set, m)))
+    supports = set()
+    for b in itertools.combinations(range(m), r):
+        x = solve_unique([[row[j] for j in b] for row in q.data], w)
+        if x is not None and all(t >= 0 for t in x):
+            supports.add(tuple(j for j, t in zip(b, x) if t))
 
-    def q_cols(idx):
-        return [q.col(j) for j in idx]
-
-    def mergeable(g1, g2):
-        comp = tuple(sorted(set(range(m)) - (g1 | g2)))
-        if not comp or not cone_contains(q_cols(comp), w):
-            return False
-        walls1 = _cone_walls(v, tuple(sorted(g1)))
-        walls2 = {(tuple(-x for x in a), wall) for a, wall in _cone_walls(v, tuple(sorted(g2)))}
-        return any((a, wall) in walls2 for a, wall in walls1)
-
-    cones = sorted(cands, key=sorted)
-    changed = True
-    while changed:
-        changed = False
-        # absorb subsets
-        cones = [g for g in cones if not any(g < h for h in cones)]
-        for g1, g2 in itertools.combinations(cones, 2):
-            if mergeable(g1, g2):
-                merged = g1 | g2
-                cones = [c for c in cones if c not in (g1, g2)]
-                if merged not in cones:
-                    cones.append(merged)
-                cones.sort(key=sorted)
-                changed = True
-                break
-
-    fan = FanData(v, [tuple(sorted(g)) for g in cones])
+    fan = FanData(v, [_complement(s, m) for s in supports])
     for g in fan.max_cones:
         comp = _complement(g, m)
-        if not cone_contains_strict(q_cols(comp), w):
+        if not cone_contains_strict([q.col(j) for j in comp], w):
             raise InvalidFan(
                 f"cell point is not interior to the dual cone of {tuple(g)}"
             )
     if not is_complete(fan):
-        raise InvalidFan("merged cones do not form a complete fan")
+        raise InvalidFan("cell cones do not form a complete fan")
     return fan
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import NonIntegerQuotient, NotSquare, RankDeficient
+from .errors import NonIntegerQuotient, NotConverged, NotSquare, RankDeficient
 
 
 def _as_int(x) -> int:
@@ -382,6 +382,9 @@ def _is_diagonal(m: IntMatrix) -> bool:
     )
 
 
+_SNF_ROUNDS = 500
+
+
 def snf(a: IntMatrix) -> SnfDecomposition:
     """Smith normal form with transforms.
 
@@ -400,8 +403,8 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     rounds = 0
     while True:
         rounds += 1
-        if rounds > 500:
-            raise RuntimeError("Smith reduction failed to converge")
+        if rounds > _SNF_ROUNDS:
+            raise NotConverged("Smith reduction failed to converge")
         while not _is_diagonal(m):
             h, left = hnf(m)
             p = left * p

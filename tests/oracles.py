@@ -1,7 +1,9 @@
 """Independent oracles used only by the test suite.
 
 The W.f oracle computes, for every column pair, the lattice of row-lattice
-vectors supported on that pair, straight from the definition.  The volume
+vectors supported on that pair, straight from the definition.  The cell
+fan oracle builds the fan of a secondary-fan cell by merging adjacent
+simplicial candidates across the walls that contain the point.  The volume
 oracle integrates exact cross-section measures over the slabs
 between vertex coordinates (trapezoid rule in 2D, Simpson in 3D, both of
 which are exact for the piecewise-polynomial sections of a polytope), so
@@ -13,8 +15,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from toriq.errors import InvalidFan, OutsideMoving, RankDeficient
+from toriq.fans import FanData, _cone_walls, _complement, is_complete, mov_cone
+from toriq.gale import gale_dual
 from toriq.intmat import IntMatrix, kernel_basis, rank
-from toriq.linprog import cone_contains
+from toriq.linprog import cone_contains, cone_contains_strict
 from toriq.polytope import VPolytope, facet_enumeration
 
 _ZERO = Fraction(0)
@@ -133,3 +138,64 @@ def has_mixed_pair(q: IntMatrix) -> bool:
         if a * b < 0:
             return True
     return False
+
+
+def fan_from_point_by_merging(q: IntMatrix, w, fan_matrix: IntMatrix | None = None) -> FanData:
+    """Fan of the secondary-fan cell whose relative interior contains w,
+    built without minimal supports: the candidates are the complements of
+    the r-subsets J with w in the cone over Q_J; two candidates merge when
+    w lies in the cone over the weight columns outside both and their
+    cones share a wall from opposite sides, repeated to a fixpoint after
+    absorbing subsets.  Validated like `toriq.fans.fan_from_point`."""
+    m = q.cols
+    r = q.rows
+    w = tuple(Fraction(x) for x in w)
+    if all(x == 0 for x in w):
+        raise OutsideMoving("the zero class spans no cell")
+    if not mov_cone(q).contains(w):
+        raise OutsideMoving("point lies outside the moving cone")
+    v = fan_matrix if fan_matrix is not None else gale_dual(q)
+    if v.cols != m:
+        raise RankDeficient("fan matrix has the wrong number of columns")
+
+    cands = set()
+    for j_set in itertools.combinations(range(m), r):
+        qj = q.cols_at(list(j_set))
+        if rank(qj) < r:
+            continue
+        if cone_contains(qj.columns(), w):
+            cands.add(frozenset(_complement(j_set, m)))
+
+    def q_cols(idx):
+        return [q.col(j) for j in idx]
+
+    def mergeable(g1, g2):
+        comp = tuple(sorted(set(range(m)) - (g1 | g2)))
+        if not comp or not cone_contains(q_cols(comp), w):
+            return False
+        walls1 = _cone_walls(v, tuple(sorted(g1)))
+        walls2 = {(tuple(-x for x in a), wall) for a, wall in _cone_walls(v, tuple(sorted(g2)))}
+        return any((a, wall) in walls2 for a, wall in walls1)
+
+    cones = sorted(cands, key=sorted)
+    changed = True
+    while changed:
+        changed = False
+        cones = [g for g in cones if not any(g < h for h in cones)]
+        for g1, g2 in itertools.combinations(cones, 2):
+            if mergeable(g1, g2):
+                merged = g1 | g2
+                cones = [c for c in cones if c not in (g1, g2)]
+                if merged not in cones:
+                    cones.append(merged)
+                cones.sort(key=sorted)
+                changed = True
+                break
+
+    fan = FanData(v, [tuple(sorted(g)) for g in cones])
+    for g in fan.max_cones:
+        if not cone_contains_strict(q_cols(_complement(g, m)), w):
+            raise InvalidFan(f"cell point is not interior to the dual cone of {tuple(g)}")
+    if not is_complete(fan):
+        raise InvalidFan("merged cones do not form a complete fan")
+    return fan

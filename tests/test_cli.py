@@ -210,6 +210,17 @@ def test_non_complete_fan_is_rejected(capsys):
     assert out["error"]["type"] == "InvalidFan"
 
 
+def test_smith_reduction_limit_is_a_named_error(capsys, monkeypatch):
+    # a Smith reduction that runs out of rounds ends in exit 2 with an
+    # error object, not a traceback
+    from toriq import intmat
+
+    monkeypatch.setattr(intmat, "_SNF_ROUNDS", 0)
+    code, out = run_cli(capsys, "analyze", fixture_path("blupP3_X"))
+    assert code == 2
+    assert out["error"] == {"type": "NotConverged", "message": "Smith reduction failed to converge"}
+
+
 def test_big_integer_serialization():
     huge = 2 ** 60 + 7
     enc = _encode({"x": huge, "y": 12, "m": IntMatrix([[huge, 1]])})

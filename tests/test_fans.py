@@ -1,9 +1,13 @@
+import itertools
+import json
+import os
 import random
 
 import pytest
 
-from oracles import rays_covered
-from toriq.errors import InvalidFan, OriginNotInterior, OutsideMoving
+from conftest import FIXTURES
+from oracles import fan_from_point_by_merging, rays_covered
+from toriq.errors import InvalidFan, OriginNotInterior, OutsideMoving, ToriqError
 from toriq.fans import (
     FanData,
     eff_cone,
@@ -18,7 +22,7 @@ from toriq.fans import (
     qfano_representative,
 )
 from toriq.gale import gale_dual
-from toriq.intmat import IntMatrix
+from toriq.intmat import IntMatrix, rank, solve_unique
 
 BLUP_V = IntMatrix([[1, 0, 0, 0, -1, 1], [0, 1, 0, 0, -1, 1], [0, 0, 1, -1, -1, 1]])
 BLUP_Q = IntMatrix([[1, 1, 1, 0, 1, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]])
@@ -219,3 +223,98 @@ def test_eff_cone_of_the_whole_plane():
     plane = eff_cone(IntMatrix([[0, 0, 1, 3, -1, 3], [3, -1, 3, 3, 3, 3]]))
     for w in ((0, 1), (0, -1), (1, 0), (-1, 0), (-2, -7)):
         assert plane.contains(w)
+
+
+def _golden_weights():
+    # the benchmark's weight matrices and their moving-cone rays (read only)
+    with open(os.path.join(FIXTURES, "..", "perfbench", "golden.json")) as fh:
+        weights = json.load(fh)["weights"]
+    assert weights
+    return [(name, IntMatrix(e["q"]), [tuple(r) for r in e["mov_rays"]]) for name, e in sorted(weights.items())]
+
+
+def _combination(rays, coeffs):
+    return tuple(sum(c * ray[i] for c, ray in zip(coeffs, rays)) for i in range(len(rays[0])))
+
+
+def _cell_or_error(build, q, w):
+    try:
+        return build(q, w).max_cones
+    except ToriqError as exc:
+        return type(exc)
+
+
+def test_fan_from_point_matches_merging_oracle_on_golden_weights():
+    # anticanonical class, every moving ray, every sum of two rays and three
+    # random combinations per weight matrix; points on the boundary of Mov
+    # raise InvalidFan, whose message may name another cone, so only the
+    # exception type is compared
+    rng = random.Random(61)
+    fans = errors = 0
+    for name, q, rays in _golden_weights():
+        points = [tuple(sum(r) for r in q.data)] + list(rays)
+        points += [_combination(pair, (1, 1)) for pair in itertools.combinations(rays, 2)]
+        points += [_combination(rays, [rng.randint(0, 3) for _ in rays]) for _ in range(3)]
+        for w in points:
+            got = _cell_or_error(fan_from_point, q, w)
+            assert got == _cell_or_error(fan_from_point_by_merging, q, w), (name, w)
+            if isinstance(got, tuple):
+                fans += 1
+            else:
+                errors += 1
+    assert fans > 100 and errors > 30
+
+
+def _moving_points(rng, per_matrix=4):
+    for name, q, rays in _golden_weights():
+        yield name, q, tuple(sum(r) for r in q.data)
+        for _ in range(per_matrix):
+            yield name, q, _combination(rays, [rng.randint(1, 4) for _ in rays])
+
+
+def test_cell_cones_have_linearly_independent_positive_complements():
+    # the Caratheodory claim behind fan_from_point: the weight columns
+    # outside a maximal cone are independent and w is a strictly positive
+    # combination of them
+    rng = random.Random(62)
+    non_simplicial = 0
+    for name, q, w in _moving_points(rng):
+        fan = fan_from_point(q, w)
+        non_simplicial += not is_simplicial(fan)
+        assert not any(set(g) < set(h) for g in fan.max_cones for h in fan.max_cones)
+        for g in fan.max_cones:
+            comp = [j for j in range(q.cols) if j not in g]
+            q_j = q.cols_at(comp)
+            assert rank(q_j) == len(comp), (name, w, g)
+            x = solve_unique(q_j.data, w)
+            assert x is not None and all(t > 0 for t in x), (name, w, g)
+    assert non_simplicial > 0
+
+
+def _random_unimodular(rng, n):
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+            continue
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return IntMatrix(rows)
+
+
+def test_fan_from_point_is_gl_and_permutation_invariant():
+    # fan_from_point(U*q*S, U*w) gives the cones of fan_from_point(q, w)
+    # with their indices moved by the column permutation S
+    rng = random.Random(63)
+    for name, q, w in _moving_points(rng, per_matrix=2):
+        u = _random_unimodular(rng, q.rows)
+        perm = list(range(q.cols))
+        rng.shuffle(perm)  # column k of the new matrix is column perm[k] of U*q
+        uq = u * q
+        q2 = IntMatrix.from_columns([uq.col(j) for j in perm])
+        w2 = tuple(sum(a * x for a, x in zip(row, w)) for row in u.data)
+        new_index = {j: k for k, j in enumerate(perm)}
+        expected = sorted(tuple(sorted(new_index[j] for j in g)) for g in fan_from_point(q, w).max_cones)
+        assert fan_from_point(q2, w2).max_cones == tuple(expected), (name, w)
