@@ -63,7 +63,7 @@ def torsion_matrix(v: IntMatrix) -> TorsionMatrix:
         cols.append(tuple(pcol[i] % diag[i] for i in tor_rows))
     free_rows = [dec.P.row(i) for i in range(n, m)]
     if free_rows:
-        free_h, _ = hnf(IntMatrix(free_rows))
+        free_h, _ = hnf(IntMatrix._of(free_rows))
         dual_h, _ = hnf(gale_dual(v))
         assert free_h == dual_h, "free part of the class map disagrees with the Gale dual"
     ambient = FiniteAbelianGroup(factors, 0)
@@ -91,7 +91,7 @@ class SubgroupHandle:
         s = len(fs)
         if s == 0:
             return FiniteAbelianGroup((), 0)
-        d = IntMatrix([[fs[i] if i == j else 0 for j in range(s)] for i in range(s)])
+        d = IntMatrix._of([[fs[i] if i == j else 0 for j in range(s)] for i in range(s)])
         x = quotient_matrix(d, self.matrix)
         return cokernel(x.t())
 
@@ -99,7 +99,7 @@ class SubgroupHandle:
         if not self.matrix.data:
             return not other.matrix.data
         stack, _ = hnf(self.matrix.vstack(other.matrix))
-        top = IntMatrix([r for r in stack.data if any(r)])
+        top = IntMatrix._of([r for r in stack.data if any(r)])
         return top == self.matrix
 
 
@@ -147,7 +147,7 @@ def subgroups(g: FiniteAbelianGroup, order: int | None = None):
     fs = g.invariant_factors
     s = len(fs)
     if s == 0:
-        return [SubgroupHandle(ambient=g, matrix=IntMatrix([]), order=1)]
+        return [SubgroupHandle(ambient=g, matrix=IntMatrix._of(()), order=1)]
     out = []
     pos = [(i, j) for j in range(s) for i in range(j)]
     for diag in itertools.product(*[_divisors(f) for f in fs]):
@@ -163,7 +163,7 @@ def subgroups(g: FiniteAbelianGroup, order: int | None = None):
             if not _lattice_contains_diag(mat, fs):
                 continue
             out.append(
-                SubgroupHandle(ambient=g, matrix=IntMatrix(mat), order=total // det)
+                SubgroupHandle(ambient=g, matrix=IntMatrix._of(mat), order=total // det)
             )
     out.sort(key=lambda sub: (sub.order, sub.matrix.data))
     return out
@@ -205,16 +205,16 @@ def quotient_by_subgroup(w: IntMatrix, gamma: TorsionMatrix, sub: SubgroupHandle
         crows.append(c)
     if not crows:
         return w
-    cmat = IntMatrix(crows)
-    minus_big = IntMatrix(
+    cmat = IntMatrix._of(crows)
+    minus_big = IntMatrix._of(
         [[-big if i == j else 0 for j in range(len(crows))] for i in range(len(crows))]
     )
     k = kernel_basis(cmat.hstack(minus_big))
-    mpart = IntMatrix([k.row(i) for i in range(n)])
+    mpart = k.rows_at(range(n))
     basis, _ = hnf(mpart.t())
     rows = [r for r in basis.data if any(r)]
     assert len(rows) == n, "invariant lattice lost full rank"
-    s_mat = IntMatrix(rows)
+    s_mat = IntMatrix._of(rows)
     v_h = s_mat * w
     x = quotient_matrix(v_h, w)
     if cokernel(x.t()) != sub.group_type():
@@ -319,6 +319,6 @@ def unitary_cover(v: IntMatrix, fan: FanData) -> IntMatrix:
     basis, _ = hnf(stacked)
     rows = [r for r in basis.data if any(r)]
     assert len(rows) == cd.n
-    v1 = IntMatrix(rows) * cd.W
+    v1 = IntMatrix._of(rows) * cd.W
     assert fmatrix_index(v1) == cd.k_hat, "unitary covering must have factor 1"
     return v1

@@ -9,6 +9,7 @@ the 53-bit safe range become decimal strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -17,7 +18,7 @@ from . import bounds as bounds_mod
 from .classify import enumerate_qgorenstein_family, unitary_cover
 from .covering import analyze, universal_cover
 from .errors import InvalidInput, ToriqError
-from .fans import FanData, face_fan, fan_from_point, is_complete, is_simplicial, is_qfano_weight, qfano_representative
+from .fans import FanData, face_fan, fan_from_point, is_simplicial, is_qfano_weight, qfano_representative
 from .gale import classify_matrix, gale_dual
 from .intmat import IntMatrix
 from .polytope import VPolytope, fmatrix_index, normalized_volume, polar_vertex_matrix
@@ -298,12 +299,12 @@ def cmd_fan(args) -> int:
         if args.point
         else tuple(sum(r) for r in q.data)
     )
-    fan = fan_from_point(q, point)
+    fan = fan_from_point(q, point)  # raises unless the fan is complete
     emit(
         {
             "fan_matrix": _rows(fan.fan_matrix),
             "max_cones": fan.cones_1based(),
-            "complete": is_complete(fan),
+            "complete": True,
             "simplicial": is_simplicial(fan),
         }
     )
@@ -388,7 +389,10 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and kept for the
+    process (in-process callers run `main` many times)."""
     parser = argparse.ArgumentParser(
         prog="toriq",
         description="Exact lattice-combinatorial invariants of complete toric varieties",
@@ -441,8 +445,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="run all certificates; exit 1 on any hard failure")
     p.add_argument("path")
     p.set_defaults(func=cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidInput as exc:

@@ -197,7 +197,7 @@ def _dedup_columns(mat: RatMatrix) -> RatMatrix:
     for c in mat.columns():
         if c not in seen:
             seen.append(c)
-    return RatMatrix.from_columns(seen)
+    return RatMatrix._of(zip(*seen))
 
 
 @functools.cache
@@ -205,6 +205,10 @@ def analyze(v: IntMatrix, fan: FanData) -> CoveringData:
     """Build the full covering bundle for a complete fan over v."""
     if not is_complete(fan):
         raise InvalidFan("covering invariants need a complete fan")
+    rays = {j for g in fan.max_cones for j in g}
+    if len(rays) < v.cols:
+        lost = min(set(range(v.cols)) - rays)
+        raise InvalidFan(f"column {lost + 1} of the fan matrix is a ray of no maximal cone")
     q = gale_dual(v)
     w, fan_cover, b, g = universal_cover(v, fan)
 

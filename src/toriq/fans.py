@@ -124,7 +124,7 @@ class GkzCone:
     def dim(self) -> int:
         if not self.generators:
             return 0
-        return rank(IntMatrix(list(self.generators)))
+        return rank(IntMatrix._of(self.generators))
 
     def contains(self, w, strict: bool = False) -> bool:
         if strict:

@@ -174,7 +174,7 @@ def _nonnegative_basis(rows):
     b_i - b_j while that stays nonnegative (each step lowers the entry sum).
     """
     support = [j for j in range(len(rows[0])) if any(r[j] for r in rows)]
-    on_support = IntMatrix([[r[j] for j in support] for r in rows])
+    on_support = IntMatrix._of([[r[j] for j in support] for r in rows])
     x = positive_kernel_vector(kernel_basis(on_support).t().data)
     if x is None:
         return None
@@ -185,8 +185,8 @@ def _nonnegative_basis(rows):
     g = gcd(*c)
     c = [a // g for a in c]
     # u * c = e_1, so c is the first column of the unimodular u^-1
-    _, u = hnf(IntMatrix([[a] for a in c]))
-    basis = [list(b) for b in (unimodular_inverse(u).t() * IntMatrix(rows)).data]
+    _, u = hnf(IntMatrix._of([[a] for a in c]))
+    basis = [list(b) for b in (unimodular_inverse(u).t() * IntMatrix._of(rows)).data]
     p = basis[0]
     for b in basis[1:]:
         t = max(-(a // q) for a, q in zip(b, p) if q)
@@ -217,11 +217,11 @@ def gale_dual(m: IntMatrix) -> IntMatrix:
     h, _ = hnf(kernel_basis(m).t())
     rows = [r for r in h.data if any(r)]
     if not rows:
-        return IntMatrix([[0] * m.cols][:0])
+        return IntMatrix._of(())
     if all(x >= 0 for r in rows for x in r):
-        return IntMatrix(sorted(rows))
+        return IntMatrix._of(sorted(rows))
     basis = _nonnegative_basis(rows)
-    return IntMatrix(rows if basis is None else sorted(basis))
+    return IntMatrix._of(rows if basis is None else sorted(basis))
 
 
 def _colmajor_key(h: IntMatrix, ncols: int):
@@ -242,7 +242,7 @@ def gl_canonical_form(m: IntMatrix):
     best = {"key": None, "perm": None}
 
     def dfs(chosen, remaining):
-        sub = IntMatrix.from_columns([cols[i] for i in chosen])
+        sub = IntMatrix._of(zip(*[cols[i] for i in chosen]))
         h, _ = hnf(sub)
         key = _colmajor_key(h, len(chosen))
         if best["key"] is not None and key > best["key"][: len(key)]:
@@ -262,7 +262,7 @@ def gl_canonical_form(m: IntMatrix):
 
     dfs([], list(range(len(cols))))
     perm = best["perm"]
-    h, u = hnf(IntMatrix.from_columns([cols[i] for i in perm]))
+    h, u = hnf(IntMatrix._of(zip(*[cols[i] for i in perm])))
     return best["key"], perm, h, u
 
 
@@ -291,5 +291,5 @@ def gl_equivalent(m1: IntMatrix, m2: IntMatrix):
 
 def _perm_matrix(perm, m):
     """Column-selection matrix S with (A*S) = A reordered by perm."""
-    return IntMatrix([[1 if perm[j] == i else 0 for j in range(m)] for i in range(m)])
+    return IntMatrix._of([[1 if perm[j] == i else 0 for j in range(m)] for i in range(m)])
 

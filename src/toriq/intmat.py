@@ -6,6 +6,15 @@ elimination (`_eliminate`).
 
 All entries are Python ints / Fractions, so nothing ever overflows. The
 matrices are immutable; every operation returns a fresh value.
+
+Entries are checked once, where they enter the library.  The public
+`IntMatrix(...)` and `IntMatrix.from_columns` reject a float, a bool, a
+string, a non-integral Fraction and ragged rows with ValueError (an
+integral Fraction becomes an int); the public `RatMatrix(...)` passes
+every entry through `Fraction` and rejects ragged rows.  Every matrix the
+library derives from checked data (products, transposes, stacks, normal
+forms, kernels, quotients) is built by the trusted `_of`, which stores
+the rows as given.
 """
 
 from __future__ import annotations
@@ -107,37 +116,27 @@ def primitive_kernel(rows) -> list:
     return basis
 
 
-class IntMatrix:
-    """Immutable integer matrix stored row-major."""
+class _Matrix:
+    """Row-major storage and the access shared by IntMatrix and RatMatrix."""
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data):
-        rows = tuple(tuple(_as_int(x) for x in row) for row in data)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged rows")
-        self.data = rows
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
+    @classmethod
+    def _of(cls, rows):
+        """Trusted build from equal-length rows of checked entries (ints
+        for IntMatrix, Fractions for RatMatrix), stored as given."""
+        m = object.__new__(cls)
+        m.data = data = tuple(map(tuple, rows))
+        m.rows = len(data)
+        m.cols = len(data[0]) if data else 0
+        return m
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(r: int, c: int) -> "IntMatrix":
-        return IntMatrix([[0] * c for _ in range(r)])
-
-    @staticmethod
-    def from_columns(cols) -> "IntMatrix":
+    @classmethod
+    def from_columns(cls, cols):
         cols = [tuple(c) for c in cols]
-        if not cols:
-            return IntMatrix([])
-        return IntMatrix([[c[i] for c in cols] for i in range(len(cols[0]))])
-
-    # -- basic access ----------------------------------------------------------
+        if any(len(c) != len(cols[0]) for c in cols):
+            raise ValueError("ragged columns")
+        return cls([[c[i] for c in cols] for i in range(len(cols[0]))] if cols else [])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -152,25 +151,50 @@ class IntMatrix:
     def columns(self):
         return [self.col(j) for j in range(self.cols)]
 
-    def cols_at(self, idx) -> "IntMatrix":
-        return IntMatrix([[r[j] for j in idx] for r in self.data])
+    def cols_at(self, idx):
+        return self._of([[r[j] for j in idx] for r in self.data])
 
-    def rows_at(self, idx) -> "IntMatrix":
-        return IntMatrix([self.data[i] for i in idx])
+    def rows_at(self, idx):
+        return self._of([self.data[i] for i in idx])
+
+    def t(self):
+        return self._of(zip(*self.data))
+
+    def __hash__(self):
+        return hash(self.data)
+
+
+class IntMatrix(_Matrix):
+    """Immutable integer matrix stored row-major."""
+
+    __slots__ = ()
+
+    def __init__(self, data):
+        rows = tuple(tuple(_as_int(x) for x in row) for row in data)
+        if rows and any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("ragged rows")
+        self.data = rows
+        self.rows = len(rows)
+        self.cols = len(rows[0]) if rows else 0
+
+    @staticmethod
+    def identity(n: int) -> "IntMatrix":
+        return IntMatrix._of([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    @staticmethod
+    def zeros(r: int, c: int) -> "IntMatrix":
+        return IntMatrix._of([[0] * c for _ in range(r)])
 
     # -- algebra ----------------------------------------------------------------
 
-    def t(self) -> "IntMatrix":
-        return IntMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntMatrix([[x * other for x in r] for r in self.data])
+            return IntMatrix._of([[x * other for x in r] for r in self.data])
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch")
-            ot = other.t().data
-            return IntMatrix(
+            ot = list(zip(*other.data))
+            return IntMatrix._of(
                 [[sum(a * b for a, b in zip(r, c)) for c in ot] for r in self.data]
             )
         return NotImplemented
@@ -183,7 +207,7 @@ class IntMatrix:
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        return IntMatrix([[a + b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)])
+        return IntMatrix._of([[a + b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)])
 
     def __sub__(self, other):
         return self + (-other)
@@ -191,12 +215,12 @@ class IntMatrix:
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("shape mismatch")
-        return IntMatrix([list(r) + list(s) for r, s in zip(self.data, other.data)])
+        return IntMatrix._of([r + s for r, s in zip(self.data, other.data)])
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ValueError("shape mismatch")
-        return IntMatrix(list(self.data) + list(other.data))
+        return IntMatrix._of(self.data + other.data)
 
     def mul_vec(self, v):
         if len(v) != self.cols:
@@ -210,24 +234,23 @@ class IntMatrix:
         return _det(self.data)
 
     def to_rat(self) -> "RatMatrix":
-        return RatMatrix([[Fraction(x) for x in r] for r in self.data])
+        return RatMatrix._of([[Fraction(x) for x in r] for r in self.data])
 
     # -- dunder plumbing ---------------------------------------------------------
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.data == other.data
 
-    def __hash__(self):
-        return hash(self.data)
+    __hash__ = _Matrix.__hash__
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]})"
 
 
-class RatMatrix:
+class RatMatrix(_Matrix):
     """Immutable matrix over exact rationals (Fractions in lowest terms)."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ()
 
     def __init__(self, data):
         rows = tuple(tuple(Fraction(x) for x in row) for row in data)
@@ -241,38 +264,16 @@ class RatMatrix:
     def identity(n: int) -> "RatMatrix":
         return IntMatrix.identity(n).to_rat()
 
-    @staticmethod
-    def from_columns(cols) -> "RatMatrix":
-        cols = [tuple(c) for c in cols]
-        if not cols:
-            return RatMatrix([])
-        return RatMatrix([[c[i] for c in cols] for i in range(len(cols[0]))])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.data)
-
-    def columns(self):
-        return [self.col(j) for j in range(self.cols)]
-
-    def cols_at(self, idx) -> "RatMatrix":
-        return RatMatrix([[r[j] for j in idx] for r in self.data])
-
-    def t(self) -> "RatMatrix":
-        return RatMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RatMatrix([[x * other for x in r] for r in self.data])
+            return RatMatrix._of([[x * other for x in r] for r in self.data])
         if isinstance(other, (RatMatrix, IntMatrix)):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch")
-            ot = [other.col(j) for j in range(other.cols)]
-            return RatMatrix(
-                [[sum(a * b for a, b in zip(r, c)) for c in ot] for r in self.data]
+            ot = list(zip(*other.data))
+            zero = Fraction(0)
+            return RatMatrix._of(
+                [[sum((a * b for a, b in zip(r, c)), zero) for c in ot] for r in self.data]
             )
         return NotImplemented
 
@@ -284,7 +285,7 @@ class RatMatrix:
         return NotImplemented
 
     def __sub__(self, other):
-        return RatMatrix([[a - b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)])
+        return RatMatrix._of([[a - b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)])
 
     def mul_vec(self, v):
         return tuple(sum(a * b for a, b in zip(r, v)) for r in self.data)
@@ -298,7 +299,7 @@ class RatMatrix:
     def to_int(self) -> IntMatrix:
         if not self.is_integral():
             raise NonIntegerQuotient("matrix has non-integer entries")
-        return IntMatrix([[int(x) for x in r] for r in self.data])
+        return IntMatrix._of([[x.numerator for x in r] for r in self.data])
 
     def denominator_lcm(self) -> int:
         return lcm(*(x.denominator for r in self.data for x in r)) if self.rows else 1
@@ -308,8 +309,7 @@ class RatMatrix:
             other = other.to_rat()
         return isinstance(other, RatMatrix) and self.data == other.data
 
-    def __hash__(self):
-        return hash(self.data)
+    __hash__ = _Matrix.__hash__
 
     def __repr__(self):
         return f"RatMatrix({[[str(x) for x in r] for r in self.data]})"
@@ -349,7 +349,7 @@ class FiniteAbelianGroup:
         n = len(diag)
         if n == 0:
             return FiniteAbelianGroup((), self.free_rank + other.free_rank)
-        d = IntMatrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        d = IntMatrix._of([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
         g = cokernel(d)
         return FiniteAbelianGroup(g.invariant_factors, self.free_rank + other.free_rank)
 
@@ -426,7 +426,7 @@ def snf(a: IntMatrix) -> SnfDecomposition:
                 used.add(piv)
         perm += [j for j in range(m.cols) if j not in used]
         if perm != list(range(m.cols)):
-            s = IntMatrix([[1 if perm[j] == i else 0 for j in range(m.cols)] for i in range(m.cols)])
+            s = IntMatrix._of([[1 if perm[j] == i else 0 for j in range(m.cols)] for i in range(m.cols)])
             m = m * s
             u = u * s
             continue
@@ -443,10 +443,9 @@ def snf(a: IntMatrix) -> SnfDecomposition:
         if offender is None:
             break
         i, j = offender
-        col = IntMatrix.identity(m.cols)
-        coldata = [list(r) for r in col.data]
+        coldata = [[int(r == c) for c in range(m.cols)] for r in range(m.cols)]
         coldata[j][i] = 1  # column i += column j
-        col = IntMatrix(coldata)
+        col = IntMatrix._of(coldata)
         m = m * col
         u = u * col
 
@@ -457,9 +456,7 @@ def snf(a: IntMatrix) -> SnfDecomposition:
         if mdata[i][i] < 0:
             mdata[i] = [-x for x in mdata[i]]
             pdata[i] = [-x for x in pdata[i]]
-    m = IntMatrix(mdata)
-    p = IntMatrix(pdata)
-    return SnfDecomposition(m, p, u)
+    return SnfDecomposition(IntMatrix._of(mdata), IntMatrix._of(pdata), u)
 
 
 def hnf(a: IntMatrix) -> tuple:
@@ -470,7 +467,7 @@ def hnf(a: IntMatrix) -> tuple:
     """
     m = [list(r) for r in a.data]
     nr, nc = a.rows, a.cols
-    u = [list(r) for r in IntMatrix.identity(nr).data]
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
 
     def addmul(dst, src, q):
         m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
@@ -508,7 +505,7 @@ def hnf(a: IntMatrix) -> tuple:
             r += 1
             if r == nr:
                 break
-    return IntMatrix(m), IntMatrix(u)
+    return IntMatrix._of(m), IntMatrix._of(u)
 
 
 def rank(a: IntMatrix) -> int:
@@ -525,7 +522,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     dec = snf(a)
     r = sum(1 for d in dec.diagonal if d != 0)
     cols = [dec.U.col(j) for j in range(r, a.cols)]
-    return IntMatrix.from_columns(cols) if cols else IntMatrix([[ ] for _ in range(a.cols)])
+    return IntMatrix._of(zip(*cols)) if cols else IntMatrix._of([()] * a.cols)
 
 
 def cokernel(a: IntMatrix) -> FiniteAbelianGroup:
@@ -561,7 +558,7 @@ def quotient_matrix(v: IntMatrix, w: IntMatrix) -> IntMatrix:
     m, _, d, _ = _eliminate([w.col(j) + v.col(j) for j in pivots])
     if any(x % d for r in m for x in r[n:]):
         raise NonIntegerQuotient("quotient has non-integer entries")
-    bi = IntMatrix([[m[j][n + i] // d for j in range(n)] for i in range(n)])
+    bi = IntMatrix._of([[m[j][n + i] // d for j in range(n)] for i in range(n)])
     if bi * w != v:
         raise NonIntegerQuotient("rows of dividend outside the row span of divisor")
     if bi.det() == 0:
@@ -579,7 +576,7 @@ def unimodular_inverse(u: IntMatrix) -> IntMatrix:
     )
     if pivots[:n] != list(range(n)) or abs(d) != 1:
         raise NonIntegerQuotient("matrix is not unimodular")
-    return IntMatrix([[x * d for x in r[n:]] for r in m])
+    return IntMatrix._of([[x * d for x in r[n:]] for r in m])
 
 
 def solve_integer(a: IntMatrix, b):

@@ -164,7 +164,7 @@ class VPolytope:
             ]
         if pruned:
             warnings.warn("non-vertex columns pruned from polytope input", stacklevel=2)
-        self.vertices = RatMatrix.from_columns(keep)
+        self.vertices = RatMatrix._of(zip(*keep))
         self.dim = self.vertices.rows
         self.pruned = pruned
 
@@ -232,7 +232,7 @@ def polar_dual(p: VPolytope) -> VPolytope:
         if f.offset <= 0:
             raise OriginNotInterior("origin is not an interior point")
         verts.append(tuple(Fraction(a) / f.offset for a in f.normal))
-    return VPolytope(RatMatrix.from_columns(verts), prune=False)
+    return VPolytope(RatMatrix._of(zip(*verts)), prune=False)
 
 
 def _simplices(verts, facets, face, d):
@@ -331,4 +331,4 @@ def polar_vertex_matrix(v: IntMatrix, fan) -> RatMatrix:
                 f"cone {tuple(g)} generators do not lie on a common polar hyperplane"
             )
         cols.append(tuple(Fraction(m[i][n], d) for i in range(n)))
-    return RatMatrix.from_columns(cols)
+    return RatMatrix._of(zip(*cols))

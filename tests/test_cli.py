@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import FIXTURES, fixture_path
 from toriq.cli import _encode, build_report, load_document, main, resolve_variety
 from toriq.intmat import IntMatrix
@@ -208,6 +210,21 @@ def test_non_complete_fan_is_rejected(capsys):
     code, out = run_cli(capsys, "analyze", fixture_path("mds_W"))
     assert code == 2
     assert out["error"]["type"] == "InvalidFan"
+
+
+def test_column_in_no_maximal_cone_is_a_named_error(tmp_path, capsys):
+    # column 6 lies inside the cone over columns 5 and 7, so the face fan
+    # has no maximal cone with it as a ray
+    doc = tmp_path / "probe.json"
+    doc.write_text(json.dumps({"matrix": [
+        [1, 88, 75, 43, -56, -68, -83],
+        [0, 112, 96, 56, -71, -87, -106],
+    ]}))
+    with pytest.warns(UserWarning, match="non-vertex"):
+        code, out = run_cli(capsys, "analyze", str(doc))
+    assert code == 2
+    assert out["error"]["type"] == "InvalidFan"
+    assert "column 6" in out["error"]["message"]
 
 
 def test_smith_reduction_limit_is_a_named_error(capsys, monkeypatch):

@@ -269,3 +269,54 @@ def test_group_direct_sum():
     g = FiniteAbelianGroup((2,)).direct_sum(FiniteAbelianGroup((3,)))
     assert g == FiniteAbelianGroup((6,))
     assert str(FiniteAbelianGroup((2, 12))) == "Z/2 + Z/12"
+
+
+@pytest.mark.parametrize("bad", [1.0, True, Fraction(1, 2), "3"])
+def test_public_constructors_reject_non_integer_entries(bad):
+    with pytest.raises(ValueError):
+        IntMatrix([[1, bad], [0, 1]])
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([(1, 0), (bad, 1)])
+
+
+def test_public_constructors_reject_ragged_rows_and_take_integral_fractions():
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([(1, 2), (3,)])
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([(1,), (2, 3)])
+    m = IntMatrix([[Fraction(4, 2), 1]])
+    assert m == IntMatrix([[2, 1]]) and type(m[0, 0]) is int
+    c = IntMatrix.from_columns([(Fraction(6, 3),), (1,)])
+    assert c == m and type(c[0, 0]) is int
+
+
+def test_trusted_builds_equal_checked_builds():
+    # every matrix derived from checked ones holds plain ints and equals
+    # (with equal hash) the same rows passed through the public constructor
+    rng = random.Random(17)
+
+    def same_as_checked(res):
+        assert all(type(x) is int for r in res.data for x in r)
+        checked = IntMatrix([list(r) for r in res.data])
+        assert res == checked and hash(res) == hash(checked)
+        assert (res.rows, res.cols) == (checked.rows, checked.cols)
+
+    for _ in range(300):
+        r, c = rng.randint(1, 4), rng.randint(1, 5)
+        a = random_matrix(rng, r, c, -4, 4)
+        b = random_matrix(rng, c, rng.randint(1, 4), -4, 4)
+        h, u = hnf(a)
+        dec = snf(a)
+        results = [
+            a.t(), a * b, a * 3, a + a, a.hstack(a), a.vstack(a),
+            a.cols_at([c - 1, 0]), h, u, dec.D, dec.P, dec.U,
+            kernel_basis(a), unimodular_inverse(u), a.to_rat().scale(2).to_int(),
+        ]
+        if rank(a) == r:
+            x = random_matrix(rng, r, r, -3, 3)
+            if x.det():
+                results.append(quotient_matrix(x * a, a))
+        for res in results:
+            same_as_checked(res)
