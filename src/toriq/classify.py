@@ -224,6 +224,15 @@ def quotient_by_subgroup(w: IntMatrix, gamma: TorsionMatrix, sub: SubgroupHandle
     return v_h
 
 
+def _check_spanning_cover(w: IntMatrix) -> None:
+    """The columns of the covering fan matrix w span Z^n, so the
+    multiplicity of a quotient S*w, the index of its column lattice, is
+    |det S|; `quotient_by_subgroup` has matched coker(S^T) to the
+    subgroup, so it is the subgroup's order."""
+    if lattice_index(w) != 1:
+        raise InconsistentAction("covering fan matrix does not span the lattice")
+
+
 def _gl_classes(entries):
     """Group (subgroup, matrix, mult) triples into GL-equivalence classes
     in order of first appearance, each matrix canonicalised once and
@@ -248,16 +257,15 @@ def enumerate_fano_family(q: IntMatrix):
         raise NotFanoWeight("weight matrix admits no anticanonically polarized model")
     cd = analyze(fan.fan_matrix, fan)
     assert cd.k == 1 and cd.k_hat == 1
+    _check_spanning_cover(cd.W)
     aw = cd.A * cd.W
     gamma = torsion_matrix(aw)
     assert gamma.ambient == cd.weight_group_type
     entries = []
     for sub in subgroups(gamma.ambient):
         v_h = quotient_by_subgroup(cd.W, gamma, sub)
-        mult = lattice_index(v_h)
-        assert mult == sub.order
         assert is_reduced_f(v_h), "reflexive-case quotient must stay reduced"
-        entries.append((sub, v_h, mult))
+        entries.append((sub, v_h, sub.order))
     classes = _gl_classes(entries)
     return [cls[0] for cls in classes]
 
@@ -284,16 +292,15 @@ def enumerate_qgorenstein_family(q: IntMatrix, h: int) -> QGorensteinFamily:
     """
     fan = fan_from_point(q, tuple(sum(r) for r in q.data))
     cd = analyze(fan.fan_matrix, fan)
+    _check_spanning_cover(cd.W)
     gamma = torsion_matrix((cd.A * h) * cd.W)
     assert gamma.ambient == cokernel((cd.A * h).t())
     kept = []
     rejected = []
     for sub in subgroups(gamma.ambient):
         v_h = quotient_by_subgroup(cd.W, gamma, sub)
-        mult = lattice_index(v_h)
-        assert mult == sub.order
         if is_reduced_f(v_h):
-            kept.append((sub, v_h, mult))
+            kept.append((sub, v_h, sub.order))
         else:
             witness = next(
                 j

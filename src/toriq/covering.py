@@ -20,6 +20,7 @@ from .errors import InvalidFan, NonIntegralFactor, NotReflexive
 from .fans import FanData, _complement, fan_from_point, is_complete
 from .gale import gale_dual
 from .intmat import (
+    CACHE_SIZE,
     FiniteAbelianGroup,
     IntMatrix,
     RatMatrix,
@@ -162,7 +163,7 @@ def multiplicity(v: IntMatrix) -> int:
     return lattice_index(v)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def weight_modulus(q: IntMatrix) -> int:
     """Normalized volume of conv(G(q)), cross-checked against the sum of
     the maximal weight minors over a boundary-supported simplicial fan.
@@ -200,7 +201,7 @@ def _dedup_columns(mat: RatMatrix) -> RatMatrix:
     return RatMatrix._of(zip(*seen))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def analyze(v: IntMatrix, fan: FanData) -> CoveringData:
     """Build the full covering bundle for a complete fan over v."""
     if not is_complete(fan):

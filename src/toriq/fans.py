@@ -13,11 +13,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidFan, OriginNotInterior, OutsideMoving, RankDeficient
 from .gale import gale_dual
-from .intmat import IntMatrix, rank, solve_integer, solve_unique
+from .intmat import CACHE_SIZE, IntMatrix, rank, solve_integer, solve_unique
 from .linprog import cone_contains, cone_contains_strict, nonneg_solution
 from .polytope import VPolytope, _bits, _cone_facets, facet_enumeration
 
@@ -54,7 +53,7 @@ def _pointed(cols: IntMatrix) -> bool:
     # a nonzero nonnegative kernel combination would give a line
     rows = [list(r) for r in cols.data]
     rows.append([1] * cols.cols)
-    rhs = [Fraction(0)] * cols.rows + [Fraction(1)]
+    rhs = [0] * cols.rows + [1]
     return nonneg_solution(rows, rhs) is None
 
 
@@ -150,13 +149,13 @@ def _cone_intersection(gen_lists, dim) -> tuple:
     return tuple(sorted(gens))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def eff_cone(q: IntMatrix) -> GkzCone:
     """Cone spanned by the weight columns (pseudo-effective classes)."""
     return GkzCone(_cone_intersection([q.columns()], q.rows))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def mov_cone(q: IntMatrix) -> GkzCone:
     """Intersection over i of the cones over q with column i removed."""
     m = q.cols
@@ -223,8 +222,8 @@ def fan_from_point(q: IntMatrix, w, fan_matrix: IntMatrix | None = None) -> FanD
     """
     m = q.cols
     r = q.rows
-    w = tuple(Fraction(x) for x in w)
-    if all(x == 0 for x in w):
+    w = tuple(w)
+    if not any(w):
         raise OutsideMoving("the zero class spans no cell")
     if not mov_cone(q).contains(w):
         raise OutsideMoving("point lies outside the moving cone")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .errors import RankDeficient
-from .intmat import IntMatrix, hnf, kernel_basis, rank, snf, solve_unique, unimodular_inverse
+from .intmat import CACHE_SIZE, IntMatrix, hnf, kernel_basis, rank, snf, solve_unique, unimodular_inverse
 from .linprog import positive_kernel_vector
 
 
@@ -77,7 +77,7 @@ def _fan_conditions(m: IntMatrix) -> tuple:
     )
 
 
-@functools.cache
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def classify_matrix(m: IntMatrix) -> MatrixClassReport:
     """Evaluate every fan-matrix and weight-matrix condition on m.
 
@@ -203,7 +203,7 @@ def _nonnegative_basis(rows):
     return basis
 
 
-@functools.cache
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def gale_dual(m: IntMatrix) -> IntMatrix:
     """Gale dual: a basis of the saturated kernel of m, as rows.
 

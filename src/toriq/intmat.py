@@ -25,6 +25,11 @@ from math import gcd, lcm, prod
 
 from .errors import NonIntegerQuotient, NotConverged, NotSquare, RankDeficient
 
+# Entries kept by each memoized library function (least recently used
+# first out).  Matrices are immutable and hashable, so they are the keys;
+# one process analysing many inputs keeps a bounded working set.
+CACHE_SIZE = 1024
+
 
 def _as_int(x) -> int:
     if isinstance(x, Fraction):

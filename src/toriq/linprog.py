@@ -1,117 +1,143 @@
-"""Exact rational linear programming, just big enough for cone tests.
+"""Exact linear programming, just big enough for cone tests.
 
-Two-phase simplex with Bland's rule over Fractions. Problem sizes here are
-tiny (tens of variables), so simplicity beats speed. The wrappers at the
-bottom are the primitives the rest of the library actually calls:
-nonnegative solvability, strictly positive solvability, and cone
+Two-phase simplex with Bland's rule in integers (the integer pivoting of
+lrs, Avis 2000).  The tableau is a list of integer rows T standing for
+T / d with d > 0, the reduced-cost row last.  A pivot on p = T[r][c]
+keeps row r and replaces every other row by (p*x - f*y) // d, the
+fraction-free step of `intmat._eliminate` (Bareiss 1968): the division is
+exact because every entry is a minor of the scaled input, and d becomes
+p.  The input is scaled by one common denominator `den`, starting from
+d = 1.  A row not yet pivoted stands for den times its rational row, and
+a cost row for a positive multiple of the rational reduced costs; such
+multiples change no sign and no ratio, so the pivot path and the basic
+solutions are those of the same simplex over the rationals (a pivoted
+row is exact, and only pivoted rows are read).  The wrappers at the bottom are the primitives the rest of the library
+calls: nonnegative solvability, strictly positive solvability, and cone
 membership / relative-interior membership.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .intmat import solve_unique
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-def _pivot(tab, basis, row, col):
-    inv = _ONE / tab[row][col]
-    tab[row] = [x * inv for x in tab[row]]
-    for i, r in enumerate(tab):
-        if i != row and r[col]:
-            f = r[col]
-            tab[i] = [x - f * y for x, y in zip(r, tab[row])]
-    basis[row] = col
+def _pivot(t, basis, row, col, d):
+    """Pivot t (standing for t / d) on t[row][col]; returns the new d.
 
-
-def _simplex(tab, basis, cost):
-    """Maximize cost over the tableau in place; returns 'optimal'/'unbounded'.
-
-    tab rows: [a_1 ... a_n | b]; cost: [c_1 ... c_n | value-cell].
-    Bland's rule, so termination is guaranteed.
+    A negative pivot, which only the artificial clean-up can pick, is
+    followed by negating every row, so d stays positive.
     """
-    m = len(tab)
+    top = t[row]
+    p = top[col]
+    for i, r in enumerate(t):
+        if i != row:
+            f = r[col]
+            t[i] = [(p * x - f * y) // d for x, y in zip(r, top)]
+    basis[row] = col
+    if p < 0:
+        t[:] = [[-x for x in r] for r in t]
+        p = -p
+    return p
+
+
+def _simplex(t, basis, d):
+    """Maximize over the tableau t / d in place; returns (status, d) with
+    status 'optimal' or 'unbounded'.
+
+    Rows of t: [a_1 ... a_n | b], then the cost row [c_1 ... c_n | value
+    cell].  Bland's rule, so termination is guaranteed; the ratio test
+    compares b_i / a_i by cross-multiplication (both a_i > 0).
+    """
+    m = len(basis)
     while True:
-        col = next((j for j, c in enumerate(cost[:-1]) if c > 0), None)
+        cost = t[-1]
+        col = next((j for j in range(len(cost) - 1) if cost[j] > 0), None)
         if col is None:
-            return "optimal"
-        row, best = None, None
+            return "optimal", d
+        row = None
         for i in range(m):
-            if tab[i][col] > 0:
-                ratio = tab[i][-1] / tab[i][col]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
-                    row, best = i, ratio
+            a = t[i][col]
+            if a > 0:
+                if row is None:
+                    row = i
+                    continue
+                lhs, rhs = t[i][-1] * t[row][col], t[row][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
+                    row = i
         if row is None:
-            return "unbounded"
-        _pivot(tab, basis, row, col)
-        f = cost[col]
-        if f:
-            cost[:] = [x - f * y for x, y in zip(cost, tab[row])]
+            return "unbounded", d
+        d = _pivot(t, basis, row, col, d)
+
+
+def _scaled(values, den):
+    return [x.numerator * (den // x.denominator) for x in values]
 
 
 def lp_max(c, a_rows, b):
-    """max c.x subject to a_rows x = b, x >= 0 (all exact rationals).
+    """max c.x subject to a_rows x = b, x >= 0 (ints or Fractions).
 
     Returns (status, value, x) with status in {'optimal', 'unbounded',
-    'infeasible'}; on 'optimal' x is an optimal basic solution, on
-    'unbounded' x is None.
+    'infeasible'}; on 'optimal' x is an optimal basic solution (a tuple
+    of Fractions), on 'unbounded' x is None.
     """
     m = len(a_rows)
     n = len(c)
-    tab = []
-    for i in range(m):
-        row = [Fraction(x) for x in a_rows[i]]
-        rhs = Fraction(b[i])
+    den = lcm(*(x.denominator for r in a_rows for x in r), *(y.denominator for y in b))
+    t = []
+    for i, (r, y) in enumerate(zip(a_rows, b)):
+        row = _scaled(r, den)
+        rhs = y.numerator * (den // y.denominator)
         if rhs < 0:
             row = [-x for x in row]
             rhs = -rhs
-        tab.append(row + [Fraction(int(i == j)) for j in range(m)] + [rhs])
+        t.append(row + [den if j == i else 0 for j in range(m)] + [rhs])
     basis = [n + i for i in range(m)]
     # phase 1: maximize -(sum of artificials); reduced costs of the initial
     # basis (all artificial, cost -1 each) give +column-sums on the
     # structural part and 0 on the artificial part
-    cost = [_ZERO] * (n + m + 1)
-    for j in range(n):
-        cost[j] = sum(tab[i][j] for i in range(m))
-    cost[-1] = -sum(tab[i][-1] for i in range(m))
-    status = _simplex(tab, basis, cost)
+    t.append([sum(r[j] for r in t) for j in range(n)] + [0] * m + [-sum(r[-1] for r in t)])
+    status, d = _simplex(t, basis, 1)
     assert status == "optimal"
-    deficit = sum(tab[i][-1] for i in range(m) if basis[i] >= n)
-    if deficit != 0:
+    t.pop()
+    if any(t[i][-1] for i in range(m) if basis[i] >= n):
         return "infeasible", None, None
     # pivot leftover (degenerate) artificials out of the basis, dropping
     # redundant all-zero rows
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            col = next((j for j in range(n) if t[i][j]), None)
             if col is not None:
-                _pivot(tab, basis, i, col)
-    keep = [i for i in range(len(basis)) if basis[i] < n]
-    tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
+                d = _pivot(t, basis, i, col, d)
+    keep = [i for i in range(m) if basis[i] < n]
+    t = [t[i][:n] + [t[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
-    # phase 2
-    cost = [Fraction(x) for x in c] + [_ZERO]
-    for i, bi in enumerate(basis):
-        f = cost[bi]
+    # phase 2: the cost row of e*c (e clears c's denominators) in units of 1/d
+    e = lcm(*(x.denominator for x in c))
+    ec = _scaled(c, e)
+    cost = [d * x for x in ec] + [0]
+    for r, bi in zip(t, basis):
+        f = ec[bi]
         if f:
-            cost = [x - f * y for x, y in zip(cost, tab[i])]
-    status = _simplex(tab, basis, cost)
-    x = [_ZERO] * n
-    for i, bi in enumerate(basis):
-        x[bi] = tab[i][-1]
+            cost = [x - f * y for x, y in zip(cost, r)]
+    t.append(cost)
+    status, d = _simplex(t, basis, d)
     if status == "unbounded":
         return "unbounded", None, None
-    value = sum(Fraction(ci) * xi for ci, xi in zip(c, x))
-    return "optimal", value, tuple(x)
+    x = [_ZERO] * n
+    for r, bi in zip(t, basis):
+        x[bi] = Fraction(r[-1], d)
+    return "optimal", Fraction(-t[-1][-1], d * e), tuple(x)
 
 
 def nonneg_solution(a_rows, b):
     """Some x >= 0 with A x = b, or None."""
     n = len(a_rows[0]) if a_rows else 0
-    status, _, x = lp_max([_ZERO] * n, a_rows, b)
+    status, _, x = lp_max([0] * n, a_rows, b)
     return x if status == "optimal" else None
 
 
@@ -125,15 +151,12 @@ def strict_solution(a_rows, b):
     n = len(a_rows[0])
     if n == 0:
         return None
-    rows = []
-    for r in a_rows:
-        rows.append(list(r) + [sum(Fraction(x) for x in r), _ZERO])
+    rows = [list(r) + [sum(r), 0] for r in a_rows]
     # eps <= 1 via slack
-    rows.append([_ZERO] * n + [_ONE, _ONE])
-    rhs = list(b) + [_ONE]
-    c = [_ZERO] * n + [_ONE, _ZERO]
-    status, value, x = lp_max(c, rows, rhs)
-    if status != "optimal" or value is None or value <= 0:
+    rows.append([0] * n + [1, 1])
+    c = [0] * n + [1, 0]
+    status, value, x = lp_max(c, rows, list(b) + [1])
+    if status != "optimal" or value <= 0:
         return None
     eps = x[n]
     return tuple(xi + eps for xi in x[:n])
@@ -141,10 +164,10 @@ def strict_solution(a_rows, b):
 
 def cone_contains(generators, w) -> bool:
     """Is w a nonnegative combination of the generator vectors?"""
-    w = tuple(Fraction(x) for x in w)
+    w = tuple(w)
     if not generators:
-        return all(x == 0 for x in w)
-    rows = [[Fraction(g[i]) for g in generators] for i in range(len(w))]
+        return not any(w)
+    rows = [[g[i] for g in generators] for i in range(len(w))]
     if len(generators) == len(w):
         sol = solve_unique(rows, w)
         if sol is not None:
@@ -158,10 +181,10 @@ def cone_contains_strict(generators, w) -> bool:
     For a finitely generated cone the relative interior is exactly the set
     of strictly positive combinations of the generators.
     """
-    w = tuple(Fraction(x) for x in w)
+    w = tuple(w)
     if not generators:
-        return all(x == 0 for x in w)
-    rows = [[Fraction(g[i]) for g in generators] for i in range(len(w))]
+        return not any(w)
+    rows = [[g[i] for g in generators] for i in range(len(w))]
     if len(generators) == len(w):
         sol = solve_unique(rows, w)
         if sol is not None:
@@ -178,6 +201,5 @@ def positive_kernel_vector(a_rows):
     """
     if not a_rows:
         return ()
-    rhs = [-sum(Fraction(x) for x in r) for r in a_rows]
-    s = nonneg_solution(a_rows, rhs)
-    return None if s is None else tuple(_ONE + x for x in s)
+    s = nonneg_solution(a_rows, [-sum(r) for r in a_rows])
+    return None if s is None else tuple(1 + x for x in s)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import DegenerateCone, NotFMatrix, NotFullDimensional, OriginNotInterior
 from .gale import _fan_conditions
-from .intmat import IntMatrix, RatMatrix, _det, _eliminate, _integral, primitive_kernel
+from .intmat import CACHE_SIZE, IntMatrix, RatMatrix, _det, _eliminate, _integral, primitive_kernel
 
 
 def _dot(a, x):
@@ -268,21 +268,43 @@ def normalized_volume(p: VPolytope) -> Fraction:
 
 
 def lattice_points(p: VPolytope, strict: bool = False):
-    """All lattice points of P (strict=True: interior only), sorted."""
+    """All lattice points of P (strict=True: interior only), sorted.
+
+    Line intervals: each facet <a, x> >= -c becomes the integer row
+    c.denominator * (a, c), the first n-1 coordinates run over the
+    bounding box, and for each such prefix every facet bounds the last
+    coordinate to an exact integer interval (floor and ceiling by integer
+    division, open bounds when strict).  A prefix is dropped at the first
+    facet that empties its interval.
+    """
     h = facet_enumeration(p)
     verts = p.vertex_list()
-    n = p.dim
-    lo = []
-    hi = []
-    for i in range(n):
+    box = []
+    for i in range(p.dim):
         coords = [v[i] for v in verts]
-        lo.append(math.ceil(min(coords)))
-        hi.append(math.floor(max(coords)))
+        box.append((math.ceil(min(coords)), math.floor(max(coords))))
+    rows = []
+    for f in h.facets:
+        den = f.offset.denominator
+        rows.append(([den * a for a in f.normal[:-1]], den * f.normal[-1], f.offset.numerator))
+    lo_box, hi_box = box.pop()
     pts = []
-    for cand in itertools.product(*(range(lo[i], hi[i] + 1) for i in range(n))):
-        if h.contains(cand, strict=strict):
-            pts.append(cand)
-    return sorted(pts)
+    for prefix in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+        lo, hi = lo_box, hi_box
+        for head, last, c in rows:
+            # last * x_n + s >= 0 (> 0 when strict)
+            s = c + sum(a * x for a, x in zip(head, prefix))
+            if last > 0:
+                lo = max(lo, (-s) // last + 1 if strict else -(s // last))
+            elif last < 0:
+                hi = min(hi, -(s // last) - 1 if strict else s // -last)
+            elif s < 0 or (strict and s == 0):
+                hi = lo - 1
+            if lo > hi:
+                break
+        else:
+            pts.extend(prefix + (x,) for x in range(lo, hi + 1))
+    return pts
 
 
 def interior_lattice_points(p: VPolytope):
@@ -301,7 +323,7 @@ def is_reflexive(p: VPolytope) -> bool:
     return all(f.offset == 1 for f in h.facets)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def fmatrix_index(v: IntMatrix) -> int:
     """Least k making k times the polar of conv(v) a lattice polytope
     (the Gorenstein index when v is the fan matrix of a Q-Fano variety)."""

@@ -8,11 +8,15 @@ oracle integrates exact cross-section measures over the slabs
 between vertex coordinates (trapezoid rule in 2D, Simpson in 3D, both of
 which are exact for the piecewise-polynomial sections of a polytope), so
 it shares no code path with the library's facet-pyramid triangulation.
+The simplex oracle is the two-phase Bland simplex over Fractions that the
+library's integer-pivoting `lp_max` must reproduce pivot for pivot, and
+the lattice-point oracle scans the whole bounding box.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from toriq.errors import InvalidFan, OutsideMoving, RankDeficient
@@ -23,6 +27,120 @@ from toriq.linprog import cone_contains, cone_contains_strict
 from toriq.polytope import VPolytope, facet_enumeration
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _frac_pivot(tab, basis, row, col):
+    inv = _ONE / tab[row][col]
+    tab[row] = [x * inv for x in tab[row]]
+    for i, r in enumerate(tab):
+        if i != row and r[col]:
+            f = r[col]
+            tab[i] = [x - f * y for x, y in zip(r, tab[row])]
+    basis[row] = col
+
+
+def _frac_simplex(tab, basis, cost):
+    """Maximize cost over the Fraction tableau in place; returns
+    'optimal'/'unbounded'.  Bland's rule."""
+    m = len(tab)
+    while True:
+        col = next((j for j, c in enumerate(cost[:-1]) if c > 0), None)
+        if col is None:
+            return "optimal"
+        row, best = None, None
+        for i in range(m):
+            if tab[i][col] > 0:
+                ratio = tab[i][-1] / tab[i][col]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
+                    row, best = i, ratio
+        if row is None:
+            return "unbounded"
+        _frac_pivot(tab, basis, row, col)
+        f = cost[col]
+        if f:
+            cost[:] = [x - f * y for x, y in zip(cost, tab[row])]
+
+
+def lp_max_by_fractions(c, a_rows, b):
+    """max c.x subject to a_rows x = b, x >= 0: the two-phase simplex with
+    Bland's rule over Fractions, with the same (status, value, x) contract
+    as `toriq.linprog.lp_max`."""
+    m = len(a_rows)
+    n = len(c)
+    tab = []
+    for i in range(m):
+        row = [Fraction(x) for x in a_rows[i]]
+        rhs = Fraction(b[i])
+        if rhs < 0:
+            row = [-x for x in row]
+            rhs = -rhs
+        tab.append(row + [Fraction(int(i == j)) for j in range(m)] + [rhs])
+    basis = [n + i for i in range(m)]
+    cost = [_ZERO] * (n + m + 1)
+    for j in range(n):
+        cost[j] = sum(tab[i][j] for i in range(m))
+    cost[-1] = -sum(tab[i][-1] for i in range(m))
+    status = _frac_simplex(tab, basis, cost)
+    assert status == "optimal"
+    deficit = sum(tab[i][-1] for i in range(m) if basis[i] >= n)
+    if deficit != 0:
+        return "infeasible", None, None
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            if col is not None:
+                _frac_pivot(tab, basis, i, col)
+    keep = [i for i in range(len(basis)) if basis[i] < n]
+    tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    cost = [Fraction(x) for x in c] + [_ZERO]
+    for i, bi in enumerate(basis):
+        f = cost[bi]
+        if f:
+            cost = [x - f * y for x, y in zip(cost, tab[i])]
+    status = _frac_simplex(tab, basis, cost)
+    x = [_ZERO] * n
+    for i, bi in enumerate(basis):
+        x[bi] = tab[i][-1]
+    if status == "unbounded":
+        return "unbounded", None, None
+    value = sum(Fraction(ci) * xi for ci, xi in zip(c, x))
+    return "optimal", value, tuple(x)
+
+
+def strict_solution_by_fractions(a_rows, b):
+    """`toriq.linprog.strict_solution` over `lp_max_by_fractions`."""
+    if not a_rows or not a_rows[0]:
+        return None
+    n = len(a_rows[0])
+    rows = [[Fraction(x) for x in r] + [sum(Fraction(x) for x in r), _ZERO] for r in a_rows]
+    rows.append([_ZERO] * n + [_ONE, _ONE])
+    status, value, x = lp_max_by_fractions([_ZERO] * n + [_ONE, _ZERO], rows, list(b) + [_ONE])
+    if status != "optimal" or value <= 0:
+        return None
+    return tuple(xi + x[n] for xi in x[:n])
+
+
+def positive_kernel_vector_by_fractions(a_rows):
+    """`toriq.linprog.positive_kernel_vector` over `lp_max_by_fractions`."""
+    if not a_rows:
+        return ()
+    rhs = [-sum(Fraction(x) for x in r) for r in a_rows]
+    status, _, s = lp_max_by_fractions([_ZERO] * len(a_rows[0]), a_rows, rhs)
+    return None if status != "optimal" else tuple(_ONE + x for x in s)
+
+
+def lattice_points_by_box(p: VPolytope, strict: bool = False):
+    """Lattice points of P (strict=True: interior only), sorted, by testing
+    every point of the bounding box against every facet."""
+    h = facet_enumeration(p)
+    verts = p.vertex_list()
+    ranges = []
+    for i in range(p.dim):
+        coords = [v[i] for v in verts]
+        ranges.append(range(math.ceil(min(coords)), math.floor(max(coords)) + 1))
+    return sorted(c for c in itertools.product(*ranges) if h.contains(c, strict=strict))
 
 
 def _interval_length_1d(rows):

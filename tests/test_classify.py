@@ -125,6 +125,13 @@ def test_enumerate_fano_family_merges_gl_classes():
     assert len(subgroups(cd.weight_group_type)) == 5
 
 
+def test_family_multiplicities_are_column_lattice_indices():
+    fano = enumerate_fano_family(gale_dual(BLUP_V))
+    factor2 = enumerate_qgorenstein_family(IntMatrix([[1, 3, 4]]), 2).kept
+    for sub, v_h, mult in (*fano, *factor2):
+        assert mult == sub.order == lattice_index(v_h)
+
+
 def test_qgorenstein_family_bauerle():
     q = IntMatrix([[1, 3, 4]])
     fam = enumerate_qgorenstein_family(q, 1)

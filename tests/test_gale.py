@@ -288,3 +288,24 @@ def test_weight_side_against_oracles():
             assert hnf(w)[0] == hnf(m)[0], m
             assert _nonnegative(w) == ("W.c" not in violated), (m, w, violated)
     assert all(c >= 20 for c in counts.values()), counts
+
+
+def test_library_caches_are_bounded():
+    import toriq
+    from toriq.intmat import CACHE_SIZE
+
+    cached = [
+        fn
+        for mod in (toriq.covering, toriq.fans, toriq.gale, toriq.polytope)
+        for fn in vars(mod).values()
+        if hasattr(fn, "cache_parameters") and fn.__module__ == mod.__name__
+    ]
+    assert len(cached) == 7
+    assert all(fn.cache_parameters()["maxsize"] == CACHE_SIZE for fn in cached)
+    gale_dual.cache_clear()
+    for k in range(CACHE_SIZE + 10):
+        hits = gale_dual.cache_info().hits
+        assert gale_dual(IntMatrix([[1, k, -1 - k]])) is gale_dual(IntMatrix([[1, k, -1 - k]]))
+        assert gale_dual.cache_info().hits == hits + 1
+        assert gale_dual.cache_info().currsize <= CACHE_SIZE
+    assert gale_dual.cache_info().currsize == CACHE_SIZE

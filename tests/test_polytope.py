@@ -1,10 +1,11 @@
 import itertools
+import random
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from oracles import slab_volume
+from oracles import lattice_points_by_box, slab_volume
 from toriq.errors import NotFullDimensional, OriginNotInterior
 from toriq.fans import FanData
 from toriq.intmat import IntMatrix, RatMatrix
@@ -14,6 +15,7 @@ from toriq.polytope import (
     fmatrix_index,
     interior_lattice_points,
     is_reflexive,
+    lattice_points,
     normalized_volume,
     polar_dual,
     polar_vertex_matrix,
@@ -104,6 +106,48 @@ def test_volume_against_slab_oracle():
     for m in (BLUP_V, BAUERLE_V, BAUERLE_W, P2P1_W, simplex_matrix(3)):
         p = VPolytope(m)
         assert normalized_volume(p) == slab_volume(p)
+
+
+def _random_polytopes(rng, count):
+    """Full-dimensional integer polytopes of dimension 1-4 (vertices in
+    [-2, 2]) and, when the origin is interior, their rational polars."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 4)
+        cols = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(n + 1, n + 4))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = VPolytope(IntMatrix.from_columns(cols))
+        try:
+            facet_enumeration(p)
+        except NotFullDimensional:
+            continue
+        out.append(p)
+        try:
+            out.append(polar_dual(p))
+        except OriginNotInterior:
+            pass
+    return out
+
+
+def test_lattice_points_match_box_scan():
+    # conv(V) of the product bauerle x dim2_r1_1: a 3*3*17*29 box, 153
+    # prefixes for the line intervals
+    product = IntMatrix(
+        [
+            [1, 0, -1, 0, 0, 0],
+            [0, 1, -1, 0, 0, 0],
+            [0, 0, 0, 1, 9, -7],
+            [0, 0, 0, 0, 16, -12],
+        ]
+    )
+    polytopes = [VPolytope(product), polar_dual(VPolytope(product))]
+    polytopes += _random_polytopes(random.Random(3), 80)
+    assert {p.dim for p in polytopes} == {1, 2, 3, 4}
+    assert any(not p.vertices.is_integral() for p in polytopes)
+    for p in polytopes:
+        for strict in (False, True):
+            assert lattice_points(p, strict) == lattice_points_by_box(p, strict)
 
 
 def test_interior_lattice_points():
