@@ -8,13 +8,12 @@ family fixtures are always compared through the quotient fan matrices
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 from .covering import analyze
 from .errors import InconsistentAction, NotFanoWeight, RankDeficient, TooLarge
-from .fans import fan_from_point, is_gorenstein_weight
+from .fans import _anticanonical, fan_from_point, is_gorenstein_weight
 from .gale import gale_dual, gl_canonical_form, is_reduced_f
 from .intmat import (
     FiniteAbelianGroup,
@@ -95,39 +94,30 @@ class SubgroupHandle:
         x = quotient_matrix(d, self.matrix)
         return cokernel(x.t())
 
-    def contains(self, other: "SubgroupHandle") -> bool:
-        if not self.matrix.data:
-            return not other.matrix.data
-        stack, _ = hnf(self.matrix.vstack(other.matrix))
-        top = IntMatrix._of([r for r in stack.data if any(r)])
-        return top == self.matrix
-
 
 def _divisors(n: int):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _lattice_contains_diag(mat, fs) -> bool:
-    """Does the upper-triangular lattice basis contain diag(fs) Z^s?
+def _dot(x, y) -> int:
+    return sum(a * b for a, b in zip(x, y))
 
-    Forward substitution of each d_j e_j against the rows, integer
-    remainders checked on the way.
+
+def _column_entries(coords, d):
+    """The entries c in [0, d)^t above a pivot d that keep the coordinates
+    x_j of every f_j e_j (j < t) integral: x_j . c = 0 (mod d).  x_j is
+    zero before entry j, so the congruences are solved bottom-up, one
+    entry per step, and only tails that can still be completed are kept.
     """
-    s = len(fs)
-    for j in range(s):
-        x = [0] * s
-        target = [fs[j] if t == j else 0 for t in range(s)]
-        ok = True
-        for t in range(s):
-            acc = target[t] - sum(x[i] * mat[i][t] for i in range(t))
-            q, rem = divmod(acc, mat[t][t])
-            if rem:
-                ok = False
-                break
-            x[t] = q
-        if not ok:
-            return False
-    return True
+    tails = [()]
+    for j in reversed(range(len(coords))):
+        lead, *rest = coords[j][j:]
+        grown = []
+        for tail in tails:
+            r = _dot(rest, tail)
+            grown.extend((c,) + tail for c in range(d) if (lead * c + r) % d == 0)
+        tails = grown
+    return tails
 
 
 def subgroups(g: FiniteAbelianGroup, order: int | None = None):
@@ -135,36 +125,39 @@ def subgroups(g: FiniteAbelianGroup, order: int | None = None):
     a given order), each as a canonical HNF handle; sorted by order then
     lattice matrix.
 
-    Subgroups of Z^s/diag(d)Z^s correspond to intermediate lattices,
-    enumerated as upper-triangular HNF matrices with pivots dividing the
-    invariant factors.
+    Subgroups of Z^s/diag(f)Z^s correspond to the lattices between
+    diag(f)Z^s and Z^s, one per upper-triangular row HNF.  The HNF is
+    built one column t at a time: a pivot d_t | f_t, then entries in
+    [0, d_t) above it.  Alongside, each f_j e_j (j <= t) carries its
+    coordinates in the rows, found by forward substitution.  The lattice
+    contains diag(f)Z^s exactly when they are all integers, and the
+    entries of each new column are solved to keep them so
+    (`_column_entries`): every prefix extends to a subgroup, and no
+    candidate is built only to be discarded.
     """
     if g.free_rank:
         raise TooLarge("subgroup enumeration needs a finite group")
     total = g.order
     if total > 100_000:
         raise TooLarge(f"group order {total} exceeds the enumeration bound")
-    fs = g.invariant_factors
-    s = len(fs)
-    if s == 0:
-        return [SubgroupHandle(ambient=g, matrix=IntMatrix._of(()), order=1)]
+    # prefixes: (HNF rows so far, coordinates of each f_j e_j in them)
+    prefixes = [((), ())]
+    for t, f in enumerate(g.invariant_factors):
+        grown = []
+        for rows, coords in prefixes:
+            for d in _divisors(f):
+                for above in _column_entries(coords, d):
+                    pad = (0,) * t
+                    grown.append((
+                        tuple(r + (c,) for r, c in zip(rows, above)) + (pad + (d,),),
+                        tuple(x + (-_dot(x, above) // d,) for x in coords) + (pad + (f // d,),),
+                    ))
+        prefixes = grown
     out = []
-    pos = [(i, j) for j in range(s) for i in range(j)]
-    for diag in itertools.product(*[_divisors(f) for f in fs]):
-        det = prod(diag)
-        if order is not None and total // det != order:
-            continue
-        for combo in itertools.product(*[range(diag[j]) for (_, j) in pos]):
-            mat = [[0] * s for _ in range(s)]
-            for t in range(s):
-                mat[t][t] = diag[t]
-            for val, (i, j) in zip(combo, pos):
-                mat[i][j] = val
-            if not _lattice_contains_diag(mat, fs):
-                continue
-            out.append(
-                SubgroupHandle(ambient=g, matrix=IntMatrix._of(mat), order=total // det)
-            )
+    for rows, _ in prefixes:
+        sub_order = total // prod(r[i] for i, r in enumerate(rows))
+        if order is None or sub_order == order:
+            out.append(SubgroupHandle(ambient=g, matrix=IntMatrix._of(rows), order=sub_order))
     out.sort(key=lambda sub: (sub.order, sub.matrix.data))
     return out
 
@@ -181,56 +174,42 @@ def quotient_by_subgroup(w: IntMatrix, gamma: TorsionMatrix, sub: SubgroupHandle
     if gamma.ambient != sub.ambient:
         raise InconsistentAction("subgroup ambient differs from the action's group")
     fs = gamma.ambient.invariant_factors
-    n, m = w.rows, w.cols
+    n = w.rows
     if not fs or sub.order == 1:
         return w
     big = lcm(*fs)
     # per generator a: sum_t (big/d_t) a_t (Gamma_t . (w^T m))_t == 0 (mod big)
-    gcols = [
-        tuple(
-            sum(gamma.columns[i][t] * w[row, i] for i in range(m))
-            for row in range(n)
-        )
-        for t in range(len(fs))
-    ]
-    crows = []
-    for a in sub.generators:
-        if not any(a):
-            continue
-        c = [0] * n
-        for t, (at, dt) in enumerate(zip(a, fs)):
-            scale = (big // dt) * at
-            if scale:
-                c = [x + scale * y for x, y in zip(c, gcols[t])]
-        crows.append(c)
-    if not crows:
+    gens = [[(big // d) * x for x, d in zip(a, fs)] for a in sub.generators if any(a)]
+    if not gens:
         return w
-    cmat = IntMatrix._of(crows)
-    minus_big = IntMatrix._of(
-        [[-big if i == j else 0 for j in range(len(crows))] for i in range(len(crows))]
-    )
+    cmat = IntMatrix._of(gens) * (w * IntMatrix._of(gamma.columns)).t()
+    minus_big = IntMatrix.identity(len(gens)) * -big
     k = kernel_basis(cmat.hstack(minus_big))
     mpart = k.rows_at(range(n))
     basis, _ = hnf(mpart.t())
     rows = [r for r in basis.data if any(r)]
     assert len(rows) == n, "invariant lattice lost full rank"
     s_mat = IntMatrix._of(rows)
-    v_h = s_mat * w
-    x = quotient_matrix(v_h, w)
-    if cokernel(x.t()) != sub.group_type():
-        raise InconsistentAction(
-            f"quotient covering group {cokernel(x.t())} != subgroup {sub.group_type()}"
-        )
-    return v_h
+    got, want = cokernel(s_mat.t()), sub.group_type()
+    if got != want:
+        raise InconsistentAction(f"quotient covering group {got} != subgroup {want}")
+    return s_mat * w
 
 
-def _check_spanning_cover(w: IntMatrix) -> None:
-    """The columns of the covering fan matrix w span Z^n, so the
-    multiplicity of a quotient S*w, the index of its column lattice, is
-    |det S|; `quotient_by_subgroup` has matched coker(S^T) to the
-    subgroup, so it is the subgroup's order."""
+def _quotients(w: IntMatrix, a: IntMatrix):
+    """(subgroup, quotient fan matrix) for every subgroup of coker(a^T),
+    acting on the covering fan matrix w through the torsion matrix of a*w.
+
+    The columns of w span Z^n, so the multiplicity of a quotient S*w, the
+    index of its column lattice, is |det S|; `quotient_by_subgroup` has
+    matched coker(S^T) to the subgroup, so it is the subgroup's order.
+    """
     if lattice_index(w) != 1:
         raise InconsistentAction("covering fan matrix does not span the lattice")
+    gamma = torsion_matrix(a * w)
+    assert gamma.ambient == cokernel(a.t())
+    for sub in subgroups(gamma.ambient):
+        yield sub, quotient_by_subgroup(w, gamma, sub)
 
 
 def _gl_classes(entries):
@@ -252,18 +231,13 @@ def enumerate_fano_family(q: IntMatrix):
     is computed through the torsion action, and GL-equivalent quotients
     are merged (distinct subgroups can give isomorphic varieties).
     """
-    fan = fan_from_point(q, tuple(sum(r) for r in q.data))
+    fan = fan_from_point(q, _anticanonical(q))
     if not is_gorenstein_weight(q, fan):
         raise NotFanoWeight("weight matrix admits no anticanonically polarized model")
     cd = analyze(fan.fan_matrix, fan)
     assert cd.k == 1 and cd.k_hat == 1
-    _check_spanning_cover(cd.W)
-    aw = cd.A * cd.W
-    gamma = torsion_matrix(aw)
-    assert gamma.ambient == cd.weight_group_type
     entries = []
-    for sub in subgroups(gamma.ambient):
-        v_h = quotient_by_subgroup(cd.W, gamma, sub)
+    for sub, v_h in _quotients(cd.W, cd.A):
         assert is_reduced_f(v_h), "reflexive-case quotient must stay reduced"
         entries.append((sub, v_h, sub.order))
     classes = _gl_classes(entries)
@@ -290,15 +264,11 @@ def enumerate_qgorenstein_family(q: IntMatrix, h: int) -> QGorensteinFamily:
     kept entries are (subgroup, fan matrix, multiplicity); rejected
     entries are (subgroup, fan matrix, witness column index).
     """
-    fan = fan_from_point(q, tuple(sum(r) for r in q.data))
+    fan = fan_from_point(q, _anticanonical(q))
     cd = analyze(fan.fan_matrix, fan)
-    _check_spanning_cover(cd.W)
-    gamma = torsion_matrix((cd.A * h) * cd.W)
-    assert gamma.ambient == cokernel((cd.A * h).t())
     kept = []
     rejected = []
-    for sub in subgroups(gamma.ambient):
-        v_h = quotient_by_subgroup(cd.W, gamma, sub)
+    for sub, v_h in _quotients(cd.W, cd.A * h):
         if is_reduced_f(v_h):
             kept.append((sub, v_h, sub.order))
         else:

@@ -16,9 +16,17 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from .classify import enumerate_qgorenstein_family, unitary_cover
-from .covering import analyze, universal_cover
+from .covering import analyze
 from .errors import InvalidInput, ToriqError
-from .fans import FanData, face_fan, fan_from_point, is_simplicial, is_qfano_weight, qfano_representative
+from .fans import (
+    FanData,
+    _anticanonical,
+    face_fan,
+    fan_from_point,
+    is_qfano_weight,
+    is_simplicial,
+    qfano_representative,
+)
 from .gale import classify_matrix, gale_dual
 from .intmat import IntMatrix
 from .polytope import VPolytope, fmatrix_index, normalized_volume, polar_vertex_matrix
@@ -99,7 +107,7 @@ def resolve_variety(doc) -> tuple:
         if doc["fan"] is not None:
             fan = FanData(v, doc["fan"])
         else:
-            fan = fan_from_point(q, tuple(sum(r) for r in q.data))
+            fan = fan_from_point(q, _anticanonical(q))
         return v, fan
     v = matrix
     if doc["fan"] is not None:
@@ -273,14 +281,14 @@ def cmd_volume(args) -> int:
 def cmd_cover(args) -> int:
     doc = load_document(args.path)
     v, fan = resolve_variety(doc)
-    w, fan_theta, b, g = universal_cover(v, fan)
+    cd = analyze(v, fan)
     emit(
         {
-            "cover_fan_matrix": _rows(w),
-            "cover_fan": fan_theta.cones_1based(),
-            "quotient_matrix": _rows(b),
-            "covering_group": str(g),
-            "mult": abs(b.det()),
+            "cover_fan_matrix": _rows(cd.W),
+            "cover_fan": cd.fan_cover.cones_1based(),
+            "quotient_matrix": _rows(cd.B),
+            "covering_group": str(cd.G),
+            "mult": cd.mult,
             "unitary_cover": _rows(unitary_cover(v, fan)),
         }
     )
@@ -297,7 +305,7 @@ def cmd_fan(args) -> int:
     point = (
         tuple(_parse_int(x) for x in args.point.split(","))
         if args.point
-        else tuple(sum(r) for r in q.data)
+        else _anticanonical(q)
     )
     fan = fan_from_point(q, point)  # raises unless the fan is complete
     emit(

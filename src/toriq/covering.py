@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidFan, NonIntegralFactor, NotReflexive
-from .fans import FanData, _complement, fan_from_point, is_complete
+from .fans import FanData, _anticanonical, _complement, fan_from_point, is_complete
 from .gale import gale_dual
 from .intmat import (
     CACHE_SIZE,
@@ -285,7 +285,7 @@ def mds_multiplicity(q: IntMatrix, fan: FanData) -> int:
     w = gale_dual(q)
     n = w.rows
     h = fmatrix_index(fan.fan_matrix) // fmatrix_index(w)
-    qfan = fan_from_point(q, tuple(sum(r) for r in q.data))
+    qfan = fan_from_point(q, _anticanonical(q))
     cd = analyze(qfan.fan_matrix, qfan)
     assert (h ** n * cd.weight_order) % mult == 0, "multiplicity fails the weight-order bound"
     return mult

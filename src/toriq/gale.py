@@ -29,20 +29,13 @@ class MatrixClassReport:
     violated_conditions: tuple = field(default_factory=tuple)
 
 
-def _column_content(col) -> int:
-    g = 0
-    for x in col:
-        g = gcd(g, x)
-    return g
-
-
 def _positive_parallel_pair(cols) -> bool:
     """Are two of the nonzero vectors cols positive multiples of each other?"""
     seen = set()
     for c in cols:
         if not any(c):
             continue
-        g = _column_content(c)
+        g = gcd(*c)
         prim = tuple(x // g for x in c)
         if prim in seen:
             return True
@@ -141,7 +134,7 @@ def classify_matrix(m: IntMatrix) -> MatrixClassReport:
         violated.append("W.f")
 
     is_w = full_rank and saturated and w_positive and no_zero_col and no_unit and no_mixed_pair
-    reduced_f = is_f and all(_column_content(m.col(j)) == 1 for j in range(m.cols))
+    reduced_f = is_f and is_reduced_f(m)
     reduced_w = is_w and is_reduced_w(m)
     return MatrixClassReport(
         is_F=is_f,
@@ -153,7 +146,7 @@ def classify_matrix(m: IntMatrix) -> MatrixClassReport:
 
 
 def is_reduced_f(v: IntMatrix) -> bool:
-    return all(_column_content(v.col(j)) == 1 for j in range(v.cols))
+    return all(gcd(*v.col(j)) == 1 for j in range(v.cols))
 
 
 def is_reduced_w(q: IntMatrix) -> bool:

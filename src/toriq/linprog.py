@@ -11,9 +11,10 @@ d = 1.  A row not yet pivoted stands for den times its rational row, and
 a cost row for a positive multiple of the rational reduced costs; such
 multiples change no sign and no ratio, so the pivot path and the basic
 solutions are those of the same simplex over the rationals (a pivoted
-row is exact, and only pivoted rows are read).  The wrappers at the bottom are the primitives the rest of the library
-calls: nonnegative solvability, strictly positive solvability, and cone
-membership / relative-interior membership.
+row is exact, and only pivoted rows are read).  The wrappers at the
+bottom are the primitives the rest of the library calls: nonnegative
+solvability, cone membership / relative-interior membership, and
+strictly positive kernel vectors.
 """
 
 from __future__ import annotations
@@ -141,27 +142,6 @@ def nonneg_solution(a_rows, b):
     return x if status == "optimal" else None
 
 
-def strict_solution(a_rows, b):
-    """Some x > 0 (componentwise) with A x = b, or None.
-
-    Substitutes x = u + eps*1 with u >= 0 and maximizes eps, capped at 1.
-    """
-    if not a_rows:
-        return None
-    n = len(a_rows[0])
-    if n == 0:
-        return None
-    rows = [list(r) + [sum(r), 0] for r in a_rows]
-    # eps <= 1 via slack
-    rows.append([0] * n + [1, 1])
-    c = [0] * n + [1, 0]
-    status, value, x = lp_max(c, rows, list(b) + [1])
-    if status != "optimal" or value <= 0:
-        return None
-    eps = x[n]
-    return tuple(xi + eps for xi in x[:n])
-
-
 def cone_contains(generators, w) -> bool:
     """Is w a nonnegative combination of the generator vectors?"""
     w = tuple(w)
@@ -189,7 +169,8 @@ def cone_contains_strict(generators, w) -> bool:
         sol = solve_unique(rows, w)
         if sol is not None:
             return all(x > 0 for x in sol)
-    return strict_solution(rows, w) is not None
+    # (x, t) > 0 with G x = t w exists exactly when w = G (x / t), x / t > 0
+    return positive_kernel_vector([r + [-wi] for r, wi in zip(rows, w)]) is not None
 
 
 def positive_kernel_vector(a_rows):

@@ -10,7 +10,10 @@ which are exact for the piecewise-polynomial sections of a polytope), so
 it shares no code path with the library's facet-pyramid triangulation.
 The simplex oracle is the two-phase Bland simplex over Fractions that the
 library's integer-pivoting `lp_max` must reproduce pivot for pivot, and
-the lattice-point oracle scans the whole bounding box.
+the lattice-point oracle scans the whole bounding box.  The subgroup
+oracle builds every upper-triangular HNF candidate and keeps those whose
+lattice contains diag(f), where the library's column walk never builds a
+candidate that fails.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ import itertools
 import math
 from fractions import Fraction
 
+from toriq.classify import SubgroupHandle
 from toriq.errors import InvalidFan, OutsideMoving, RankDeficient
 from toriq.fans import FanData, _cone_walls, _complement, is_complete, mov_cone
 from toriq.gale import gale_dual
-from toriq.intmat import IntMatrix, kernel_basis, rank
+from toriq.intmat import FiniteAbelianGroup, IntMatrix, kernel_basis, rank
 from toriq.linprog import cone_contains, cone_contains_strict
 from toriq.polytope import VPolytope, facet_enumeration
 
@@ -110,7 +114,8 @@ def lp_max_by_fractions(c, a_rows, b):
 
 
 def strict_solution_by_fractions(a_rows, b):
-    """`toriq.linprog.strict_solution` over `lp_max_by_fractions`."""
+    """Some x > 0 with A x = b, or None: x = u + eps*1 with u >= 0 and
+    eps <= 1 maximized, over `lp_max_by_fractions`."""
     if not a_rows or not a_rows[0]:
         return None
     n = len(a_rows[0])
@@ -317,3 +322,43 @@ def fan_from_point_by_merging(q: IntMatrix, w, fan_matrix: IntMatrix | None = No
     if not is_complete(fan):
         raise InvalidFan("merged cones do not form a complete fan")
     return fan
+
+
+def _lattice_contains_diag(mat, fs) -> bool:
+    """Does the upper-triangular lattice basis contain diag(fs) Z^s?
+
+    Forward substitution of each f_j e_j against the rows, integer
+    remainders checked on the way.
+    """
+    s = len(fs)
+    for j in range(s):
+        x = [0] * s
+        for t in range(s):
+            acc = (fs[j] if t == j else 0) - sum(x[i] * mat[i][t] for i in range(t))
+            x[t], rem = divmod(acc, mat[t][t])
+            if rem:
+                return False
+    return True
+
+
+def subgroups_by_filter(g: FiniteAbelianGroup, order: int | None = None):
+    """`toriq.classify.subgroups` by generate-and-filter: every
+    upper-triangular matrix with pivots d_t | f_t and entries in [0, d_t)
+    above them, kept when its lattice contains diag(f)."""
+    fs = g.invariant_factors
+    s = len(fs)
+    total = g.order
+    out = []
+    pos = [(i, j) for j in range(s) for i in range(j)]
+    for diag in itertools.product(*[[d for d in range(1, f + 1) if f % d == 0] for f in fs]):
+        det = math.prod(diag)
+        if order is not None and total // det != order:
+            continue
+        for combo in itertools.product(*[range(diag[j]) for (_, j) in pos]):
+            mat = [[diag[t] if i == t else 0 for t in range(s)] for i in range(s)]
+            for val, (i, j) in zip(combo, pos):
+                mat[i][j] = val
+            if _lattice_contains_diag(mat, fs):
+                out.append(SubgroupHandle(ambient=g, matrix=IntMatrix(mat), order=total // det))
+    out.sort(key=lambda sub: (sub.order, sub.matrix.data))
+    return out

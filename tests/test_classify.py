@@ -1,5 +1,9 @@
+import math
+import random
+
 import pytest
 
+from oracles import subgroups_by_filter
 from toriq.classify import (
     enumerate_fano_family,
     enumerate_qgorenstein_family,
@@ -60,6 +64,31 @@ def test_subgroup_order_filter():
     all_subs = subgroups(g)
     filtered = subgroups(g, order=15)
     assert [s.matrix for s in filtered] == [s.matrix for s in all_subs if s.order == 15]
+
+
+def _random_group(rng):
+    """Invariant factors f_1 | f_2 | f_3 (one to three of them), order at
+    most 2,000."""
+    while True:
+        fs = [rng.randint(2, 6)]
+        for _ in range(rng.randint(0, 2)):
+            fs.append(fs[-1] * rng.randint(1, 5))
+        if math.prod(fs) <= 2000:
+            return FiniteAbelianGroup(tuple(fs))
+
+
+def test_subgroups_match_generate_and_filter():
+    rng = random.Random(9)
+    groups = [FiniteAbelianGroup((2, 6, 12))] + [_random_group(rng) for _ in range(15)]
+    assert max(g.order for g in groups) > 1000
+    for g in groups:
+        subs = subgroups(g)
+        assert [(s.order, s.matrix) for s in subs] == [
+            (s.order, s.matrix) for s in subgroups_by_filter(g)
+        ], g
+        for k in sorted({s.order for s in subs}):
+            assert subgroups(g, order=k) == [s for s in subs if s.order == k], (g, k)
+        assert subgroups(g, order=g.order + 1) == []
 
 
 def test_subgroup_group_types():
