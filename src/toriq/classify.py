@@ -95,6 +95,9 @@ class SubgroupHandle:
         return cokernel(x.t())
 
 
+_ENUM_BOUND = 100_000  # most subgroups, and largest group order, enumerated
+
+
 def _divisors(n: int):
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -133,12 +136,14 @@ def subgroups(g: FiniteAbelianGroup, order: int | None = None):
     contains diag(f)Z^s exactly when they are all integers, and the
     entries of each new column are solved to keep them so
     (`_column_entries`): every prefix extends to a subgroup, and no
-    candidate is built only to be discarded.
+    candidate is built only to be discarded.  So the walk can stop with
+    TooLarge as soon as the prefixes outnumber the bound: the subgroups
+    do too.
     """
     if g.free_rank:
         raise TooLarge("subgroup enumeration needs a finite group")
     total = g.order
-    if total > 100_000:
+    if total > _ENUM_BOUND:
         raise TooLarge(f"group order {total} exceeds the enumeration bound")
     # prefixes: (HNF rows so far, coordinates of each f_j e_j in them)
     prefixes = [((), ())]
@@ -152,6 +157,8 @@ def subgroups(g: FiniteAbelianGroup, order: int | None = None):
                         tuple(r + (c,) for r, c in zip(rows, above)) + (pad + (d,),),
                         tuple(x + (-_dot(x, above) // d,) for x in coords) + (pad + (f // d,),),
                     ))
+                if len(grown) > _ENUM_BOUND:
+                    raise TooLarge(f"{g} has more than {_ENUM_BOUND} subgroups")
         prefixes = grown
     out = []
     for rows, _ in prefixes:

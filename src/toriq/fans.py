@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .errors import InvalidFan, OriginNotInterior, OutsideMoving, RankDeficient
 from .gale import gale_dual
 from .intmat import CACHE_SIZE, IntMatrix, rank, solve_integer, solve_unique
-from .linprog import cone_contains, cone_contains_strict, nonneg_solution
-from .polytope import VPolytope, _bits, _cone_facets, facet_enumeration
+from .linprog import _cone_facets, _facets_contain, cone_contains
+from .polytope import VPolytope, _bits, facet_enumeration
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,15 @@ class FanData:
 def _pointed(cols: IntMatrix) -> bool:
     if cols.rows == cols.cols:
         return cols.det() != 0  # simplicial full-dimensional cones are pointed
-    # a nonzero nonnegative kernel combination would give a line
-    rows = [list(r) for r in cols.data]
-    rows.append([1] * cols.cols)
-    rhs = [0] * cols.rows + [1]
-    return nonneg_solution(rows, rhs) is None
+    # a zero generator is a nonzero nonnegative relation, which counts as a
+    # line; otherwise the lineality space is cut out by the equalities and
+    # the facet normals, so the cone is pointed when they span Q^n
+    gens = cols.columns()
+    if not all(map(any, gens)):
+        return False
+    eqs, facets = _cone_facets(gens, cols.rows)
+    normals = eqs + [a for a, _ in facets]
+    return bool(normals) and rank(IntMatrix._of(normals)) == cols.rows
 
 
 def _complement(g, m):
@@ -125,10 +129,16 @@ class GkzCone:
             return 0
         return rank(IntMatrix._of(self.generators))
 
+    @functools.cached_property
+    def _facets(self):
+        return _cone_facets(self.generators, len(self.generators[0]))
+
     def contains(self, w, strict: bool = False) -> bool:
-        if strict:
-            return cone_contains_strict(list(self.generators), w)
-        return cone_contains(list(self.generators), w)
+        """Is w in the cone (strict: in its relative interior)?  The
+        facets are computed on the first call and kept."""
+        if not self.generators:
+            return not any(w)
+        return _facets_contain(*self._facets, tuple(w), strict)
 
 
 def _cone_intersection(gen_lists, dim) -> tuple:
@@ -199,7 +209,7 @@ def is_qfano_weight(q: IntMatrix, fan: FanData) -> bool:
     m = q.cols
     for g in fan.max_cones:
         comp = _complement(g, m)
-        if not cone_contains_strict([q.col(j) for j in comp], b):
+        if not cone_contains([q.col(j) for j in comp], b, strict=True):
             return False
     return True
 
@@ -240,7 +250,7 @@ def fan_from_point(q: IntMatrix, w, fan_matrix: IntMatrix | None = None) -> FanD
     fan = FanData(v, [_complement(s, m) for s in supports])
     for g in fan.max_cones:
         comp = _complement(g, m)
-        if not cone_contains_strict([q.col(j) for j in comp], w):
+        if not cone_contains([q.col(j) for j in comp], w, strict=True):
             raise InvalidFan(
                 f"cell point is not interior to the dual cone of {tuple(g)}"
             )

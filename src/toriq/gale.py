@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd
 
 from .errors import RankDeficient
-from .intmat import CACHE_SIZE, IntMatrix, hnf, kernel_basis, rank, snf, solve_unique, unimodular_inverse
-from .linprog import positive_kernel_vector
+from .intmat import CACHE_SIZE, IntMatrix, hnf, kernel_basis, rank, snf, unimodular_inverse
+from .linprog import _dd, positive_relation
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def _fan_conditions(m: IntMatrix) -> tuple:
     full_rank = rank(m) == m.rows
     return (
         full_rank,
-        full_rank and positive_kernel_vector([list(r) for r in m.data]) is not None,
+        full_rank and positive_relation(m.columns(), m.rows),
         all(any(m.col(j)) for j in range(m.cols)),
         not _positive_parallel_pair(m.columns()),
     )
@@ -85,11 +85,12 @@ def classify_matrix(m: IntMatrix) -> MatrixClassReport:
     `kernel_basis(m)` are its columns): over Q the row space of m is the
     kernel of g.  W.c holds exactly when a nonnegative basis exists, which
     by Gordan's alternative is when the row space holds a vector positive
-    on the support S of m, i.e. when g restricted to S has a positive
-    kernel vector (one LP).  A row-space vector supported on {i, j} with
-    opposite signs exists exactly when g's columns i and j are both zero or
-    positively parallel (W.f).  W.e needs the lattice itself, which may be
-    unsaturated, so it is an HNF membership test.
+    on the support S of m, i.e. when some strictly positive combination
+    of g's columns at S is zero (`positive_relation`).  A row-space vector
+    supported on {i, j} with opposite signs exists exactly when g's
+    columns i and j are both zero or positively parallel (W.f).  W.e
+    needs the lattice itself, which may be unsaturated, so it is an HNF
+    membership test.
     """
     violated = []
     n = m.rows
@@ -116,8 +117,7 @@ def classify_matrix(m: IntMatrix) -> MatrixClassReport:
     h, _ = hnf(m)
     k = kernel_basis(m)
     support = [j for j in range(m.cols) if any(m.col(j))]
-    g_support = [[k[j, t] for j in support] for t in range(k.cols)]
-    w_positive = positive_kernel_vector(g_support) is not None
+    w_positive = positive_relation([k.row(j) for j in support], k.cols)
     if not w_positive:
         violated.append("W.c")
     no_unit = True
@@ -160,21 +160,24 @@ def _nonnegative_basis(rows):
     or None when L has none.
 
     By Gordan's alternative L has a nonnegative basis exactly when it holds
-    a vector positive on S; over Q, L on S is the kernel of a Gale dual of
-    its columns there, so one LP decides it.  The L-primitive positive
-    vector p is extended to a basis, every other row is lifted by the least
-    multiple of p that makes it nonnegative, and b_i is replaced by
-    b_i - b_j while that stays nonnegative (each step lowers the entry sum).
+    a vector positive on S.  In row coordinates y the vectors of L that
+    are nonnegative on S form the pointed cone {y : <col_j, y> >= 0, j in
+    S} (the rows are independent on S), and one double description gives
+    its rays.  A vector positive on S exists exactly when no column is
+    tight on every ray, and then the sum c of the rays is one.  The
+    L-primitive positive vector p with coordinates c / gcd(c) is extended
+    to a basis, every other row is lifted by the least multiple of p that
+    makes it nonnegative, and b_i is replaced by b_i - b_j while that
+    stays nonnegative (each step lowers the entry sum).
     """
     support = [j for j in range(len(rows[0])) if any(r[j] for r in rows)]
-    on_support = IntMatrix._of([[r[j] for j in support] for r in rows])
-    x = positive_kernel_vector(kernel_basis(on_support).t().data)
-    if x is None:
+    rays = _dd([tuple(r[j] for r in rows) for j in support], len(rows))
+    tight = -1  # the columns tight on every ray; all of them when there is none
+    for _, mask in rays:
+        tight &= mask
+    if tight:
         return None
-    # coordinates of x in the rows, scaled to a primitive integer vector c
-    c = solve_unique(on_support.t().data, x)
-    den = lcm(*(f.denominator for f in c))
-    c = [int(f * den) for f in c]
+    c = [sum(col) for col in zip(*(y for y, _ in rays))]
     g = gcd(*c)
     c = [a // g for a in c]
     # u * c = e_1, so c is the first column of the unimodular u^-1
@@ -201,9 +204,10 @@ def gale_dual(m: IntMatrix) -> IntMatrix:
     """Gale dual: a basis of the saturated kernel of m, as rows.
 
     The basis is nonnegative exactly when the kernel lattice has a
-    nonnegative basis (decided by one LP, see `_nonnegative_basis`);
-    otherwise it is the row HNF.  Either way it is computed from the
-    lattice alone, never from m, so equal kernels give bit-equal duals.
+    nonnegative basis (decided by one double description, see
+    `_nonnegative_basis`); otherwise it is the row HNF.  Either way it is
+    computed from the lattice alone, never from m, so equal kernels give
+    bit-equal duals.
     """
     if rank(m) < m.rows:
         raise RankDeficient("Gale dual requires full row rank")

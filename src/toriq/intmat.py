@@ -186,10 +186,6 @@ class IntMatrix(_Matrix):
     def identity(n: int) -> "IntMatrix":
         return IntMatrix._of([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zeros(r: int, c: int) -> "IntMatrix":
-        return IntMatrix._of([[0] * c for _ in range(r)])
-
     # -- algebra ----------------------------------------------------------------
 
     def __mul__(self, other):

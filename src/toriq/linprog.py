@@ -1,186 +1,141 @@
-"""Exact linear programming, just big enough for cone tests.
+"""Exact cone questions, all answered by one double description.
 
-Two-phase simplex with Bland's rule in integers (the integer pivoting of
-lrs, Avis 2000).  The tableau is a list of integer rows T standing for
-T / d with d > 0, the reduced-cost row last.  A pivot on p = T[r][c]
-keeps row r and replaces every other row by (p*x - f*y) // d, the
-fraction-free step of `intmat._eliminate` (Bareiss 1968): the division is
-exact because every entry is a minor of the scaled input, and d becomes
-p.  The input is scaled by one common denominator `den`, starting from
-d = 1.  A row not yet pivoted stands for den times its rational row, and
-a cost row for a positive multiple of the rational reduced costs; such
-multiples change no sign and no ratio, so the pivot path and the basic
-solutions are those of the same simplex over the rationals (a pivoted
-row is exact, and only pivoted rows are read).  The wrappers at the
-bottom are the primitives the rest of the library calls: nonnegative
-solvability, cone membership / relative-interior membership, and
-strictly positive kernel vectors.
+Every hull, wall, cone intersection and cone predicate in the library goes
+through one exact integer double-description routine (`_dd`, Fukuda &
+Prodon 1996): a cone's facets are the extreme rays of its dual
+(`_cone_facets`).  By Gordan's alternative (Ziegler, *Lectures on
+Polytopes*, 1.4) the linear-programming questions the library asks are
+read off those facets: w lies in a cone exactly when every equality
+vanishes on it and every facet normal is >= 0 on it (> 0 for the relative
+interior), and a strictly positive combination of vectors is zero exactly
+when their cone has no facet.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+import math
 
-from .intmat import solve_unique
-
-_ZERO = Fraction(0)
+from .intmat import primitive_kernel, solve_unique
 
 
-def _pivot(t, basis, row, col, d):
-    """Pivot t (standing for t / d) on t[row][col]; returns the new d.
+def _dot(a, x):
+    return sum(p * q for p, q in zip(a, x))
 
-    A negative pivot, which only the artificial clean-up can pick, is
-    followed by negating every row, so d stays positive.
+
+def _primitive(v) -> tuple:
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def _dd(rows, dim):
+    """Extreme rays of the pointed cone {x : <a, x> >= 0 for a in rows}
+    (integer rows of rank dim), each as (primitive ray, bitmask of the
+    rows it makes tight).
+
+    Double description (Fukuda & Prodon 1996): start from the whole space
+    as a lineality basis, pivot rows that meet the lineality space into
+    rays, and cut by the others, pairing a positive with a negative ray
+    exactly when no third ray is tight on every row both are tight on.
     """
-    top = t[row]
-    p = top[col]
-    for i, r in enumerate(t):
-        if i != row:
-            f = r[col]
-            t[i] = [(p * x - f * y) // d for x, y in zip(r, top)]
-    basis[row] = col
-    if p < 0:
-        t[:] = [[-x for x in r] for r in t]
-        p = -p
-    return p
+    lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays = []
+    for i, a in enumerate(rows):
+        bit = 1 << i
+        p = next((j for j, l in enumerate(lin) if _dot(a, l)), None)
+        if p is not None:
+            piv = lin.pop(p)
+            s = _dot(a, piv)
+            if s < 0:
+                piv, s = tuple(-x for x in piv), -s
 
+            def project(v):
+                t = _dot(a, v)
+                return _primitive([s * x - t * y for x, y in zip(v, piv)]) if t else v
 
-def _simplex(t, basis, d):
-    """Maximize over the tableau t / d in place; returns (status, d) with
-    status 'optimal' or 'unbounded'.
-
-    Rows of t: [a_1 ... a_n | b], then the cost row [c_1 ... c_n | value
-    cell].  Bland's rule, so termination is guaranteed; the ratio test
-    compares b_i / a_i by cross-multiplication (both a_i > 0).
-    """
-    m = len(basis)
-    while True:
-        cost = t[-1]
-        col = next((j for j in range(len(cost) - 1) if cost[j] > 0), None)
-        if col is None:
-            return "optimal", d
-        row = None
-        for i in range(m):
-            a = t[i][col]
-            if a > 0:
-                if row is None:
-                    row = i
+            lin = [project(l) for l in lin]
+            rays = [(project(r), m | bit) for r, m in rays]
+            rays.append((piv, bit - 1))
+            continue
+        vals = [_dot(a, r) for r, _ in rays]
+        need = dim - len(lin) - 2
+        new = []
+        for ri, ((r, mr), vr) in enumerate(zip(rays, vals)):
+            if vr <= 0:
+                continue
+            for si, ((s, ms), vs) in enumerate(zip(rays, vals)):
+                if vs >= 0:
                     continue
-                lhs, rhs = t[i][-1] * t[row][col], t[row][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
-                    row = i
-        if row is None:
-            return "unbounded", d
-        d = _pivot(t, basis, row, col, d)
+                common = mr & ms
+                if common.bit_count() < need or any(
+                    mt & common == common
+                    for ti, (_, mt) in enumerate(rays)
+                    if ti != ri and ti != si
+                ):
+                    continue
+                new.append((_primitive([vr * y - vs * x for x, y in zip(r, s)]), common | bit))
+        rays = [(r, m | bit if v == 0 else m) for (r, m), v in zip(rays, vals) if v >= 0] + new
+    return rays
 
 
-def _scaled(values, den):
-    return [x.numerator * (den // x.denominator) for x in values]
+def _cone_facets(gens, dim):
+    """(equalities, facets) of the cone over integer generators in Q^dim:
+    a primitive basis of the vectors orthogonal to every generator, and
+    each facet as (inward primitive normal in the span of the generators,
+    bitmask of the generators on it).
 
-
-def lp_max(c, a_rows, b):
-    """max c.x subject to a_rows x = b, x >= 0 (ints or Fractions).
-
-    Returns (status, value, x) with status in {'optimal', 'unbounded',
-    'infeasible'}; on 'optimal' x is an optimal basic solution (a tuple
-    of Fractions), on 'unbounded' x is None.
+    Dually: the lineality basis and the extreme rays, with their tight-row
+    bitmasks, of {x : <g, x> >= 0 for g in gens}; the rays are the
+    canonical ones orthogonal to the lineality space.
     """
-    m = len(a_rows)
-    n = len(c)
-    den = lcm(*(x.denominator for r in a_rows for x in r), *(y.denominator for y in b))
-    t = []
-    for i, (r, y) in enumerate(zip(a_rows, b)):
-        row = _scaled(r, den)
-        rhs = y.numerator * (den // y.denominator)
-        if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-        t.append(row + [den if j == i else 0 for j in range(m)] + [rhs])
-    basis = [n + i for i in range(m)]
-    # phase 1: maximize -(sum of artificials); reduced costs of the initial
-    # basis (all artificial, cost -1 each) give +column-sums on the
-    # structural part and 0 on the artificial part
-    t.append([sum(r[j] for r in t) for j in range(n)] + [0] * m + [-sum(r[-1] for r in t)])
-    status, d = _simplex(t, basis, 1)
-    assert status == "optimal"
-    t.pop()
-    if any(t[i][-1] for i in range(m) if basis[i] >= n):
-        return "infeasible", None, None
-    # pivot leftover (degenerate) artificials out of the basis, dropping
-    # redundant all-zero rows
-    for i in range(m):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if t[i][j]), None)
-            if col is not None:
-                d = _pivot(t, basis, i, col, d)
-    keep = [i for i in range(m) if basis[i] < n]
-    t = [t[i][:n] + [t[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-    # phase 2: the cost row of e*c (e clears c's denominators) in units of 1/d
-    e = lcm(*(x.denominator for x in c))
-    ec = _scaled(c, e)
-    cost = [d * x for x in ec] + [0]
-    for r, bi in zip(t, basis):
-        f = ec[bi]
-        if f:
-            cost = [x - f * y for x, y in zip(cost, r)]
-    t.append(cost)
-    status, d = _simplex(t, basis, d)
-    if status == "unbounded":
-        return "unbounded", None, None
-    x = [_ZERO] * n
-    for r, bi in zip(t, basis):
-        x[bi] = Fraction(r[-1], d)
-    return "optimal", Fraction(-t[-1][-1], d * e), tuple(x)
+    gens = list(gens)
+    if not gens:
+        return [tuple(int(i == j) for j in range(dim)) for i in range(dim)], []
+    eqs = primitive_kernel(gens)
+    if not eqs:
+        return [], _dd(gens, dim)
+    if len(eqs) == dim:
+        return eqs, []
+    basis = primitive_kernel(eqs)
+    projected = [tuple(_dot(b, g) for b in basis) for g in gens]
+    facets = []
+    for y, mask in _dd(projected, len(basis)):
+        a = [sum(c * b[j] for c, b in zip(y, basis)) for j in range(dim)]
+        facets.append((_primitive(a), mask))
+    return eqs, facets
 
 
-def nonneg_solution(a_rows, b):
-    """Some x >= 0 with A x = b, or None."""
-    n = len(a_rows[0]) if a_rows else 0
-    status, _, x = lp_max([0] * n, a_rows, b)
-    return x if status == "optimal" else None
+def _facets_contain(eqs, facets, w, strict: bool = False) -> bool:
+    """Does the cone with these `_cone_facets` hold w (strict: in its
+    relative interior)?"""
+    if any(_dot(e, w) for e in eqs):
+        return False
+    if strict:
+        return all(_dot(a, w) > 0 for a, _ in facets)
+    return all(_dot(a, w) >= 0 for a, _ in facets)
 
 
-def cone_contains(generators, w) -> bool:
-    """Is w a nonnegative combination of the generator vectors?"""
-    w = tuple(w)
-    if not generators:
-        return not any(w)
-    rows = [[g[i] for g in generators] for i in range(len(w))]
-    if len(generators) == len(w):
-        sol = solve_unique(rows, w)
-        if sol is not None:
-            return all(x >= 0 for x in sol)
-    return nonneg_solution(rows, w) is not None
+def cone_contains(generators, w, strict: bool = False) -> bool:
+    """Is w a nonnegative combination of the integer generator vectors?
+    With `strict`, is it in the relative interior of their cone, i.e. a
+    strictly positive combination of them?
 
-
-def cone_contains_strict(generators, w) -> bool:
-    """Is w in the relative interior of the cone over the generators?
-
-    For a finitely generated cone the relative interior is exactly the set
-    of strictly positive combinations of the generators.
+    Square systems with a unique solution, such as a simplicial cone in
+    its own span, are decided by the signs of that solution.
     """
     w = tuple(w)
     if not generators:
         return not any(w)
-    rows = [[g[i] for g in generators] for i in range(len(w))]
     if len(generators) == len(w):
-        sol = solve_unique(rows, w)
+        sol = solve_unique([[g[i] for g in generators] for i in range(len(w))], w)
         if sol is not None:
-            return all(x > 0 for x in sol)
-    # (x, t) > 0 with G x = t w exists exactly when w = G (x / t), x / t > 0
-    return positive_kernel_vector([r + [-wi] for r, wi in zip(rows, w)]) is not None
+            return all(x > 0 if strict else x >= 0 for x in sol)
+    eqs, facets = _cone_facets(generators, len(w))
+    return _facets_contain(eqs, facets, w, strict)
 
 
-def positive_kernel_vector(a_rows):
-    """Some x > 0 with A x = 0, or None if there is none.
-
-    The kernel is a linear subspace, so x > 0 exists iff x >= 1 exists;
-    substituting x = 1 + s reduces to plain feasibility, and x = 1 + s is
-    returned.  With no rows every vector qualifies; the result is then ().
+def positive_relation(vectors, dim) -> bool:
+    """Is some strictly positive combination of the integer vectors in
+    Q^dim zero?  That holds exactly when their cone is a linear space,
+    i.e. has no facet.  With no vectors the empty combination is zero.
     """
-    if not a_rows:
-        return ()
-    s = nonneg_solution(a_rows, [-sum(r) for r in a_rows])
-    return None if s is None else tuple(1 + x for x in s)
+    return not _cone_facets(vectors, dim)[1]

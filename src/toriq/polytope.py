@@ -2,11 +2,10 @@
 lattice points, normalized volume, reflexivity and the Gorenstein index of
 a fan matrix.
 
-Every hull goes through one exact integer double-description routine
-(`_dd`, Fukuda & Prodon 1996): a cone's facets are the extreme rays of
-its dual (`_cone_facets`), and a polytope is the cone over its points
-lifted to (1, v).  Facets come with the bitmask of the generators on
-them, as in PALP, and vertex pruning, triangulation, fan walls and cone
+Every hull goes through the one exact double description of `linprog`
+(`_cone_facets`): a polytope is the cone over its points lifted to
+(1, v).  Facets come with the bitmask of the generators on them, as in
+PALP, and vertex pruning, triangulation, fan walls and cone
 intersections are all read off those incidences.
 """
 
@@ -21,93 +20,8 @@ from fractions import Fraction
 
 from .errors import DegenerateCone, NotFMatrix, NotFullDimensional, OriginNotInterior
 from .gale import _fan_conditions
-from .intmat import CACHE_SIZE, IntMatrix, RatMatrix, _det, _eliminate, _integral, primitive_kernel
-
-
-def _dot(a, x):
-    return sum(p * q for p, q in zip(a, x))
-
-
-def _primitive(v) -> tuple:
-    g = math.gcd(*v)
-    return tuple(x // g for x in v)
-
-
-def _dd(rows, dim):
-    """Extreme rays of the pointed cone {x : <a, x> >= 0 for a in rows}
-    (integer rows of rank dim), each as (primitive ray, bitmask of the
-    rows it makes tight).
-
-    Double description (Fukuda & Prodon 1996): start from the whole space
-    as a lineality basis, pivot rows that meet the lineality space into
-    rays, and cut by the others, pairing a positive with a negative ray
-    exactly when no third ray is tight on every row both are tight on.
-    """
-    lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    rays = []
-    for i, a in enumerate(rows):
-        bit = 1 << i
-        p = next((j for j, l in enumerate(lin) if _dot(a, l)), None)
-        if p is not None:
-            piv = lin.pop(p)
-            s = _dot(a, piv)
-            if s < 0:
-                piv, s = tuple(-x for x in piv), -s
-
-            def project(v):
-                t = _dot(a, v)
-                return _primitive([s * x - t * y for x, y in zip(v, piv)]) if t else v
-
-            lin = [project(l) for l in lin]
-            rays = [(project(r), m | bit) for r, m in rays]
-            rays.append((piv, bit - 1))
-            continue
-        vals = [_dot(a, r) for r, _ in rays]
-        need = dim - len(lin) - 2
-        new = []
-        for ri, ((r, mr), vr) in enumerate(zip(rays, vals)):
-            if vr <= 0:
-                continue
-            for si, ((s, ms), vs) in enumerate(zip(rays, vals)):
-                if vs >= 0:
-                    continue
-                common = mr & ms
-                if common.bit_count() < need or any(
-                    mt & common == common
-                    for ti, (_, mt) in enumerate(rays)
-                    if ti != ri and ti != si
-                ):
-                    continue
-                new.append((_primitive([vr * y - vs * x for x, y in zip(r, s)]), common | bit))
-        rays = [(r, m | bit if v == 0 else m) for (r, m), v in zip(rays, vals) if v >= 0] + new
-    return rays
-
-
-def _cone_facets(gens, dim):
-    """(equalities, facets) of the cone over integer generators in Q^dim:
-    a primitive basis of the vectors orthogonal to every generator, and
-    each facet as (inward primitive normal in the span of the generators,
-    bitmask of the generators on it).
-
-    Dually: the lineality basis and the extreme rays, with their tight-row
-    bitmasks, of {x : <g, x> >= 0 for g in gens}; the rays are the
-    canonical ones orthogonal to the lineality space.
-    """
-    gens = list(gens)
-    if not gens:
-        return [tuple(int(i == j) for j in range(dim)) for i in range(dim)], []
-    eqs = primitive_kernel(gens)
-    if not eqs:
-        return [], _dd(gens, dim)
-    if len(eqs) == dim:
-        return eqs, []
-    basis = primitive_kernel(eqs)
-    projected = [tuple(_dot(b, g) for b in basis) for g in gens]
-    facets = []
-    for y, mask in _dd(projected, len(basis)):
-        a = [sum(c * b[j] for c, b in zip(y, basis)) for j in range(dim)]
-        facets.append((_primitive(a), mask))
-    return eqs, facets
+from .intmat import CACHE_SIZE, IntMatrix, RatMatrix, _det, _eliminate, _integral
+from .linprog import _cone_facets
 
 
 def _bits(mask) -> tuple:

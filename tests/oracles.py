@@ -8,12 +8,12 @@ oracle integrates exact cross-section measures over the slabs
 between vertex coordinates (trapezoid rule in 2D, Simpson in 3D, both of
 which are exact for the piecewise-polynomial sections of a polytope), so
 it shares no code path with the library's facet-pyramid triangulation.
-The simplex oracle is the two-phase Bland simplex over Fractions that the
-library's integer-pivoting `lp_max` must reproduce pivot for pivot, and
-the lattice-point oracle scans the whole bounding box.  The subgroup
-oracle builds every upper-triangular HNF candidate and keeps those whose
-lattice contains diag(f), where the library's column walk never builds a
-candidate that fails.
+The simplex oracle is a two-phase Bland simplex over Fractions, against
+which the library's cone predicates (read off the facets of one double
+description) are checked, and the lattice-point oracle scans the whole
+bounding box.  The subgroup oracle builds every upper-triangular HNF
+candidate and keeps those whose lattice contains diag(f), where the
+library's column walk never builds a candidate that fails.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from toriq.errors import InvalidFan, OutsideMoving, RankDeficient
 from toriq.fans import FanData, _cone_walls, _complement, is_complete, mov_cone
 from toriq.gale import gale_dual
 from toriq.intmat import FiniteAbelianGroup, IntMatrix, kernel_basis, rank
-from toriq.linprog import cone_contains, cone_contains_strict
+from toriq.linprog import cone_contains
 from toriq.polytope import VPolytope, facet_enumeration
 
 _ZERO = Fraction(0)
@@ -68,8 +68,9 @@ def _frac_simplex(tab, basis, cost):
 
 def lp_max_by_fractions(c, a_rows, b):
     """max c.x subject to a_rows x = b, x >= 0: the two-phase simplex with
-    Bland's rule over Fractions, with the same (status, value, x) contract
-    as `toriq.linprog.lp_max`."""
+    Bland's rule over Fractions.  Returns (status, value, x) with status in
+    {'optimal', 'unbounded', 'infeasible'}; on 'optimal' x is an optimal
+    basic solution, otherwise value and x are None."""
     m = len(a_rows)
     n = len(c)
     tab = []
@@ -128,7 +129,9 @@ def strict_solution_by_fractions(a_rows, b):
 
 
 def positive_kernel_vector_by_fractions(a_rows):
-    """`toriq.linprog.positive_kernel_vector` over `lp_max_by_fractions`."""
+    """Some x > 0 with A x = 0, or None: x = 1 + s with s >= 0 over
+    `lp_max_by_fractions` (the kernel is a linear space, so x > 0 exists
+    iff x >= 1 does).  With no rows every vector qualifies: ()."""
     if not a_rows:
         return ()
     rhs = [-sum(Fraction(x) for x in r) for r in a_rows]
@@ -317,7 +320,7 @@ def fan_from_point_by_merging(q: IntMatrix, w, fan_matrix: IntMatrix | None = No
 
     fan = FanData(v, [tuple(sorted(g)) for g in cones])
     for g in fan.max_cones:
-        if not cone_contains_strict(q_cols(_complement(g, m)), w):
+        if not cone_contains(q_cols(_complement(g, m)), w, strict=True):
             raise InvalidFan(f"cell point is not interior to the dual cone of {tuple(g)}")
     if not is_complete(fan):
         raise InvalidFan("merged cones do not form a complete fan")

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from oracles import subgroups_by_filter
+from toriq import classify
 from toriq.classify import (
     enumerate_fano_family,
     enumerate_qgorenstein_family,
@@ -104,6 +105,19 @@ def test_subgroups_too_large():
         subgroups(FiniteAbelianGroup((2,), free_rank=1))
     with pytest.raises(TooLarge):
         subgroups(FiniteAbelianGroup((1_000_003,)))
+
+
+def test_subgroups_bound_counts_subgroups(monkeypatch):
+    # (Z/2)^9 has order 512 but far more than 1,000 subgroups, and (Z/2)^6
+    # has 2,825: the walk stops once its prefixes pass the bound, and below
+    # it nothing changes
+    small = subgroups(FiniteAbelianGroup((2, 6, 12)))
+    assert len(subgroups(FiniteAbelianGroup((2,) * 6))) == 2825
+    monkeypatch.setattr(classify, "_ENUM_BOUND", 1_000)
+    for fs in ((2,) * 9, (2,) * 6):
+        with pytest.raises(TooLarge):
+            subgroups(FiniteAbelianGroup(fs))
+    assert subgroups(FiniteAbelianGroup((2, 6, 12))) == small
 
 
 def test_quotient_by_subgroup_bauerle():

@@ -160,6 +160,47 @@ def test_report_round_trip_byte_stable_on_every_fixture():
         assert s1 == s2, name
 
 
+def _unimodular(rng, n):
+    """A signed row permutation times two shears row_i += c * row_j."""
+    perm = rng.sample(range(n), n)
+    p = [[rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    for _ in range(2 if n >= 2 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+    return IntMatrix(p)
+
+
+def test_report_invariant_under_gl_and_column_permutation(tmp_path):
+    # P * M * S with P in GL(Z) and S a column permutation, fan indices
+    # following the columns, is the same variety: every report entry agrees
+    import glob
+    import os
+    import random
+
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+        name = os.path.splitext(os.path.basename(path))[0]
+        if name == "mds_W":
+            continue  # deliberately non-complete
+        with open(path) as fh:
+            raw = json.load(fh)
+        rng = random.Random(f"gl-perm:{name}")
+        mat = _unimodular(rng, len(raw["matrix"])) * IntMatrix(raw["matrix"])
+        perm = rng.sample(range(mat.cols), mat.cols)  # new column j is old column perm[j]
+        moved = {
+            "matrix": [[row[j] for j in perm] for row in mat.data],
+            "role": raw.get("role", "fan-matrix"),
+        }
+        if raw.get("fan") is not None:
+            new_index = {old: new for new, old in enumerate(perm)}
+            moved["fan"] = [[new_index[i - 1] + 1 for i in cone] for cone in raw["fan"]]
+        moved_path = tmp_path / f"{name}.json"
+        moved_path.write_text(json.dumps(moved))
+        want = build_report(*resolve_variety(load_document(path)))
+        got = build_report(*resolve_variety(load_document(str(moved_path))))
+        assert got == want, name
+
+
 def test_analyze_matches_golden_reports_on_every_fixture(capsys):
     # the benchmark's reference reports: exit code and exact stdout of
     # `toriq analyze` per fixture (read only; rebuilt by perfbench/golden.py)

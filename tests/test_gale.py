@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from oracles import has_mixed_pair
+from oracles import has_mixed_pair, lp_max_by_fractions
 from toriq.errors import RankDeficient
 from toriq.gale import _fan_conditions, classify_matrix, gale_dual, gl_equivalent
 from toriq.intmat import IntMatrix, hnf, kernel_basis, rank, snf
-from toriq.linprog import nonneg_solution
 
 BLUP_V = IntMatrix([[1, 0, 0, 0, -1, 1], [0, 1, 0, 0, -1, 1], [0, 0, 1, -1, -1, 1]])
 BLUP_Q = IntMatrix([[1, 1, 1, 0, 1, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]])
@@ -272,7 +271,7 @@ def test_weight_side_against_oracles():
             counts["W.c"] += 1
             # y >= 0, sum(y) = 1, m_S y = 0: no row-space vector is positive on S
             rows = [list(r) for r in m.cols_at(support).data] + [[1] * len(support)]
-            y = nonneg_solution(rows, [0] * m.rows + [1])
+            _, _, y = lp_max_by_fractions([0] * len(support), rows, [0] * m.rows + [1])
             assert y is not None, (m, violated)
             assert sum(y) == 1 and all(x >= 0 for x in y)
             for r in m.cols_at(support).data:

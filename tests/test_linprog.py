@@ -1,76 +1,102 @@
-"""The integer-pivoting simplex against the Fraction simplex it replaced:
-same status, value and basic solution on seeded LPs, so the pivot path is
-the same."""
+"""The cone predicates against the Fraction simplex: membership (closed
+and relative-interior), positive relations and pointedness, read off one
+double description, must agree with the LP answers on seeded integer
+systems."""
 
 import random
-from fractions import Fraction
+from collections import Counter
 
 from oracles import (
     lp_max_by_fractions,
     positive_kernel_vector_by_fractions,
     strict_solution_by_fractions,
 )
-from toriq import linprog
+from toriq.fans import _pointed
+from toriq.intmat import IntMatrix, rank
+from toriq.linprog import cone_contains, positive_relation
 
-N_LPS = 2000
-
-
-def _entry(rng, rational):
-    x = rng.randint(-4, 4)
-    if rational and rng.random() < 0.3:
-        return Fraction(x, rng.randint(2, 5))
-    return x
+N_SYSTEMS = 2000
 
 
-def random_lp(rng):
-    """(c, a_rows, b) with up to 6 rows and 7 columns: integer or rational
-    entries, right-hand sides of both signs, and often a redundant row (a
-    multiple of another, which leaves a degenerate artificial to pivot
-    out) or a right-hand side that makes the LP feasible."""
-    m, n = rng.randint(0, 5), rng.randint(1, 7)
-    rational = rng.random() < 0.5
-    a = [[_entry(rng, rational) for _ in range(n)] for _ in range(m)]
-    b = [_entry(rng, rational) for _ in range(m)]
-    if m and rng.random() < 0.4:
-        k = rng.randrange(m)
-        s = rng.choice((-2, -1, Fraction(-1, 2), 1, 3))
-        a.append([s * x for x in a[k]])
-        b.append(s * b[k])
-    if rng.random() < 0.3:
-        x0 = [rng.randint(0, 3) for _ in range(n)]
-        b = [sum(p * q for p, q in zip(r, x0)) for r in a]
-    return [_entry(rng, rational) for _ in range(n)], a, b
+def random_system(rng):
+    """(generators, w) in Q^n, n <= 4, up to 6 generators with entries in
+    [-3, 3]: often a zero generator, a rank-deficient set (a multiple or
+    sum of others), or a w = 0; w is drawn at random or as a combination
+    of the generators with coefficients >= 0 (some of them 0, so w often
+    lies on the boundary)."""
+    n, k = rng.randint(1, 4), rng.randint(1, 6)
+    gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+    if rng.random() < 0.2:
+        gens[rng.randrange(k)] = (0,) * n
+    if k > 1 and rng.random() < 0.3:
+        a, b = rng.sample(range(k), 2)
+        s, t = rng.choice((-2, -1, 1, 2)), rng.choice((0, 1))
+        gens[b] = tuple(s * x + t * y for x, y in zip(gens[a], gens[b]))
+    draw = rng.random()
+    if draw < 0.1:
+        w = (0,) * n
+    elif draw < 0.6:
+        coef = [rng.choice((0, 0, 1, 2, 3)) for _ in gens]
+        w = tuple(sum(c * g[i] for c, g in zip(coef, gens)) for i in range(n))
+    else:
+        w = tuple(rng.randint(-4, 4) for _ in range(n))
+    return gens, w
 
 
-def test_lp_max_and_wrappers_match_fraction_simplex(monkeypatch):
-    negative_pivots = []
-    pivot = linprog._pivot
-
-    def counting_pivot(t, basis, row, col, d):
-        if t[row][col] < 0:
-            negative_pivots.append((row, col))
-        return pivot(t, basis, row, col, d)
-
-    monkeypatch.setattr(linprog, "_pivot", counting_pivot)
-    rng = random.Random(8)
-    statuses = set()
-    for _ in range(N_LPS):
-        c, a, b = random_lp(rng)
-        got = linprog.lp_max(c, a, b)
-        assert got == lp_max_by_fractions(c, a, b), (c, a, b)
-        statuses.add(got[0])
-        if a:
-            columns = [tuple(r[j] for r in a) for j in range(len(a[0]))]
-            strict = strict_solution_by_fractions(a, b) is not None
-            assert linprog.cone_contains_strict(columns, b) == strict, (a, b)
-            assert linprog.positive_kernel_vector(a) == positive_kernel_vector_by_fractions(a), a
-    assert statuses == {"optimal", "unbounded", "infeasible"}
-    assert negative_pivots
+def _line_free_by_fractions(gens, n) -> bool:
+    """No x >= 0 with sum(x) = 1 and sum(x_i g_i) = 0: the cone holds no
+    line, and no generator is zero."""
+    a = [[g[i] for g in gens] for i in range(n)] + [[1] * len(gens)]
+    return lp_max_by_fractions([0] * len(gens), a, [0] * n + [1])[0] == "infeasible"
 
 
-def test_lp_max_returns_fractions():
-    status, value, x = linprog.lp_max([1, 1], [[2, 1]], [3])
-    assert (status, value, x) == ("optimal", 3, (0, 3))
-    assert all(type(v) is Fraction for v in (value, *x))
-    assert linprog.lp_max([Fraction(1, 2), 0], [[1, -1]], [0]) == ("unbounded", None, None)
-    assert linprog.lp_max([0], [[1]], [-1]) == ("infeasible", None, None)
+def test_cone_predicates_match_fraction_simplex():
+    rng = random.Random(10)
+    seen = Counter()
+    for _ in range(N_SYSTEMS):
+        gens, w = random_system(rng)
+        n = len(w)
+        a = [[g[i] for g in gens] for i in range(n)]
+        closed = lp_max_by_fractions([0] * len(gens), a, w)[0] == "optimal"
+        strict = strict_solution_by_fractions(a, w) is not None
+        relation = positive_kernel_vector_by_fractions(a) is not None
+        assert cone_contains(gens, w) == closed, (gens, w)
+        assert cone_contains(gens, w, strict=True) == strict, (gens, w)
+        assert positive_relation(gens, n) == relation, gens
+        seen["in"] += closed
+        seen["boundary"] += closed and not strict
+        seen["out"] += not closed
+        seen["relation"] += relation
+        seen["no relation"] += not relation
+        seen["one row"] += n == 1
+        seen["zero w"] += not any(w)
+        seen["zero generator"] += not all(map(any, gens))
+        cols = IntMatrix.from_columns(gens)
+        if rank(cols) == n and len(gens) != n:
+            pointed = _line_free_by_fractions(gens, n)
+            assert _pointed(cols) == pointed, gens
+            seen["pointed" if pointed else "not pointed"] += 1
+            nonzero = [g for g in gens if any(g)]
+            seen["line only by a zero column"] += (
+                not pointed and len(nonzero) < len(gens) and _line_free_by_fractions(nonzero, n)
+            )
+    assert all(seen[key] >= 40 for key in (
+        "in", "boundary", "out", "relation", "no relation", "one row", "zero w",
+        "zero generator", "pointed", "not pointed", "line only by a zero column",
+    )), seen
+
+
+def test_cone_predicates_edge_cases():
+    assert cone_contains([], (0, 0)) and cone_contains([], (0, 0), strict=True)
+    assert not cone_contains([], (1, 0))
+    assert positive_relation([], 2)
+    assert positive_relation([(0, 0)], 2)
+    assert positive_relation([(1, 2), (-1, -2)], 2) and not positive_relation([(1, 2)], 2)
+    # w = 0 is in every cone; it is interior exactly to a linear space
+    assert cone_contains([(1, 0), (0, 1)], (0, 0))
+    assert not cone_contains([(1, 0), (0, 1), (1, 1)], (0, 0), strict=True)
+    assert cone_contains([(1, 0), (-1, 0)], (0, 0), strict=True)
+    # a zero generator counts as a line, though the facets do not show it
+    assert not _pointed(IntMatrix([[0, 2, 0]]))
+    assert _pointed(IntMatrix([[1, 2, 0], [0, 1, 1]]))
+    assert not _pointed(IntMatrix([[1, 2, 0, 0], [0, 1, 1, 0]]))

@@ -11,12 +11,11 @@ import random
 import warnings
 from math import gcd
 
-from oracles import rays_covered, slab_volume
+from oracles import positive_kernel_vector_by_fractions, rays_covered, slab_volume
 from toriq.covering import analyze, multiplicity, weight_modulus
 from toriq.fans import fan_from_point, is_complete, qfano_representative
 from toriq.gale import classify_matrix, gale_dual, gl_equivalent
 from toriq.intmat import IntMatrix, cokernel, hnf, kernel_basis, rank, snf
-from toriq.linprog import positive_kernel_vector
 from toriq.polytope import VPolytope, is_reflexive, normalized_volume
 
 N_INSTANCES = 210
@@ -58,7 +57,7 @@ def random_fan_matrix(rng) -> IntMatrix:
         v = IntMatrix.from_columns(cols)
         if rank(v) < n:
             continue
-        if positive_kernel_vector([list(row) for row in v.data]) is None:
+        if positive_kernel_vector_by_fractions([list(row) for row in v.data]) is None:
             continue
         if not _all_columns_vertices(v):
             continue
