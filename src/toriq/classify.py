@@ -12,20 +12,27 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 from .covering import analyze
-from .errors import InconsistentAction, NotFanoWeight, RankDeficient, TooLarge
+from .errors import (
+    InconsistentAction,
+    NonIntegerQuotient,
+    NotFanoWeight,
+    OutOfDomain,
+    RankDeficient,
+    TooLarge,
+)
 from .fans import _anticanonical, fan_from_point, is_gorenstein_weight
 from .gale import gale_dual, gl_canonical_form, is_reduced_f
 from .intmat import (
     FiniteAbelianGroup,
     IntMatrix,
+    _hermite_rows,
     cokernel,
     hnf,
-    kernel_basis,
     lattice_index,
-    quotient_matrix,
     rank,
     snf,
 )
+from .polytope import facet_columns, fmatrix_index, polar_index
 
 
 @dataclass(frozen=True)
@@ -86,13 +93,25 @@ class SubgroupHandle:
         )
 
     def group_type(self) -> FiniteAbelianGroup:
+        """coker(X^T) for the integer X with diag(f) = X * R, R the HNF
+        rows.  R is upper triangular with pivots d_t | f_t, so row i of X
+        (the coordinates of f_i e_i in the rows) is found by back
+        substitution: zero before i, f_i / d_i at i, and each later entry
+        solved from its column of R."""
         fs = self.ambient.invariant_factors
-        s = len(fs)
-        if s == 0:
+        if not fs:
             return FiniteAbelianGroup((), 0)
-        d = IntMatrix._of([[fs[i] if i == j else 0 for j in range(s)] for i in range(s)])
-        x = quotient_matrix(d, self.matrix)
-        return cokernel(x.t())
+        r = self.matrix.data
+        x = []
+        for i, f in enumerate(fs):
+            xi = [0] * len(fs)
+            xi[i] = f
+            for k in range(i, len(fs)):
+                xi[k], rem = divmod(xi[k] - _dot(xi[i:k], [row[k] for row in r[i:k]]), r[k][k])
+                if rem:
+                    raise NonIntegerQuotient(f"diag{fs} is not in the subgroup lattice")
+            x.append(xi)
+        return cokernel(IntMatrix._of(zip(*x)))
 
 
 _ENUM_BOUND = 100_000  # most subgroups, and largest group order, enumerated
@@ -190,13 +209,15 @@ def quotient_by_subgroup(w: IntMatrix, gamma: TorsionMatrix, sub: SubgroupHandle
     if not gens:
         return w
     cmat = IntMatrix._of(gens) * (w * IntMatrix._of(gamma.columns)).t()
-    minus_big = IntMatrix.identity(len(gens)) * -big
-    k = kernel_basis(cmat.hstack(minus_big))
-    mpart = k.rows_at(range(n))
-    basis, _ = hnf(mpart.t())
-    rows = [r for r in basis.data if any(r)]
-    assert len(rows) == n, "invariant lattice lost full rank"
-    s_mat = IntMatrix._of(rows)
+    g = len(gens)
+    # the rows (C^T e_i | e_i) and (-big e_t | 0) span {(C m - big t, m)};
+    # the first block has rank g, so in their row HNF the rows past its g
+    # pivots span the vectors with first block zero, and their second
+    # block is the HNF basis of M_H
+    rows = [list(c) + [int(i == j) for j in range(n)] for i, c in enumerate(zip(*cmat.data))]
+    rows += [[-big * (i == t) for t in range(g)] + [0] * n for i in range(g)]
+    _hermite_rows(rows)
+    s_mat = IntMatrix._of(row[g:] for row in rows[g:])
     got, want = cokernel(s_mat.t()), sub.group_type()
     if got != want:
         raise InconsistentAction(f"quotient covering group {got} != subgroup {want}")
@@ -255,10 +276,12 @@ def enumerate_fano_family(q: IntMatrix):
 class QGorensteinFamily:
     """Factor-h classification output: admissible subgroups with their
     quotient fan matrices, plus the rejected subgroups with the column
-    witnessing non-reducedness."""
+    witnessing non-reducedness.  indices runs parallel to kept: the
+    Gorenstein index (`fmatrix_index`) of each kept fan matrix."""
 
     kept: tuple
     rejected: tuple
+    indices: tuple
 
     def __iter__(self):
         return iter(self.kept)
@@ -269,15 +292,23 @@ def enumerate_qgorenstein_family(q: IntMatrix, h: int) -> QGorensteinFamily:
     is a reduced fan matrix (the parameter set of factor-h varieties).
 
     kept entries are (subgroup, fan matrix, multiplicity); rejected
-    entries are (subgroup, fan matrix, witness column index).
+    entries are (subgroup, fan matrix, witness column index).  Every
+    quotient S*W is a linear image of the covering fan matrix W, so
+    conv(S*W) has the facets of conv(W) on the same column sets: W is
+    hulled once and each kept index is read off its polar vertices.
     """
+    if h < 1:
+        raise OutOfDomain("needs h >= 1")
     fan = fan_from_point(q, _anticanonical(q))
     cd = analyze(fan.fan_matrix, fan)
+    facets = facet_columns(cd.W)
     kept = []
+    indices = []
     rejected = []
     for sub, v_h in _quotients(cd.W, cd.A * h):
         if is_reduced_f(v_h):
             kept.append((sub, v_h, sub.order))
+            indices.append(polar_index(v_h, facets))
         else:
             witness = next(
                 j
@@ -285,7 +316,7 @@ def enumerate_qgorenstein_family(q: IntMatrix, h: int) -> QGorensteinFamily:
                 if gcd(*v_h.col(j)) > 1
             )
             rejected.append((sub, v_h, witness))
-    return QGorensteinFamily(kept=tuple(kept), rejected=tuple(rejected))
+    return QGorensteinFamily(kept=tuple(kept), rejected=tuple(rejected), indices=tuple(indices))
 
 
 def unitary_cover(v: IntMatrix, fan: FanData) -> IntMatrix:
@@ -296,8 +327,6 @@ def unitary_cover(v: IntMatrix, fan: FanData) -> IntMatrix:
     computed as the HNF basis of the stacked quotient-matrix rows; the
     result always has the covering's Gorenstein index.
     """
-    from .polytope import fmatrix_index
-
     cd = analyze(v, fan)
     stacked = cd.B.vstack(cd.A)
     basis, _ = hnf(stacked)

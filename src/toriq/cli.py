@@ -307,6 +307,8 @@ def cmd_fan(args) -> int:
         if args.point
         else _anticanonical(q)
     )
+    if len(point) != q.rows:
+        raise InvalidInput(f"--point has {len(point)} entries, the weight matrix has {q.rows} rows")
     fan = fan_from_point(q, point)  # raises unless the fan is complete
     emit(
         {
@@ -338,17 +340,16 @@ def cmd_classify(args) -> int:
     v, fan = resolve_variety(doc)
     q = gale_dual(v)
     fam = enumerate_qgorenstein_family(q, args.factor)
-    kept = []
-    for sub, mat, mult in fam.kept:
-        kept.append(
-            {
-                "order": sub.order,
-                "subgroup": _rows(sub.matrix),
-                "fan_matrix": _rows(mat),
-                "mult": mult,
-                "index": fmatrix_index(mat),
-            }
-        )
+    kept = [
+        {
+            "order": sub.order,
+            "subgroup": _rows(sub.matrix),
+            "fan_matrix": _rows(mat),
+            "mult": mult,
+            "index": index,
+        }
+        for (sub, mat, mult), index in zip(fam.kept, fam.indices)
+    ]
     rejected = [
         {
             "order": sub.order,

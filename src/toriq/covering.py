@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import InvalidFan, NonIntegralFactor, NotReflexive
 from .fans import FanData, _anticanonical, _complement, fan_from_point, is_complete
-from .gale import gale_dual
+from .gale import _fan_conditions, gale_dual
 from .intmat import (
     CACHE_SIZE,
     FiniteAbelianGroup,
@@ -226,13 +226,15 @@ def analyze(v: IntMatrix, fan: FanData) -> CoveringData:
     qpolar = gale_dual(vpolar.scale(k).to_int())
     assert gale_dual(vpolar.scale(2 * k).to_int()) == qpolar
     lambda_polar = gale_dual(qpolar)
-    assert fmatrix_index(lambda_polar) == k_hat, "dual covering index mismatch"
+    # the checks of fmatrix_index(lambda_polar), on the one hull of conv(lambda_polar)
+    assert all(_fan_conditions(lambda_polar)), "dual covering matrix is not a fan matrix"
+    lam_from_polar = polar_dual(VPolytope(lambda_polar))
+    assert lam_from_polar.vertices.denominator_lcm() == k_hat, "dual covering index mismatch"
 
     a_t = quotient_matrix(wpolar.scale(k_hat).to_int(), lambda_polar)
     a = a_t.t()
     c = quotient_matrix(vpolar.scale(k).to_int(), lambda_polar)
     lam = (a.to_rat() * w.to_rat()).scale(Fraction(1, k_hat))
-    lam_from_polar = polar_dual(VPolytope(lambda_polar))
     assert set(lam.columns()) == set(lam_from_polar.vertices.columns()), (
         "polar-of-polar disagrees with the quotient construction"
     )

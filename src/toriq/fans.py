@@ -14,7 +14,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .errors import InvalidFan, OriginNotInterior, OutsideMoving, RankDeficient
+from .errors import InvalidFan, OriginNotInterior, OutOfDomain, OutsideMoving, RankDeficient
 from .gale import gale_dual
 from .intmat import CACHE_SIZE, IntMatrix, rank, solve_integer, solve_unique
 from .linprog import _cone_facets, _facets_contain, cone_contains
@@ -233,6 +233,8 @@ def fan_from_point(q: IntMatrix, w, fan_matrix: IntMatrix | None = None) -> FanD
     m = q.cols
     r = q.rows
     w = tuple(w)
+    if len(w) != r:
+        raise OutOfDomain(f"point has {len(w)} entries, the weight matrix has {r} rows")
     if not any(w):
         raise OutsideMoving("the zero class spans no cell")
     if not mov_cone(q).contains(w):

@@ -13,8 +13,17 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import RankDeficient
-from .intmat import CACHE_SIZE, IntMatrix, hnf, kernel_basis, rank, snf, unimodular_inverse
-from .linprog import _dd, positive_relation
+from .intmat import (
+    CACHE_SIZE,
+    IntMatrix,
+    _hermite_step,
+    hnf,
+    kernel_basis,
+    rank,
+    smith_diagonal,
+    unimodular_inverse,
+)
+from .linprog import _dd, _dot, positive_relation
 
 
 @dataclass(frozen=True)
@@ -105,7 +114,7 @@ def classify_matrix(m: IntMatrix) -> MatrixClassReport:
         violated.append("W.d")
     if not no_parallel:
         violated.append("F.d")
-    diag = snf(m).diagonal
+    diag = smith_diagonal(m)
     saturated = full_rank and all(d == 1 for d in diag[:n] if d)
     cf = full_rank and f_complete and no_zero_col and no_parallel and saturated and all(diag)
     if not (saturated and all(diag)):
@@ -221,33 +230,33 @@ def gale_dual(m: IntMatrix) -> IntMatrix:
     return IntMatrix._of(rows if basis is None else sorted(basis))
 
 
-def _colmajor_key(h: IntMatrix, ncols: int):
-    return tuple(h[i, j] for j in range(ncols) for i in range(h.rows))
-
-
 def gl_canonical_form(m: IntMatrix):
     """Canonical form of m under GL_n(Z) x column permutations: the
     lexicographically least row HNF over all column orderings, compared
     column-major (which makes prefix pruning valid, because the leading
     columns of a row HNF depend only on the leading columns of the input).
 
+    Each node of the search extends its parent's HNF by one column c: the
+    transform U maps c to U*c, and one Hermite step (`_hermite_step`) on
+    that column reduces it.  The rows at and below the rank are zero on
+    the earlier columns, so the step leaves those columns as they were:
+    the node's key is its parent's key plus the new column, and U is the
+    transform `hnf` gives the prefix.
+
     Returns (key, perm, H, U): the column-major key of H, the column
     order, and H = U * (m reordered by perm).  Two matrices of one shape
     are GL-equivalent exactly when their keys are equal.
     """
     cols = m.columns()
-    best = {"key": None, "perm": None}
+    n = m.rows
+    best = {"key": None, "perm": None, "u": None}
 
-    def dfs(chosen, remaining):
-        sub = IntMatrix._of(zip(*[cols[i] for i in chosen]))
-        h, _ = hnf(sub)
-        key = _colmajor_key(h, len(chosen))
+    def dfs(chosen, remaining, key, u, r):
         if best["key"] is not None and key > best["key"][: len(key)]:
             return
         if not remaining:
             if best["key"] is None or key < best["key"]:
-                best["key"] = key
-                best["perm"] = tuple(chosen)
+                best.update(key=key, perm=tuple(chosen), u=u)
             return
         tried = set()
         for i in remaining:
@@ -255,12 +264,16 @@ def gl_canonical_form(m: IntMatrix):
             if c in tried:
                 continue
             tried.add(c)
-            dfs(chosen + [i], [x for x in remaining if x != i])
+            col = [[_dot(row, c)] for row in u]
+            child_u = list(u)
+            child_r = _hermite_step(col, child_u, r, 0)
+            child_key = key + tuple(x[0] for x in col)
+            dfs(chosen + [i], [x for x in remaining if x != i], child_key, child_u, child_r)
 
-    dfs([], list(range(len(cols))))
-    perm = best["perm"]
-    h, u = hnf(IntMatrix._of(zip(*[cols[i] for i in perm])))
-    return best["key"], perm, h, u
+    dfs([], list(range(len(cols))), (), [[int(i == j) for j in range(n)] for i in range(n)], 0)
+    key = best["key"]
+    h = IntMatrix._of(zip(*(key[j : j + n] for j in range(0, len(key), n))))
+    return key, best["perm"], h, IntMatrix._of(best["u"])
 
 
 def gl_equivalent(m1: IntMatrix, m2: IntMatrix):

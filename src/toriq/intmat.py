@@ -4,6 +4,14 @@ that every quotient construction in the library is built on.  Determinant,
 rank, rational solve, null space and inverse share one fraction-free
 elimination (`_eliminate`).
 
+Every Hermite reduction runs one column step (`_hermite_step`), with or
+without the unimodular transform.  Each normal form is computed only as
+far as its caller reads it: `hnf` carries the transform, `kernel_basis`
+reads the kernel off it, `smith_diagonal` (behind `cokernel` and
+`lattice_index`) alternates row and column reductions with no transform,
+and the full `snf`, with both transforms, serves only callers that read
+a transform (`solve_integer`, the torsion matrix of `classify`).
+
 All entries are Python ints / Fractions, so nothing ever overflows. The
 matrices are immutable; every operation returns a fresh value.
 
@@ -460,6 +468,65 @@ def snf(a: IntMatrix) -> SnfDecomposition:
     return SnfDecomposition(IntMatrix._of(mdata), IntMatrix._of(pdata), u)
 
 
+def _hermite_step(m, u, r, c) -> int:
+    """One column of the row Hermite reduction, in place on the row lists
+    m (and u, the transform, unless it is None): gcd the entries of
+    column c at and below row r into row r by repeated division with the
+    least nonzero one, make that pivot positive and reduce the entries
+    above it into [0, pivot).  Returns the next pivot row: r + 1, or r
+    when column c is zero below row r.  Rows are replaced, never changed
+    in place, so a shallow copy of m or u is a snapshot.
+    """
+    nr = len(m)
+    while True:
+        piv, val = None, None
+        for i in range(r, nr):
+            x = m[i][c]
+            if x and (val is None or abs(x) < val):
+                piv, val = i, abs(x)
+        if piv is None:
+            return r
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            if u is not None:
+                u[r], u[piv] = u[piv], u[r]
+        top, p = m[r], m[r][c]
+        done = True
+        for i in range(r + 1, nr):
+            q = m[i][c] // p
+            if q:
+                m[i] = [x - q * y for x, y in zip(m[i], top)]
+                if u is not None:
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+            if m[i][c]:
+                done = False
+        if done:
+            break
+    if m[r][c] < 0:
+        m[r] = [-x for x in m[r]]
+        if u is not None:
+            u[r] = [-x for x in u[r]]
+    top, p = m[r], m[r][c]
+    for i in range(r):
+        q = m[i][c] // p
+        if q:
+            m[i] = [x - q * y for x, y in zip(m[i], top)]
+            if u is not None:
+                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+    return r + 1
+
+
+def _hermite_rows(m, u=None) -> int:
+    """Row Hermite reduction of the row lists m in place, column by
+    column (`_hermite_step`); returns the rank."""
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        if r == len(m):
+            break
+        r = _hermite_step(m, u, r, c)
+    return r
+
+
 def hnf(a: IntMatrix) -> tuple:
     """Row-style Hermite normal form.
 
@@ -467,45 +534,8 @@ def hnf(a: IntMatrix) -> tuple:
     above each pivot reduced into [0, pivot), zero rows at the bottom.
     """
     m = [list(r) for r in a.data]
-    nr, nc = a.rows, a.cols
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-
-    def addmul(dst, src, q):
-        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    r = 0
-    for c in range(nc):
-        # gcd out column c below row r
-        while True:
-            piv, val = None, None
-            for i in range(r, nr):
-                if m[i][c] != 0 and (val is None or abs(m[i][c]) < val):
-                    piv, val = i, abs(m[i][c])
-            if piv is None:
-                break
-            if piv != r:
-                m[r], m[piv] = m[piv], m[r]
-                u[r], u[piv] = u[piv], u[r]
-            done = True
-            for i in range(r + 1, nr):
-                if m[i][c]:
-                    addmul(i, r, -(m[i][c] // m[r][c]))
-                    if m[i][c]:
-                        done = False
-            if done:
-                break
-        if r < nr and m[r][c] != 0:
-            if m[r][c] < 0:
-                m[r] = [-x for x in m[r]]
-                u[r] = [-x for x in u[r]]
-            for i in range(r):
-                q = m[i][c] // m[r][c]
-                if q:
-                    addmul(i, r, -q)
-            r += 1
-            if r == nr:
-                break
+    u = [[int(i == j) for j in range(a.rows)] for i in range(a.rows)]
+    _hermite_rows(m, u)
     return IntMatrix._of(m), IntMatrix._of(u)
 
 
@@ -513,29 +543,58 @@ def rank(a: IntMatrix) -> int:
     return len(_eliminate(a.data)[1])
 
 
+def smith_diagonal(a: IntMatrix) -> tuple:
+    """The diagonal of the Smith normal form of a (`snf(a).diagonal`),
+    without the transforms.
+
+    Row and column Hermite reductions alternate, with no transform
+    carried, until every row has at most one nonzero entry; then the
+    absolute values of those entries are folded into a divisibility
+    chain ((x, y) -> (gcd, lcm) pairwise, which keeps the elementary
+    divisors) and padded with zeros.
+    """
+    m = [list(r) for r in a.data]
+    rounds = 0
+    while True:
+        rounds += 1
+        if rounds > _SNF_ROUNDS:
+            raise NotConverged("Smith reduction failed to converge")
+        r = _hermite_rows(m)
+        if all(sum(map(bool, row)) == 1 for row in m[:r]):
+            break
+        m = [list(c) for c in zip(*m)]
+    # each nonzero row holds one positive pivot
+    diag = [sum(row) for row in m[:r]]
+    for i in range(r):
+        for j in range(i + 1, r):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return tuple(diag) + (0,) * (min(a.rows, a.cols) - r)
+
+
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Basis of the saturated integer kernel {x : a*x = 0}, as columns.
 
-    The basis columns are the trailing columns of the SNF right transform,
-    so the spanned lattice is automatically a direct summand of Z^cols
-    (no cotorsion).
+    With H = U * a^T the row HNF, the rows of U at the zero rows of H are
+    the basis: they lie in the kernel, and they span a direct summand of
+    Z^cols (no cotorsion) because U is unimodular.
     """
-    dec = snf(a)
-    r = sum(1 for d in dec.diagonal if d != 0)
-    cols = [dec.U.col(j) for j in range(r, a.cols)]
-    return IntMatrix._of(zip(*cols)) if cols else IntMatrix._of([()] * a.cols)
+    m = [list(r) for r in zip(*a.data)]
+    u = [[int(i == j) for j in range(a.cols)] for i in range(a.cols)]
+    r = _hermite_rows(m, u)
+    return IntMatrix._of(zip(*u[r:])) if r < a.cols else IntMatrix._of([()] * a.cols)
 
 
 def cokernel(a: IntMatrix) -> FiniteAbelianGroup:
     """Isomorphism type of Z^rows / column-lattice(a)."""
-    diag = snf(a).diagonal
+    diag = smith_diagonal(a)
     r = sum(1 for d in diag if d != 0)
     return FiniteAbelianGroup(tuple(d for d in diag if d >= 2), a.rows - r)
 
 
 def lattice_index(a: IntMatrix) -> int:
     """Index [Z^rows : column-lattice(a)] for a full-row-rank matrix."""
-    diag = snf(a).diagonal
+    diag = smith_diagonal(a)
     if sum(1 for d in diag if d != 0) < a.rows:
         raise RankDeficient("column lattice has infinite index")
     return prod(diag, start=1)

@@ -237,14 +237,33 @@ def is_reflexive(p: VPolytope) -> bool:
     return all(f.offset == 1 for f in h.facets)
 
 
+def facet_columns(v: IntMatrix) -> list:
+    """The facets of conv(v) as tuples of the indices of the columns of
+    v that are vertices on them (the first of equal columns).
+
+    A linear isomorphism S keeps the face lattice, so these are also the
+    facets of conv(S*v), on the same column sets."""
+    p = VPolytope(v)
+    column = {c: j for j, c in reversed(list(enumerate(v.columns())))}
+    verts = [column[c] for c in p.vertex_list()]
+    return [tuple(verts[i] for i in _bits(mask)) for _, mask in _full_hull(p)]
+
+
+def polar_index(v: IntMatrix, facets) -> int:
+    """Least k making k times the polar of conv(v) a lattice polytope,
+    given the facets of conv(v) as column index sets: the lcm of the
+    denominators of the polar vertices, one per facet."""
+    return polar_vertex_matrix(v, facets).denominator_lcm()
+
+
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def fmatrix_index(v: IntMatrix) -> int:
     """Least k making k times the polar of conv(v) a lattice polytope
-    (the Gorenstein index when v is the fan matrix of a Q-Fano variety)."""
+    (the Gorenstein index when v is the fan matrix of a Q-Fano variety):
+    one hull for the facets (`facet_columns`), then `polar_index`."""
     if not all(_fan_conditions(v)):
         raise NotFMatrix("index is defined for fan-type matrices only")
-    polar = polar_dual(VPolytope(v))
-    return polar.vertices.denominator_lcm()
+    return polar_index(v, facet_columns(v))
 
 
 def polar_vertex_matrix(v: IntMatrix, fan) -> RatMatrix:

@@ -13,7 +13,11 @@ which the library's cone predicates (read off the facets of one double
 description) are checked, and the lattice-point oracle scans the whole
 bounding box.  The subgroup oracle builds every upper-triangular HNF
 candidate and keeps those whose lattice contains diag(f), where the
-library's column walk never builds a candidate that fails.
+library's column walk never builds a candidate that fails.  The
+canonical-form oracle runs a full `hnf` on every prefix of its search,
+where the library extends the parent's HNF by one column.  The quotient
+oracle finds the invariant lattice of a subgroup as the projection of a
+saturated kernel, where the library reads it off one row HNF.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from toriq.classify import SubgroupHandle
+from toriq.classify import SubgroupHandle, TorsionMatrix
 from toriq.errors import InvalidFan, OutsideMoving, RankDeficient
 from toriq.fans import FanData, _cone_walls, _complement, is_complete, mov_cone
 from toriq.gale import gale_dual
-from toriq.intmat import FiniteAbelianGroup, IntMatrix, kernel_basis, rank
+from toriq.intmat import FiniteAbelianGroup, IntMatrix, hnf, kernel_basis, rank
 from toriq.linprog import cone_contains
 from toriq.polytope import VPolytope, facet_enumeration
 
@@ -365,3 +369,48 @@ def subgroups_by_filter(g: FiniteAbelianGroup, order: int | None = None):
                 out.append(SubgroupHandle(ambient=g, matrix=IntMatrix(mat), order=total // det))
     out.sort(key=lambda sub: (sub.order, sub.matrix.data))
     return out
+
+
+def gl_canonical_form_by_prefix_hnf(m: IntMatrix):
+    """(key, perm, H, U) of `gale.gl_canonical_form`, with one full row
+    HNF of the reordered prefix at every node of the search."""
+    cols = m.columns()
+    best = {"key": None, "perm": None}
+
+    def dfs(chosen, remaining):
+        h, _ = hnf(IntMatrix._of(zip(*[cols[i] for i in chosen])))
+        key = tuple(h[i, j] for j in range(len(chosen)) for i in range(h.rows))
+        if best["key"] is not None and key > best["key"][: len(key)]:
+            return
+        if not remaining:
+            if best["key"] is None or key < best["key"]:
+                best["key"] = key
+                best["perm"] = tuple(chosen)
+            return
+        tried = set()
+        for i in remaining:
+            c = cols[i]
+            if c in tried:
+                continue
+            tried.add(c)
+            dfs(chosen + [i], [x for x in remaining if x != i])
+
+    dfs([], list(range(len(cols))))
+    perm = best["perm"]
+    h, u = hnf(IntMatrix._of(zip(*[cols[i] for i in perm])))
+    return best["key"], perm, h, u
+
+
+def quotient_fan_matrix_by_kernel(w: IntMatrix, gamma: TorsionMatrix, sub: SubgroupHandle) -> IntMatrix:
+    """S * w for the HNF basis S of the invariant lattice M_H = {m : C m
+    = 0 (mod big)}: the m-part of the kernel of [C | -big I], then the
+    row HNF of its columns."""
+    fs = gamma.ambient.invariant_factors
+    big = math.lcm(*fs) if fs else 1
+    gens = [[(big // d) * x for x, d in zip(a, fs)] for a in sub.generators if any(a)]
+    if not gens:
+        return w
+    cmat = IntMatrix(gens) * (w * IntMatrix(gamma.columns)).t()
+    k = kernel_basis(cmat.hstack(IntMatrix.identity(len(gens)) * -big))
+    basis, _ = hnf(k.rows_at(range(w.rows)).t())
+    return IntMatrix([r for r in basis.data if any(r)]) * w

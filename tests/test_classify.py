@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import subgroups_by_filter
+from oracles import quotient_fan_matrix_by_kernel, subgroups_by_filter
 from toriq import classify
 from toriq.classify import (
     enumerate_fano_family,
@@ -14,10 +14,10 @@ from toriq.classify import (
     unitary_cover,
 )
 from toriq.covering import analyze
-from toriq.errors import NotFanoWeight, TooLarge
+from toriq.errors import NotFanoWeight, OutOfDomain, ToriqError, TooLarge
 from toriq.fans import FanData, face_fan, fan_from_point
 from toriq.gale import gale_dual, gl_equivalent
-from toriq.intmat import FiniteAbelianGroup, IntMatrix, lattice_index
+from toriq.intmat import FiniteAbelianGroup, IntMatrix, cokernel, lattice_index, quotient_matrix
 from toriq.polytope import fmatrix_index
 
 BLUP_V = IntMatrix([[1, 0, 0, 0, -1, 1], [0, 1, 0, 0, -1, 1], [0, 0, 1, -1, -1, 1]])
@@ -98,6 +98,17 @@ def test_subgroup_group_types():
     assert types.count("Z/2") == 3
     assert "Z/2 + Z/2" in types
     assert "Z/4" in str([str(s.group_type()) for s in subs])
+
+
+def test_group_type_by_back_substitution_matches_quotient_matrix():
+    # group_type solves diag(f) = X * R by back substitution; the general
+    # division quotient_matrix is the reference for X
+    for fs in ((2, 4), (2, 6, 12), (3, 9), (2, 2, 2), (4, 8), (6,)):
+        d = IntMatrix([[f if i == j else 0 for j in range(len(fs))] for i, f in enumerate(fs)])
+        for sub in subgroups(FiniteAbelianGroup(fs)):
+            want = cokernel(quotient_matrix(d, sub.matrix).t())
+            assert sub.group_type() == want, (fs, sub.matrix)
+            assert want.order == sub.order
 
 
 def test_subgroups_too_large():
@@ -199,6 +210,54 @@ def test_qgorenstein_family_factor2_contains_original():
     q = IntMatrix([[1, 3, 4]])
     fam = enumerate_qgorenstein_family(q, 2)
     assert any(gl_equivalent(mat, BAUERLE_V)[0] for (_, mat, _) in fam.kept)
+
+
+def test_quotients_match_kernel_projection():
+    # quotient_by_subgroup reads M_H off one row HNF; the oracle projects a
+    # saturated kernel and takes the HNF of the projection
+    from toriq.fans import _anticanonical
+
+    checked = 0
+    for q in (IntMatrix([[1, 3, 4]]), gale_dual(BLUP_V), gale_dual(MDS_V), gale_dual(QFC_V)):
+        fan = fan_from_point(q, _anticanonical(q))
+        cd = analyze(fan.fan_matrix, fan)
+        for h in (1, 2, 3):
+            gamma = torsion_matrix(cd.A * h * cd.W)
+            for sub in subgroups(gamma.ambient):
+                assert quotient_by_subgroup(cd.W, gamma, sub) == quotient_fan_matrix_by_kernel(cd.W, gamma, sub)
+                checked += 1
+    assert checked > 500
+
+
+def test_qgorenstein_family_needs_positive_factor():
+    for h in (0, -1):
+        with pytest.raises(OutOfDomain, match="needs h >= 1"):
+            enumerate_qgorenstein_family(IntMatrix([[1, 3, 4]]), h)
+
+
+def test_family_indices_match_fmatrix_index_on_fixtures():
+    # the family hulls the covering fan matrix once; each kept quotient's
+    # index is read off its polar vertices on those facets
+    import glob
+    import os
+
+    from conftest import FIXTURES
+    from toriq.cli import load_document, resolve_variety
+
+    families = 0
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+        doc = load_document(path)
+        for h in (1, 2):
+            try:
+                v, _ = resolve_variety(doc)
+                fam = enumerate_qgorenstein_family(gale_dual(v), h)
+            except ToriqError:
+                continue
+            families += 1
+            assert len(fam.indices) == len(fam.kept)
+            for (_, mat, _), index in zip(fam.kept, fam.indices):
+                assert index == fmatrix_index(mat), (path, h, mat)
+    assert families >= 40
 
 
 def test_unitary_cover_bauerle():

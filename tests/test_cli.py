@@ -268,6 +268,50 @@ def test_column_in_no_maximal_cone_is_a_named_error(tmp_path, capsys):
     assert "column 6" in out["error"]["message"]
 
 
+def test_fan_point_of_the_wrong_length_is_invalid_input(capsys):
+    # the weight matrices have r = 1 (bauerle) and r = 2 (mds_Zprime); a
+    # longer or shorter point was cut to fit
+    for name, point in (("bauerle", "1,2,3,4,5,6,7"), ("mds_Zprime", "1"), ("mds_Zprime", "2,2,2")):
+        code, out = run_cli(capsys, "fan", fixture_path(name), "--point", point)
+        assert code == 2, (name, point)
+        assert out["error"]["type"] == "invalid-input"
+
+
+def test_classify_factor_below_one_is_out_of_domain(capsys):
+    for h in ("0", "-1"):
+        code, out = run_cli(capsys, "classify", fixture_path("bauerle"), "--factor", h)
+        assert code == 2
+        assert out["error"] == {"type": "OutOfDomain", "message": "needs h >= 1"}
+
+
+def test_family_work_counts(capsys, monkeypatch):
+    # one hull per covering fan matrix, none per quotient, and snf (with
+    # transforms) only for the torsion matrix: counts, not timings
+    import sys
+
+    from toriq import intmat, polytope
+
+    counts = {"_hull": 0, "snf": 0}
+
+    def counter(name, real):
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return counted
+
+    monkeypatch.setattr(polytope, "_hull", counter("_hull", polytope._hull))
+    snf = counter("snf", intmat.snf)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("toriq") and getattr(mod, "snf", None) is intmat.snf:
+            monkeypatch.setattr(mod, "snf", snf)
+    code, out = run_cli(capsys, "classify", fixture_path("mds_Z"), "--factor", "2")
+    assert code == 0
+    assert (len(out["kept"]), len(out["rejected"])) == (48, 1248)
+    assert counts["_hull"] <= 3
+    assert counts["snf"] <= 1
+
+
 def test_smith_reduction_limit_is_a_named_error(capsys, monkeypatch):
     # a Smith reduction that runs out of rounds ends in exit 2 with an
     # error object, not a traceback

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import FIXTURES
 from oracles import fan_from_point_by_merging, rays_covered
-from toriq.errors import InvalidFan, OriginNotInterior, OutsideMoving, ToriqError
+from toriq.errors import InvalidFan, OriginNotInterior, OutOfDomain, OutsideMoving, ToriqError
 from toriq.fans import (
     FanData,
     eff_cone,
@@ -162,6 +162,13 @@ def test_fan_from_point_outside_moving():
         fan_from_point(q, (1, 0))
     with pytest.raises(OutsideMoving):
         fan_from_point(q, (0, 0))
+
+
+def test_fan_from_point_rejects_a_point_of_the_wrong_length():
+    q = gale_dual(MDS_V)  # r = 2
+    for point in ((3,), (3, 3, 3)):
+        with pytest.raises(OutOfDomain, match="weight matrix has 2 rows"):
+            fan_from_point(q, point)
 
 
 def test_qfano_representative():

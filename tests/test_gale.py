@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from oracles import has_mixed_pair, lp_max_by_fractions
+from oracles import gl_canonical_form_by_prefix_hnf, has_mixed_pair, lp_max_by_fractions
 from toriq.errors import RankDeficient
-from toriq.gale import _fan_conditions, classify_matrix, gale_dual, gl_equivalent
+from toriq.gale import _fan_conditions, classify_matrix, gale_dual, gl_canonical_form, gl_equivalent
 from toriq.intmat import IntMatrix, hnf, kernel_basis, rank, snf
 
 BLUP_V = IntMatrix([[1, 0, 0, 0, -1, 1], [0, 1, 0, 0, -1, 1], [0, 0, 1, -1, -1, 1]])
@@ -162,6 +162,60 @@ def test_gl_equivalent_against_exhaustive_permutations():
             if got:
                 assert p * a * s == b
     assert pairs > 20
+
+
+def _family_quotients():
+    import glob
+    import os
+
+    from conftest import FIXTURES
+    from toriq.classify import enumerate_qgorenstein_family
+    from toriq.cli import load_document, resolve_variety
+    from toriq.errors import ToriqError
+
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+        try:
+            v, _ = resolve_variety(load_document(path))
+            fam = enumerate_qgorenstein_family(gale_dual(v), 1)
+        except ToriqError:
+            continue
+        for _, mat, _ in fam.kept + fam.rejected:
+            yield mat
+
+
+def test_gl_canonical_form_matches_prefix_hnf_search():
+    # the search extends each parent's HNF by one column; the oracle runs
+    # a full hnf on every prefix and must return the same (key, perm, H, U)
+    rng = random.Random(41)
+    mats = []
+    for _ in range(300):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 6)
+        mats.append(IntMatrix([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]))
+    quotients = list(_family_quotients())
+    assert len(quotients) > 50
+    for m in mats + quotients:
+        key, perm, h, u = gl_canonical_form(m)
+        assert (key, perm, h, u) == gl_canonical_form_by_prefix_hnf(m), m
+        assert h == u * m.cols_at(perm)
+
+
+def test_gl_canonical_form_runs_hnf_at_most_once(monkeypatch):
+    from toriq import gale, intmat
+
+    calls = []
+    real = intmat.hnf
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(intmat, "hnf", counted)
+    monkeypatch.setattr(gale, "hnf", counted)
+    mats = list(_family_quotients())[:40] + [BLUP_V, BLUP_Q]
+    for m in mats:
+        before = len(calls)
+        gl_canonical_form(m)
+        assert len(calls) - before <= 1
 
 
 def test_gl_equivalent_shape_mismatch():

@@ -17,6 +17,7 @@ from toriq.intmat import (
     primitive_kernel,
     quotient_matrix,
     rank,
+    smith_diagonal,
     snf,
     solve_integer,
     solve_unique,
@@ -133,6 +134,57 @@ def test_kernel_basis_saturated():
         assert all(all(x == 0 for x in a.mul_vec(k.col(j))) for j in range(k.cols))
         if k.cols:
             assert all(d == 1 for d in snf(k).diagonal if d)
+
+
+def _shaped_matrices(seed=11, count=600):
+    """Seeded 1-5 x 1-7 integer matrices, entries in [-6, 6], a quarter
+    each with a zero row, a zero column or a row that is a combination of
+    two others."""
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 7)
+        m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        kind = t % 4
+        if kind == 1:
+            m[rng.randrange(rows)] = [0] * cols
+        elif kind == 2:
+            j = rng.randrange(cols)
+            for r in m:
+                r[j] = 0
+        elif kind == 3 and rows >= 3:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            m[2] = [a * x + b * y for x, y in zip(m[0], m[1])]
+        out.append(IntMatrix(m))
+    return out
+
+
+def test_transform_free_normal_forms_match_snf():
+    # smith_diagonal, cokernel and lattice_index skip the transforms;
+    # snf, which keeps them, is the reference for the diagonal
+    mats = _shaped_matrices()
+    deficient = 0
+    for a in mats:
+        diag = snf(a).diagonal
+        assert smith_diagonal(a) == diag, a
+        r = sum(1 for d in diag if d)
+        deficient += r < min(a.rows, a.cols)
+        assert cokernel(a) == FiniteAbelianGroup(tuple(d for d in diag if d >= 2), a.rows - r)
+        if r == a.rows:
+            assert lattice_index(a) == prod(diag)
+        else:
+            with pytest.raises(RankDeficient):
+                lattice_index(a)
+    assert deficient > 100
+
+
+def test_kernel_basis_from_hnf_transform():
+    for a in _shaped_matrices(seed=12):
+        k = kernel_basis(a)
+        assert (k.rows, k.cols) == (a.cols, a.cols - rank(a))
+        if k.cols:
+            assert all(x == 0 for row in (a * k).data for x in row)
+            assert cokernel(k).invariant_factors == ()
 
 
 def test_kernel_of_all_ones():
