@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from math import prod
 
 from . import bounds as bounds_mod
 from .classify import enumerate_qgorenstein_family, unitary_cover
@@ -28,7 +29,7 @@ from .fans import (
     qfano_representative,
 )
 from .gale import classify_matrix, gale_dual
-from .intmat import IntMatrix
+from .intmat import IntMatrix, kernel_basis, smith_diagonal
 from .polytope import VPolytope, fmatrix_index, normalized_volume, polar_vertex_matrix
 
 _SAFE = 1 << 53
@@ -91,11 +92,56 @@ def load_document(path: str) -> dict:
             or not isinstance(blk.get("columns"), list)
         ):
             raise InvalidInput("'torsion' must carry 'factors' and 'columns'")
+        if not all(isinstance(col, list) for col in blk["columns"]):
+            raise InvalidInput("'torsion' columns must be lists")
         torsion = {
             "factors": [_parse_int(x) for x in blk["factors"]],
             "columns": [[_parse_int(x) for x in col] for col in blk["columns"]],
         }
+        _check_torsion(matrix, role, torsion)
     return {"matrix": matrix, "fan": fan, "role": role, "torsion": torsion}
+
+
+def _check_torsion(matrix: IntMatrix, role: str, torsion: dict) -> None:
+    """Raise InvalidInput unless the torsion block T completes the weight
+    matrix Q to the grading Z^m -> Z^r + Z/d_1 + ... of the class group
+    Z^m / (row lattice of V), where V is the fan matrix (the Gale dual of
+    a weight-matrix document).
+
+    The map e_j -> (Q_j, T_j) kills the rows of V when every row pairs to
+    0 modulo the factors.  It is then onto when the images of the kernel
+    of Q generate the factors, and one-to-one on the class group when in
+    addition the factors multiply to the order of its torsion part.  The
+    block is a choice of splitting, so it is not compared with
+    `classify.torsion_matrix`.
+    """
+    factors, columns = torsion["factors"], torsion["columns"]
+    if len(columns) != matrix.cols or any(len(c) != len(factors) for c in columns):
+        raise InvalidInput("'torsion' needs one column per matrix column, each with one entry per factor")
+    if any(d < 2 for d in factors):
+        raise InvalidInput("torsion factors must be at least 2")
+    if role == "weight-matrix":
+        q, v = matrix, gale_dual(matrix)
+    else:
+        q, v = kernel_basis(matrix).t(), matrix
+    for row in v.data:
+        for k, d in enumerate(factors):
+            if sum(x * c[k] for x, c in zip(row, columns)) % d:
+                raise InvalidInput("a row of the fan matrix does not pair to 0 modulo the torsion factors")
+    order = prod(x for x in smith_diagonal(v) if x)
+    if prod(factors) != order:
+        raise InvalidInput(
+            f"torsion factors multiply to {prod(factors)}, the class group's torsion has order {order}"
+        )
+    # the kernel of Q is the saturation of the row lattice of V
+    kernel = kernel_basis(q) if q.rows else IntMatrix.identity(matrix.cols)
+    images = [
+        [sum(c[k] * x for c, x in zip(columns, u)) for u in kernel.columns()]
+        + [d if i == k else 0 for i, d in enumerate(factors)]
+        for k in range(len(factors))
+    ]
+    if any(x != 1 for x in smith_diagonal(IntMatrix._of(images))):
+        raise InvalidInput("the torsion block does not generate its factors on the kernel of the weight matrix")
 
 
 def resolve_variety(doc) -> tuple:

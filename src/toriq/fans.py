@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidFan, OriginNotInterior, OutOfDomain, OutsideMoving, RankDeficient
 from .gale import gale_dual
-from .intmat import CACHE_SIZE, IntMatrix, rank, solve_integer, solve_unique
+from .intmat import CACHE_SIZE, IntMatrix, _maximal_minors, rank, solve_integer
 from .linprog import _cone_facets, _facets_contain, cone_contains
 from .polytope import VPolytope, _bits, facet_enumeration
 
@@ -38,9 +38,12 @@ class FanData:
             if any(j < 0 or j >= fan_matrix.cols for j in g):
                 raise InvalidFan(f"cone {g} indexes a missing column")
             cols = fan_matrix.cols_at(list(g))
-            if rank(cols) != n:
+            # one det decides a square cone, and a full-dimensional square
+            # cone is simplicial, hence pointed
+            square = len(g) == n
+            if cols.det() == 0 if square else rank(cols) != n:
                 raise InvalidFan(f"cone {g} is not full-dimensional")
-            if not _pointed(cols):
+            if not square and not _pointed(cols):
                 raise InvalidFan(f"cone {g} contains a line")
 
     def cones_1based(self):
@@ -48,8 +51,7 @@ class FanData:
 
 
 def _pointed(cols: IntMatrix) -> bool:
-    if cols.rows == cols.cols:
-        return cols.det() != 0  # simplicial full-dimensional cones are pointed
+    """Is the cone over the columns (of full row rank) free of lines?"""
     # a zero generator is a nonzero nonnegative relation, which counts as a
     # line; otherwise the lineality space is cut out by the equalities and
     # the facet normals, so the cone is pointed when they span Q^n
@@ -214,6 +216,32 @@ def is_qfano_weight(q: IntMatrix, fan: FanData) -> bool:
     return True
 
 
+def _cell_supports(q: IntMatrix, w) -> set:
+    """Supports of the nonnegative solutions of Q_B x = w over the
+    r-subsets B of columns with det Q_B != 0, read off one table of the
+    maximal minors of [Q | w] by Cramer's rule: x_t = (-1)^(r-1-t)
+    minor(B - b_t + w) / det Q_B, since w is the last column."""
+    m, r = q.cols, q.rows
+    minors = _maximal_minors([row + (x,) for row, x in zip(q.data, w)])
+    supports = set()
+    for b in itertools.combinations(range(m), r):
+        d = minors[b]
+        if not d:
+            continue
+        support = []
+        for t, j in enumerate(b):
+            x = minors[b[:t] + b[t + 1 :] + (m,)]
+            if (r - 1 - t) % 2:
+                x = -x
+            if x:
+                if (x > 0) != (d > 0):
+                    break
+                support.append(j)
+        else:
+            supports.add(tuple(support))
+    return supports
+
+
 def fan_from_point(q: IntMatrix, w, fan_matrix: IntMatrix | None = None) -> FanData:
     """Fan dual to the secondary-fan cell whose relative interior
     contains w.
@@ -224,11 +252,14 @@ def fan_from_point(q: IntMatrix, w, fan_matrix: IntMatrix | None = None) -> FanD
     independent, so it extends to an r-subset B with Q_B invertible and
     is the support of the unique solution of Q_B x = w.  Conversely the
     support of a nonnegative unique solution on B is minimal: a relevant
-    proper subset would give Q_B x = w a second solution.  So one solve
-    per r-subset finds exactly the maximal cones.  The result is
-    validated (w in the relative interior of the complementary weight
-    cone of each maximal cone, plus completeness) and never returned
-    silently on failure.
+    proper subset would give Q_B x = w a second solution.
+
+    So the supports are read off the signs of the maximal minors of
+    [Q | w], one table for all r-subsets (`_cell_supports`; Berchtold &
+    Hausen 2006, ADHL *Cox Rings* 3.1), with no solve per subset.  The
+    result is validated by an independent route (w in the relative
+    interior of the complementary weight cone of each maximal cone, plus
+    completeness) and never returned silently on failure.
     """
     m = q.cols
     r = q.rows
@@ -243,13 +274,7 @@ def fan_from_point(q: IntMatrix, w, fan_matrix: IntMatrix | None = None) -> FanD
     if v.cols != m:
         raise RankDeficient("fan matrix has the wrong number of columns")
 
-    supports = set()
-    for b in itertools.combinations(range(m), r):
-        x = solve_unique([[row[j] for j in b] for row in q.data], w)
-        if x is not None and all(t >= 0 for t in x):
-            supports.add(tuple(j for j, t in zip(b, x) if t))
-
-    fan = FanData(v, [_complement(s, m) for s in supports])
+    fan = FanData(v, [_complement(s, m) for s in _cell_supports(q, w)])
     for g in fan.max_cones:
         comp = _complement(g, m)
         if not cone_contains([q.col(j) for j in comp], w, strict=True):

@@ -2,7 +2,8 @@
 (Smith, Hermite), kernels, cokernels and the matrix-division operation
 that every quotient construction in the library is built on.  Determinant,
 rank, rational solve, null space and inverse share one fraction-free
-elimination (`_eliminate`).
+elimination (`_eliminate`); when every maximal minor is wanted at once,
+`_maximal_minors` builds them all by one Laplace expansion.
 
 Every Hermite reduction runs one column step (`_hermite_step`), with or
 without the unimodular transform.  Each normal form is computed only as
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm, prod
 
 from .errors import NonIntegerQuotient, NotConverged, NotSquare, RankDeficient
@@ -98,6 +100,31 @@ def _det(rows) -> int:
     """Determinant of square integer rows."""
     _, pivots, d, sign = _eliminate(rows)
     return sign * d if len(pivots) == len(rows) else 0
+
+
+def _maximal_minors(rows) -> dict:
+    """Every r x r minor of r integer rows (r <= columns), keyed by the
+    sorted tuple of its columns.
+
+    Laplace expansion one row at a time: the k-row minors are expanded
+    along row k - 1 into the (k-1)-row minors of the rows above, so each
+    minor of each size is computed once.
+    """
+    level = {(j,): x for j, x in enumerate(rows[0])}
+    cols = range(len(rows[0]))
+    for k, row in enumerate(rows[1:], 1):
+        nxt = {}
+        for s in combinations(cols, k + 1):
+            total = 0
+            for t, j in enumerate(s):
+                x = row[j]
+                if x:
+                    sub = level[s[:t] + s[t + 1 :]]
+                    # cofactor sign (-1)^(k + t) of entry (k, t)
+                    total += x * sub if (k + t) % 2 == 0 else -x * sub
+            nxt[s] = total
+        level = nxt
+    return level
 
 
 def solve_unique(rows, b):

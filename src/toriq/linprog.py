@@ -1,21 +1,23 @@
-"""Exact cone questions, all answered by one double description.
+"""Exact cone questions, all answered by a cone's facets.
 
-Every hull, wall, cone intersection and cone predicate in the library goes
+Every hull, wall, cone intersection and cone predicate in the library
+reads a cone's facets off `_cone_facets`.  A simplicial cone (as many
+independent generators as dimensions) gets them in closed form, as the
+rows of the inverse of its generator matrix; every other cone goes
 through one exact integer double-description routine (`_dd`, Fukuda &
-Prodon 1996): a cone's facets are the extreme rays of its dual
-(`_cone_facets`).  By Gordan's alternative (Ziegler, *Lectures on
-Polytopes*, 1.4) the linear-programming questions the library asks are
-read off those facets: w lies in a cone exactly when every equality
-vanishes on it and every facet normal is >= 0 on it (> 0 for the relative
-interior), and a strictly positive combination of vectors is zero exactly
-when their cone has no facet.
+Prodon 1996), as the extreme rays of its dual.  By Gordan's alternative
+(Ziegler, *Lectures on Polytopes*, 1.4) the linear-programming questions
+the library asks are read off those facets: w lies in a cone exactly when
+every equality vanishes on it and every facet normal is >= 0 on it (> 0
+for the relative interior), and a strictly positive combination of
+vectors is zero exactly when their cone has no facet.
 """
 
 from __future__ import annotations
 
 import math
 
-from .intmat import primitive_kernel, solve_unique
+from .intmat import _eliminate, primitive_kernel, solve_unique
 
 
 def _dot(a, x):
@@ -90,6 +92,16 @@ def _cone_facets(gens, dim):
     gens = list(gens)
     if not gens:
         return [tuple(int(i == j) for j in range(dim)) for i in range(dim)], []
+    if len(gens) == dim:
+        # a simplicial cone: row i of G^-1 (G has the generators as
+        # columns) is 1 on generator i and 0 on the others, so it is the
+        # inward normal of the facet without generator i
+        ident = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        m, pivots, d, _ = _eliminate([list(row) + e for row, e in zip(zip(*gens), ident)])
+        if pivots[-1] == dim - 1:  # every pivot of [G | I] falls in G
+            full = (1 << dim) - 1
+            s = 1 if d > 0 else -1
+            return [], [(_primitive([s * x for x in m[i][dim:]]), full ^ (1 << i)) for i in range(dim)]
     eqs = primitive_kernel(gens)
     if not eqs:
         return [], _dd(gens, dim)

@@ -3,7 +3,9 @@
 The W.f oracle computes, for every column pair, the lattice of row-lattice
 vectors supported on that pair, straight from the definition.  The cell
 fan oracle builds the fan of a secondary-fan cell by merging adjacent
-simplicial candidates across the walls that contain the point.  The volume
+simplicial candidates across the walls that contain the point, and the
+cell-support oracle solves one system per subset of weight columns where
+the library reads every solution off one table of maximal minors.  The volume
 oracle integrates exact cross-section measures over the slabs
 between vertex coordinates (trapezoid rule in 2D, Simpson in 3D, both of
 which are exact for the piecewise-polynomial sections of a polytope), so
@@ -30,7 +32,7 @@ from toriq.classify import SubgroupHandle, TorsionMatrix
 from toriq.errors import InvalidFan, OutsideMoving, RankDeficient
 from toriq.fans import FanData, _cone_walls, _complement, is_complete, mov_cone
 from toriq.gale import gale_dual
-from toriq.intmat import FiniteAbelianGroup, IntMatrix, hnf, kernel_basis, rank
+from toriq.intmat import FiniteAbelianGroup, IntMatrix, hnf, kernel_basis, rank, solve_unique
 from toriq.linprog import cone_contains
 from toriq.polytope import VPolytope, facet_enumeration
 
@@ -268,6 +270,18 @@ def has_mixed_pair(q: IntMatrix) -> bool:
         if a * b < 0:
             return True
     return False
+
+
+def cell_supports_by_solving(q: IntMatrix, w) -> set:
+    """Supports of the nonnegative solutions of Q_B x = w, one Bareiss
+    solve per r-subset B of columns with a unique solution (where the
+    library reads every solution off one table of maximal minors)."""
+    supports = set()
+    for b in itertools.combinations(range(q.cols), q.rows):
+        x = solve_unique([[row[j] for j in b] for row in q.data], w)
+        if x is not None and all(t >= 0 for t in x):
+            supports.add(tuple(j for j, t in zip(b, x) if t))
+    return supports
 
 
 def fan_from_point_by_merging(q: IntMatrix, w, fan_matrix: IntMatrix | None = None) -> FanData:

@@ -1,9 +1,12 @@
 import json
+import math
+import random
 
 import pytest
 
 from conftest import FIXTURES, fixture_path
 from toriq.cli import _encode, build_report, load_document, main, resolve_variety
+from toriq.errors import ToriqError
 from toriq.intmat import IntMatrix
 
 
@@ -348,6 +351,79 @@ def test_torsion_block_parses():
 
     gamma = torsion_matrix(doc["matrix"])
     assert gamma.ambient.invariant_factors == (3,)
+
+
+MDS_TORSION = {"factors": [3], "columns": [[1], [0], [1], [0], [0]]}
+
+
+def _torsion_doc(tmp_path, torsion, base="mds_Zprime"):
+    with open(fixture_path(base), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["torsion"] = torsion
+    path = tmp_path / "torsion.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_torsion_blocks_of_the_fixtures_are_valid(capsys):
+    for name in ("mds_W", "mds_Z", "mds_Zprime"):
+        assert load_document(fixture_path(name))["torsion"] == MDS_TORSION
+    # the block passes, and the non-complete fan is still what mds_W fails on
+    code, out = run_cli(capsys, "analyze", fixture_path("mds_W"))
+    assert (code, out["error"]["type"]) == (2, "InvalidFan")
+
+
+@pytest.mark.parametrize("torsion, message", [
+    ({"factors": [3], "columns": [[1], [0], [1], [0]]}, "one column per matrix column"),
+    ({"factors": [3], "columns": [[1, 0], [0], [1], [0], [0]]}, "one entry per factor"),
+    ({"factors": [1], "columns": [[0], [0], [0], [0], [0]]}, "at least 2"),
+    ({"factors": [3], "columns": [[1], [0], [0], [0], [0]]}, "does not pair to 0"),
+    ({"factors": [3, 3], "columns": [[1, 0], [0, 0], [1, 0], [0, 0], [0, 0]]}, "multiply to 9"),
+    ({"factors": [3], "columns": [[0], [0], [0], [0], [0]]}, "does not generate"),
+])
+def test_invalid_torsion_block_is_invalid_input(tmp_path, capsys, torsion, message):
+    code, out = run_cli(capsys, "gale", _torsion_doc(tmp_path, torsion))
+    assert code == 2
+    assert out["error"]["type"] == "invalid-input"
+    assert message in out["error"]["message"]
+
+
+def test_torsion_block_of_a_weight_matrix(tmp_path, capsys):
+    # a weight-matrix document grades by Z^m / (kernel of Q), which is
+    # torsion-free: only the empty block fits
+    assert load_document(_torsion_doc(tmp_path, {"factors": [], "columns": [[]] * 3}, "dim2_r1_1"))
+    code, out = run_cli(capsys, "gale", _torsion_doc(tmp_path, {"factors": [2], "columns": [[0]] * 3}, "dim2_r1_1"))
+    assert code == 2
+    assert "the class group's torsion has order 1" in out["error"]["message"]
+
+
+def test_torsion_blocks_from_the_smith_form_are_valid(tmp_path):
+    # the splitting of torsion_matrix is one valid block; changing the
+    # basis of each cyclic factor by a unit gives another
+    from toriq.classify import torsion_matrix
+
+    rng = random.Random(71)
+    seen = 0
+    while seen < 40:
+        n = rng.randint(2, 3)
+        m = n + rng.randint(1, 3)
+        rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+        rows[0] = [rng.choice((2, 3)) * x for x in rows[0]]
+        v = IntMatrix(rows)
+        try:
+            tm = torsion_matrix(v)
+        except ToriqError:
+            continue
+        factors = list(tm.ambient.invariant_factors)
+        if not factors:
+            continue
+        units = [next(u for u in range(d - 1, 0, -1) if math.gcd(u, d) == 1) for d in factors]
+        for scale in ([1] * len(factors), units):
+            columns = [[c * u % d for c, u, d in zip(col, scale, factors)] for col in tm.columns]
+            path = tmp_path / "smith.json"
+            path.write_text(json.dumps({"matrix": rows, "torsion": {"factors": factors, "columns": columns}}))
+            assert load_document(str(path))["torsion"]["factors"] == factors
+        seen += 1
 
 
 def test_all_fixtures_parse():

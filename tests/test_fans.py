@@ -6,10 +6,11 @@ import random
 import pytest
 
 from conftest import FIXTURES
-from oracles import fan_from_point_by_merging, rays_covered
+from oracles import cell_supports_by_solving, fan_from_point_by_merging, rays_covered
 from toriq.errors import InvalidFan, OriginNotInterior, OutOfDomain, OutsideMoving, ToriqError
 from toriq.fans import (
     FanData,
+    _cell_supports,
     eff_cone,
     face_fan,
     fan_from_point,
@@ -22,7 +23,7 @@ from toriq.fans import (
     qfano_representative,
 )
 from toriq.gale import gale_dual
-from toriq.intmat import IntMatrix, rank, solve_unique
+from toriq.intmat import IntMatrix, _det, _maximal_minors, rank, solve_unique
 
 BLUP_V = IntMatrix([[1, 0, 0, 0, -1, 1], [0, 1, 0, 0, -1, 1], [0, 0, 1, -1, -1, 1]])
 BLUP_Q = IntMatrix([[1, 1, 1, 0, 1, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]])
@@ -325,3 +326,94 @@ def test_fan_from_point_is_gl_and_permutation_invariant():
         new_index = {j: k for k, j in enumerate(perm)}
         expected = sorted(tuple(sorted(new_index[j] for j in g)) for g in fan_from_point(q, w).max_cones)
         assert fan_from_point(q2, w2).max_cones == tuple(expected), (name, w)
+
+
+def _random_cell_system(rng):
+    """(Q, w) with r <= 5 rows, m <= 9 columns and entries in [-4, 4]:
+    often a rank-deficient Q (a row a multiple of another, or their sum),
+    and w drawn at random, as 0, or as a combination of a few columns
+    with coefficients >= 0 (so on the boundary of many cones)."""
+    r = rng.randint(1, 5)
+    m = rng.randint(r, 9)
+    rows = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(r)]
+    if r > 1 and rng.random() < 0.2:
+        a, b = rng.sample(range(r), 2)
+        s, t = rng.choice((-2, -1, 1, 2)), rng.choice((0, 1))
+        rows[b] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+    draw = rng.random()
+    if draw < 0.05:
+        w = (0,) * r
+    elif draw < 0.6:
+        coef = [rng.choice((0, 0, 0, 1, 2)) for _ in range(m)]
+        w = tuple(sum(c * row[j] for j, c in enumerate(coef)) for row in rows)
+    else:
+        w = tuple(rng.randint(-4, 4) for _ in range(r))
+    return IntMatrix(rows), w
+
+
+def test_minors_table_matches_determinants_and_solving():
+    # every maximal minor of [Q | w] against its own elimination, and the
+    # supports read off the table against one solve per r-subset
+    rng = random.Random(64)
+    seen = {"rank deficient": 0, "boundary support": 0, "no support": 0, "supports": 0}
+    for _ in range(2000):
+        q, w = _random_cell_system(rng)
+        aug = [row + (x,) for row, x in zip(q.data, w)]
+        minors = _maximal_minors(aug)
+        assert minors == {
+            key: _det([[row[j] for j in key] for row in aug])
+            for key in itertools.combinations(range(q.cols + 1), q.rows)
+        }, (q, w)
+        supports = _cell_supports(q, w)
+        assert supports == cell_supports_by_solving(q, w), (q, w)
+        seen["rank deficient"] += rank(q) < q.rows
+        seen["boundary support"] += any(len(s) < q.rows for s in supports)
+        seen["no support"] += not supports
+        seen["supports"] += bool(supports)
+    assert all(count >= 100 for count in seen.values()), seen
+
+
+def test_minors_table_of_a_small_matrix():
+    a = [[1, 2, 3], [4, 5, 6]]
+    assert _maximal_minors(a) == {(0, 1): -3, (0, 2): -6, (1, 2): -3}
+    assert _maximal_minors([[2, 0, -1]]) == {(0,): 2, (1,): 0, (2,): -1}
+
+
+def test_square_cone_checks_keep_their_messages():
+    # one det decides a square cone; a singular one is not
+    # full-dimensional, and a non-square cone with a line is named so
+    v = IntMatrix([[1, 0, 2, -1], [0, 1, 0, 0]])
+    with pytest.raises(InvalidFan, match="is not full-dimensional"):
+        FanData(v, [(0, 2)])
+    with pytest.raises(InvalidFan, match="contains a line"):
+        FanData(v, [(0, 1, 3)])
+    assert FanData(v, [(0, 1), (1, 3)]).max_cones == ((0, 1), (1, 3))
+
+
+def test_cell_point_work_counts(monkeypatch):
+    # the cells are read off one minors table: solve_unique runs only in
+    # the validation, at most once per maximal cone, where one solve per
+    # 5-subset of the 9 weight columns (126) ran before
+    import sys
+
+    from toriq import intmat
+
+    weights = {name: (q, rays) for name, q, rays in _golden_weights()}
+    (q1, rays1), (q2, rays2) = weights["dim2_r2_4"], weights["dim2_r3_3"]
+    q = IntMatrix([row + (0,) * q2.cols for row in q1.data] + [(0,) * q1.cols + row for row in q2.data])
+    assert (q.rows, q.cols) == (5, 9)
+    rng = random.Random(65)
+    w = _combination(rays1, [rng.randint(1, 4) for _ in rays1])
+    w += _combination(rays2, [rng.randint(1, 4) for _ in rays2])
+    real, calls = intmat.solve_unique, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("toriq") and getattr(mod, "solve_unique", None) is real:
+            monkeypatch.setattr(mod, "solve_unique", counted)
+    fan = fan_from_point(q, w)
+    assert len(fan.max_cones) > 1
+    assert len(calls) <= len(fan.max_cones)

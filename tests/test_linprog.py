@@ -12,8 +12,8 @@ from oracles import (
     strict_solution_by_fractions,
 )
 from toriq.fans import _pointed
-from toriq.intmat import IntMatrix, rank
-from toriq.linprog import cone_contains, positive_relation
+from toriq.intmat import IntMatrix, _det, rank
+from toriq.linprog import _cone_facets, _dd, cone_contains, positive_relation
 
 N_SYSTEMS = 2000
 
@@ -100,3 +100,30 @@ def test_cone_predicates_edge_cases():
     assert not _pointed(IntMatrix([[0, 2, 0]]))
     assert _pointed(IntMatrix([[1, 2, 0], [0, 1, 1]]))
     assert not _pointed(IntMatrix([[1, 2, 0, 0], [0, 1, 1, 0]]))
+
+
+def test_simplicial_facets_match_double_description():
+    # n generators in Q^n: the closed form (rows of G^-1) must give the
+    # double description's normals, order and masks.  An appended zero
+    # generator changes neither, apart from its own bit on every facet,
+    # and sends the set through the general route, so singular square
+    # sets are checked against that route.
+    rng = random.Random(11)
+    seen = Counter()
+    while min(seen["nonsingular"], seen["singular"]) < 300:
+        n = rng.randint(1, 5)
+        gens = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            a, b = rng.sample(range(n), 2)
+            s, t = rng.choice((-2, -1, 1, 2)), rng.choice((0, 1))
+            gens[b] = tuple(s * x + t * y for x, y in zip(gens[a], gens[b]))
+        got = _cone_facets(gens, n)
+        eqs, facets = _cone_facets(gens + [(0,) * n], n)
+        assert got == (eqs, [(a, mask & ~(1 << n)) for a, mask in facets]), gens
+        if _det(gens):
+            assert got == ([], _dd(gens, n)), gens
+            seen["nonsingular"] += 1
+        else:
+            seen["singular"] += 1
+            seen["singular with facets"] += bool(got[1])
+    assert seen["singular with facets"] >= 100, seen
