@@ -30,6 +30,7 @@ from .intmat import (
 )
 from .polytope import (
     VPolytope,
+    _polytope,
     _simplices,
     fmatrix_index,
     normalized_volume,
@@ -80,11 +81,11 @@ class CoveringData:
     def m_polar(self) -> int:
         return self.Qpolar.cols
 
-    @property
+    @functools.cached_property
     def mult(self) -> int:
         return abs(self.B.det())
 
-    @property
+    @functools.cached_property
     def weight_order(self) -> int:
         return abs(self.A.det())
 
@@ -110,13 +111,15 @@ class CoveringData:
 
     @functools.cached_property
     def fan_polytope(self) -> VPolytope:
-        """conv(V), built once per bundle."""
-        return VPolytope(self.V)
+        """conv(V), built once per fan matrix (`_polytope`); it
+        keeps its normalized volume, which the certificates and the report
+        both read."""
+        return _polytope(self.V)
 
     @functools.cached_property
     def degree(self) -> Fraction:
         """Anticanonical self-intersection, n! Vol of the polar polytope."""
-        return normalized_volume(VPolytope(self.Vpolar))
+        return normalized_volume(_polytope(self.Vpolar))
 
     @property
     def degree_scaled(self) -> int:
@@ -126,7 +129,7 @@ class CoveringData:
 
     @functools.cached_property
     def cover_degree(self) -> Fraction:
-        return normalized_volume(VPolytope(self.Wpolar))
+        return normalized_volume(_polytope(self.Wpolar))
 
     @property
     def cover_degree_scaled(self) -> int:
@@ -143,7 +146,7 @@ class CoveringData:
     @functools.cached_property
     def dual_cover_degree(self) -> Fraction:
         """n! Vol of conv(Λ), Λ the polar of the dual covering's polytope."""
-        return normalized_volume(VPolytope(self.Lambda))
+        return normalized_volume(_polytope(self.Lambda))
 
 
 def universal_cover(v: IntMatrix, fan: FanData):
@@ -174,20 +177,20 @@ def weight_modulus(q: IntMatrix) -> int:
     two computations agree.
     """
     w = gale_dual(q)
-    p = VPolytope(w)
+    p = _polytope(w)
     vol = normalized_volume(p)
     assert vol.denominator == 1
     m = q.cols
     # cone over a triangulation of every facet of the hull; the identities
     # hold when every column is a vertex, and the simplices only ever use
     # vertices (the first column equal to each)
-    verts = p.vertex_list()
-    column = {c: j for j, c in reversed(list(enumerate(w.columns())))}
+    verts = p._rows
+    column = {c: j for j, c in reversed(list(enumerate(zip(*w.data))))}
     facets = [mask for _, mask in p.hull()[1]]
     minor_sum = 0
     for f in facets:
         for g in _simplices(verts, facets, f, w.rows - 1):
-            comp = _complement([column[verts[i]] for i in g], m)
+            comp = _complement([column[verts[i][1:]] for i in g], m)
             minor_sum += abs(q.cols_at(list(comp)).det())
     assert minor_sum == vol, (minor_sum, vol)
     return int(vol)
@@ -228,7 +231,7 @@ def analyze(v: IntMatrix, fan: FanData) -> CoveringData:
     lambda_polar = gale_dual(qpolar)
     # the checks of fmatrix_index(lambda_polar), on the one hull of conv(lambda_polar)
     assert all(_fan_conditions(lambda_polar)), "dual covering matrix is not a fan matrix"
-    lam_from_polar = polar_dual(VPolytope(lambda_polar))
+    lam_from_polar = polar_dual(_polytope(lambda_polar))
     assert lam_from_polar.vertices.denominator_lcm() == k_hat, "dual covering index mismatch"
 
     a_t = quotient_matrix(wpolar.scale(k_hat).to_int(), lambda_polar)

@@ -18,7 +18,7 @@ from .errors import InvalidFan, OriginNotInterior, OutOfDomain, OutsideMoving, R
 from .gale import gale_dual
 from .intmat import CACHE_SIZE, IntMatrix, _maximal_minors, rank, solve_integer
 from .linprog import _cone_facets, _facets_contain, cone_contains
-from .polytope import VPolytope, _bits, facet_enumeration
+from .polytope import _bits, _polytope, facet_enumeration
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,7 @@ def _complement(g, m):
 
 def face_fan(v: IntMatrix) -> FanData:
     """Fan whose maximal cones sit over the facets of conv(v)."""
-    p = VPolytope(v)
-    h = facet_enumeration(p)
+    h = facet_enumeration(_polytope(v))
     if any(f.offset <= 0 for f in h.facets):
         raise OriginNotInterior("face fan needs the origin interior to conv(v)")
     cones = []

@@ -1,9 +1,14 @@
 """Exact dense matrices over Z and Q, with the integer normal forms
 (Smith, Hermite), kernels, cokernels and the matrix-division operation
-that every quotient construction in the library is built on.  Determinant,
-rank, rational solve, null space and inverse share one fraction-free
-elimination (`_eliminate`); when every maximal minor is wanted at once,
-`_maximal_minors` builds them all by one Laplace expansion.
+that every quotient construction in the library is built on.  Null
+space, inverse, quotients and the cone predicates share one fraction-free
+Gauss-Jordan elimination (`_eliminate`); determinant and rank take its
+forward half only (`_forward`).  Both pay only for entries that change:
+Bareiss's update (piv*x - f*y) // prev divides exactly by Sylvester's
+identity, so a row with f = 0 becomes piv*x // prev (x itself when
+piv = prev, which is skipped), and no division is made when prev = 1.
+When every maximal minor is wanted at once, `_maximal_minors` builds them
+all by one Laplace expansion.
 
 Every Hermite reduction runs one column step (`_hermite_step`), with or
 without the unimodular transform.  Each normal form is computed only as
@@ -53,14 +58,17 @@ def _as_int(x) -> int:
 
 def _eliminate(rows):
     """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss,
-    Math. Comp. 1968): the one exact elimination behind det, solve,
-    kernel, inverse and rank.
+    Math. Comp. 1968): the one exact elimination behind kernels,
+    inverses, matrix division and the cone predicates.
 
     Returns (m, pivots, d, sign): m is d times the reduced row echelon
     form (pivot rows first), pivots its pivot columns, d the last pivot
     (the minor on the pivot rows and columns, 1 at rank 0) and sign the
     parity of the row swaps.  Each update (piv*row_i - m[i][c]*row_r) //
-    prev divides exactly by Sylvester's identity.
+    prev divides exactly by Sylvester's identity, so an update that
+    cannot change a row is skipped: a row with m[i][c] = 0 is left as it
+    is when piv = prev and only scaled, piv*row_i // prev, otherwise, and
+    no division is made when prev = 1.
     """
     m = [list(r) for r in rows]
     nr = len(m)
@@ -78,28 +86,60 @@ def _eliminate(rows):
             sign = -sign
         top, piv = m[r], m[r][c]
         for i in range(nr):
-            if i != r:
-                f = m[i][c]
-                m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], top)]
+            if i == r:
+                continue
+            row = m[i]
+            f = row[c]
+            if f:
+                if prev == 1:
+                    m[i] = [piv * x - f * y for x, y in zip(row, top)]
+                else:
+                    m[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+            elif piv != prev:
+                m[i] = [piv * x for x in row] if prev == 1 else [piv * x // prev for x in row]
         prev = piv
         pivots.append(c)
     return m, pivots, prev, sign
 
 
-def _integral(rows):
-    """Rows of ints or Fractions, each scaled by the lcm of its
-    denominators to ints."""
-    out = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
+def _forward(rows) -> tuple:
+    """(rank, d, sign) of integer rows by forward-only fraction-free
+    elimination: each pivot updates only the rows below it, on the columns
+    right of it, with the updates of `_eliminate` (and the same skips).
+    d is the last pivot, which on a nonsingular square matrix is sign
+    times its determinant."""
+    m = [list(r) for r in rows]  # the rows not yet pivoted, from the current column on
+    rank, prev, sign = 0, 1, 1
+    while m and m[0]:
+        p = next((i for i, row in enumerate(m) if row[0]), None)
+        if p is None:
+            m = [row[1:] for row in m]
+            continue
+        if p:
+            m[0], m[p] = m[p], m[0]
+            sign = -sign
+        top = m[0]
+        piv, tail = top[0], top[1:]
+        nxt = []
+        for row in m[1:]:
+            f = row[0]
+            if f:
+                if prev == 1:
+                    nxt.append([piv * x - f * y for x, y in zip(row[1:], tail)])
+                else:
+                    nxt.append([(piv * x - f * y) // prev for x, y in zip(row[1:], tail)])
+            elif piv == prev:
+                nxt.append(row[1:])
+            else:
+                nxt.append([piv * x // prev for x in row[1:]])
+        m, prev, rank = nxt, piv, rank + 1
+    return rank, prev, sign
 
 
 def _det(rows) -> int:
-    """Determinant of square integer rows."""
-    _, pivots, d, sign = _eliminate(rows)
-    return sign * d if len(pivots) == len(rows) else 0
+    """Determinant of square integer rows, by one forward pass."""
+    rank, d, sign = _forward(rows)
+    return sign * d if rank == len(rows) else 0
 
 
 def _maximal_minors(rows) -> dict:
@@ -125,16 +165,6 @@ def _maximal_minors(rows) -> dict:
             nxt[s] = total
         level = nxt
     return level
-
-
-def solve_unique(rows, b):
-    """The unique solution x of rows * x = b (ints or Fractions) as a
-    tuple of Fractions, or None when there is none or more than one."""
-    n = len(rows[0])
-    m, pivots, d, _ = _eliminate(_integral([list(r) + [y] for r, y in zip(rows, b)]))
-    if pivots != list(range(n)):
-        return None
-    return tuple(Fraction(m[i][n], d) for i in range(n))
 
 
 def primitive_kernel(rows) -> list:
@@ -567,7 +597,7 @@ def hnf(a: IntMatrix) -> tuple:
 
 
 def rank(a: IntMatrix) -> int:
-    return len(_eliminate(a.data)[1])
+    return _forward(a.data)[0]
 
 
 def smith_diagonal(a: IntMatrix) -> tuple:

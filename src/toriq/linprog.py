@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .intmat import _eliminate, primitive_kernel, solve_unique
+from .intmat import _eliminate, primitive_kernel
 
 
 def _dot(a, x):
@@ -131,17 +131,20 @@ def cone_contains(generators, w, strict: bool = False) -> bool:
     With `strict`, is it in the relative interior of their cone, i.e. a
     strictly positive combination of them?
 
-    Square systems with a unique solution, such as a simplicial cone in
-    its own span, are decided by the signs of that solution.
+    A square system G x = w with G nonsingular (a simplicial cone in its
+    own span) is decided by one elimination of [G | w]: it leaves
+    d * G^-1 w in the last column, so x_i has the sign of m[i][n] * d.
     """
     w = tuple(w)
     if not generators:
         return not any(w)
-    if len(generators) == len(w):
-        sol = solve_unique([[g[i] for g in generators] for i in range(len(w))], w)
-        if sol is not None:
-            return all(x > 0 if strict else x >= 0 for x in sol)
-    eqs, facets = _cone_facets(generators, len(w))
+    n = len(w)
+    if len(generators) == n:
+        m, pivots, d, _ = _eliminate([[g[i] for g in generators] + [w[i]] for i in range(n)])
+        if pivots == list(range(n)):
+            signs = [m[i][n] * d for i in range(n)]
+            return all(x > 0 for x in signs) if strict else all(x >= 0 for x in signs)
+    eqs, facets = _cone_facets(generators, n)
     return _facets_contain(eqs, facets, w, strict)
 
 

@@ -3,10 +3,20 @@ lattice points, normalized volume, reflexivity and the Gorenstein index of
 a fan matrix.
 
 Every hull goes through the one exact double description of `linprog`
-(`_cone_facets`): a polytope is the cone over its points lifted to
-(1, v).  Facets come with the bitmask of the generators on them, as in
-PALP, and vertex pruning, triangulation, fan walls and cone
-intersections are all read off those incidences.
+(`_cone_facets`): a polytope is the cone over its points p lifted to
+integer rows (D, D*p), D the lcm of the denominators of the input (1 for
+an IntMatrix).  Those rows span the same cone as the rows (1, p), so the
+primitive facet normals, their order and the incidence bitmasks do not
+depend on D.  Facets come with the bitmask of the generators on them, as
+in PALP, and vertex pruning, triangulation, fan walls and cone
+intersections are all read off those incidences; volumes are
+determinants of the integer rows, divided once by a power of D.
+
+The library builds the polytope of a matrix in one place, `_polytope`, a
+bounded cache keyed by the matrix: each point set of a report (conv(V),
+conv(W) and conv(Lambda°), the polar sides behind the degrees) is hulled
+once, whichever of the face fan, the Gorenstein index, the weight modulus
+and the covering bundle asks first.
 """
 
 from __future__ import annotations
@@ -20,18 +30,31 @@ from fractions import Fraction
 
 from .errors import DegenerateCone, NotFMatrix, NotFullDimensional, OriginNotInterior
 from .gale import _fan_conditions
-from .intmat import CACHE_SIZE, IntMatrix, RatMatrix, _det, _eliminate, _integral
+from .intmat import CACHE_SIZE, IntMatrix, RatMatrix, _det, _eliminate
 from .linprog import _cone_facets
+
+_PRUNED = "non-vertex columns pruned from polytope input"
 
 
 def _bits(mask) -> tuple:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _hull(points):
-    """(equalities, facets) of the cone over the points lifted to (1, p):
-    a facet normal (c, a) is the facet <a, x> >= -c of conv(points)."""
-    return _cone_facets(_integral([(1, *p) for p in points]), len(points[0]) + 1)
+def _hull(rows):
+    """(equalities, facets) of the cone over the integer rows (D, D*p) of
+    points p: a facet normal (c, a) is the facet <a, x> >= -c/D of
+    conv(points), so the primitive normal is the same for every D > 0."""
+    return _cone_facets(rows, len(rows[0]))
+
+
+def _lifted_rows(matrix) -> tuple:
+    """(D, rows): the columns p of an IntMatrix or RatMatrix as integer
+    rows (D, D*p), D the lcm of the denominators of the entries."""
+    cols = zip(*matrix.data)
+    if isinstance(matrix, IntMatrix):
+        return 1, [(1, *c) for c in cols]
+    den = matrix.denominator_lcm()
+    return den, [(den, *(x.numerator * (den // x.denominator) for x in c)) for c in cols]
 
 
 class VPolytope:
@@ -41,24 +64,22 @@ class VPolytope:
     combinations of the others) are pruned with a warning; `pruned`
     records whether that happened.  A column is a vertex exactly when
     the facets through it share no other column.  The hull that decides
-    this is kept (see `hull`), so it is built once per polytope.
+    this is kept (see `hull`), so it is built once per polytope, and so is
+    the normalized volume.
     """
 
-    __slots__ = ("dim", "vertices", "pruned", "_facets")
+    __slots__ = ("dim", "pruned", "_den", "_rows", "_vertices", "_facets", "_volume")
 
     def __init__(self, matrix, prune: bool = True):
-        if isinstance(matrix, IntMatrix):
-            matrix = matrix.to_rat()
-        cols = [tuple(Fraction(x) for x in c) for c in matrix.columns()]
-        pruned = False
-        uniq = []
-        for c in cols:
-            if c in uniq:
-                pruned = True
-            else:
-                uniq.append(c)
-        keep = uniq
-        self._facets = None
+        if self._build(matrix, prune):
+            warnings.warn(_PRUNED, stacklevel=2)
+
+    def _build(self, matrix, prune: bool) -> bool:
+        """Fill the slots from the matrix's columns; returns `pruned`."""
+        den, rows = _lifted_rows(matrix)
+        uniq = list(dict.fromkeys(rows))
+        pruned = len(uniq) < len(rows)
+        self._facets = self._volume = None
         if prune and len(uniq) > 1:
             eqs, facets = _hull(uniq)
             kept = []
@@ -71,16 +92,24 @@ class VPolytope:
                     kept.append(i)
                 else:
                     pruned = True
-            keep = [uniq[i] for i in kept]
+            uniq = [uniq[i] for i in kept]
             self._facets = eqs, [
                 (a, sum(1 << j for j, i in enumerate(kept) if mask >> i & 1))
                 for a, mask in facets
             ]
-        if pruned:
-            warnings.warn("non-vertex columns pruned from polytope input", stacklevel=2)
-        self.vertices = RatMatrix._of(zip(*keep))
-        self.dim = self.vertices.rows
+        self._den, self._rows, self._vertices = den, uniq, None
+        self.dim = len(uniq[0]) - 1 if uniq else 0
         self.pruned = pruned
+        return pruned
+
+    @property
+    def vertices(self) -> RatMatrix:
+        """The vertices as the columns of a matrix of Fractions, built on
+        first use."""
+        if self._vertices is None:
+            d = self._den
+            self._vertices = RatMatrix._of(zip(*([Fraction(x, d) for x in r[1:]] for r in self._rows)))
+        return self._vertices
 
     def vertex_list(self):
         return self.vertices.columns()
@@ -89,11 +118,32 @@ class VPolytope:
         """`_hull` of the vertices: (equalities, facets), each facet's
         bitmask indexing the vertex columns; computed at most once."""
         if self._facets is None:
-            self._facets = _hull(self.vertex_list())
+            self._facets = _hull(self._rows)
         return self._facets
 
     def __repr__(self):
         return f"VPolytope(dim={self.dim}, vertices={self.vertices.cols})"
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _polytope_cached(matrix) -> VPolytope:
+    p = object.__new__(VPolytope)
+    p._build(matrix, True)
+    return p
+
+
+def _polytope(matrix) -> VPolytope:
+    """`VPolytope(matrix)` of an IntMatrix or RatMatrix, built once per
+    matrix (a bounded cache) and shared by every caller, with its hull and
+    normalized volume; warns on each call, as `VPolytope(matrix)` does,
+    when columns were pruned.  An integral RatMatrix shares the entry of
+    the equal IntMatrix."""
+    if isinstance(matrix, RatMatrix) and matrix.is_integral():
+        matrix = matrix.to_int()
+    p = _polytope_cached(matrix)
+    if p.pruned:
+        warnings.warn(_PRUNED, stacklevel=2)
+    return p
 
 
 @dataclass(frozen=True)
@@ -153,7 +203,8 @@ def _simplices(verts, facets, face, d):
     """Triangulate the d-dimensional face (vertex bitmask) of a polytope
     with facet bitmasks `facets`: cone the face's lex-least vertex over
     the triangulated facets of the face that miss it.  The facets of a
-    face are its inclusion-maximal proper traces face & facet."""
+    face are its inclusion-maximal proper traces face & facet.  `verts`
+    may be the integer rows (D, D*v), which sort like the vertices."""
     idx = _bits(face)
     if len(idx) == d + 1:
         return [idx]
@@ -169,55 +220,60 @@ def _simplices(verts, facets, face, d):
 
 def normalized_volume(p: VPolytope) -> Fraction:
     """n! times the Euclidean volume, exact; an integer for lattice
-    polytopes."""
-    facets = [mask for _, mask in _full_hull(p)]
-    verts = p.vertex_list()
-    lifted = _integral([(1, *v) for v in verts])
-    total = Fraction(0)
-    for s in _simplices(verts, facets, (1 << len(verts)) - 1, p.dim):
-        # det of the rows (1, v_i) is det(v_i - v_0); _integral scales row i by den_i
-        rows = [lifted[i] for i in s]
-        total += Fraction(abs(_det(rows)), math.prod(r[0] for r in rows))
-    return total
+    polytopes.  Computed once per polytope."""
+    if p._volume is None:
+        facets = [mask for _, mask in _full_hull(p)]
+        rows = p._rows
+        # det of the rows (D, D*v_i) is D^(n+1) det(v_i - v_0)
+        total = sum(
+            abs(_det([rows[i] for i in s]))
+            for s in _simplices(rows, facets, (1 << len(rows)) - 1, p.dim)
+        )
+        p._volume = Fraction(total, p._den ** (p.dim + 1))
+    return p._volume
 
 
 def lattice_points(p: VPolytope, strict: bool = False):
     """All lattice points of P (strict=True: interior only), sorted.
 
     Line intervals: each facet <a, x> >= -c becomes the integer row
-    c.denominator * (a, c), the first n-1 coordinates run over the
-    bounding box, and for each such prefix every facet bounds the last
+    c.denominator * (a, c).  The coordinate with the widest bounding box
+    (the last of equally wide ones) is the line; the others run over the
+    bounding box, and for each such prefix every facet bounds the line
     coordinate to an exact integer interval (floor and ceiling by integer
     division, open bounds when strict).  A prefix is dropped at the first
     facet that empties its interval.
     """
     h = facet_enumeration(p)
-    verts = p.vertex_list()
-    box = []
-    for i in range(p.dim):
-        coords = [v[i] for v in verts]
-        box.append((math.ceil(min(coords)), math.floor(max(coords))))
+    d = p._den
+    # ceil(min / D) and floor(max / D) of each coordinate of the rows D * v
+    box = [(-(-min(c) // d), max(c) // d) for c in itertools.islice(zip(*p._rows), 1, None)]
+    k = max(range(p.dim), key=lambda i: (box[i][1] - box[i][0], i))
     rows = []
     for f in h.facets:
         den = f.offset.denominator
-        rows.append(([den * a for a in f.normal[:-1]], den * f.normal[-1], f.offset.numerator))
-    lo_box, hi_box = box.pop()
+        head = [den * a for i, a in enumerate(f.normal) if i != k]
+        rows.append((head, den * f.normal[k], f.offset.numerator))
+    lo_box, hi_box = box.pop(k)
     pts = []
     for prefix in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
         lo, hi = lo_box, hi_box
-        for head, last, c in rows:
-            # last * x_n + s >= 0 (> 0 when strict)
+        for head, line, c in rows:
+            # line * x_k + s >= 0 (> 0 when strict)
             s = c + sum(a * x for a, x in zip(head, prefix))
-            if last > 0:
-                lo = max(lo, (-s) // last + 1 if strict else -(s // last))
-            elif last < 0:
-                hi = min(hi, -(s // last) - 1 if strict else s // -last)
+            if line > 0:
+                lo = max(lo, (-s) // line + 1 if strict else -(s // line))
+            elif line < 0:
+                hi = min(hi, -(s // line) - 1 if strict else s // -line)
             elif s < 0 or (strict and s == 0):
                 hi = lo - 1
             if lo > hi:
                 break
         else:
-            pts.extend(prefix + (x,) for x in range(lo, hi + 1))
+            left, right = prefix[:k], prefix[k:]
+            pts.extend(left + (x,) + right for x in range(lo, hi + 1))
+    if k != p.dim - 1:
+        pts.sort()
     return pts
 
 
@@ -243,9 +299,9 @@ def facet_columns(v: IntMatrix) -> list:
 
     A linear isomorphism S keeps the face lattice, so these are also the
     facets of conv(S*v), on the same column sets."""
-    p = VPolytope(v)
-    column = {c: j for j, c in reversed(list(enumerate(v.columns())))}
-    verts = [column[c] for c in p.vertex_list()]
+    p = _polytope(v)
+    column = {c: j for j, c in reversed(list(enumerate(zip(*v.data))))}
+    verts = [column[row[1:]] for row in p._rows]
     return [tuple(verts[i] for i in _bits(mask)) for _, mask in _full_hull(p)]
 
 

@@ -19,7 +19,13 @@ library's column walk never builds a candidate that fails.  The
 canonical-form oracle runs a full `hnf` on every prefix of its search,
 where the library extends the parent's HNF by one column.  The quotient
 oracle finds the invariant lattice of a subgroup as the projection of a
-saturated kernel, where the library reads it off one row HNF.
+saturated kernel, where the library reads it off one row HNF.  The
+elimination oracle applies every Bareiss update of a full Gauss-Jordan
+pass, where the library skips the updates that cannot change a row and
+takes determinants and ranks from a forward pass; `solve_unique` reads a
+square system's Fraction solution off it.  The line-interval oracle for
+lattice points always takes the last coordinate as the line, where the
+library takes the widest one.
 """
 
 from __future__ import annotations
@@ -32,12 +38,68 @@ from toriq.classify import SubgroupHandle, TorsionMatrix
 from toriq.errors import InvalidFan, OutsideMoving, RankDeficient
 from toriq.fans import FanData, _cone_walls, _complement, is_complete, mov_cone
 from toriq.gale import gale_dual
-from toriq.intmat import FiniteAbelianGroup, IntMatrix, hnf, kernel_basis, rank, solve_unique
+from toriq.intmat import FiniteAbelianGroup, IntMatrix, hnf, kernel_basis, rank
 from toriq.linprog import cone_contains
 from toriq.polytope import VPolytope, facet_enumeration
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def eliminate_every_row(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) that applies every
+    update, (piv*row_i - m[i][c]*row_r) // prev to every row but the
+    pivot row, also where it cannot change the row; returns (m, pivots,
+    d, sign) like `intmat._eliminate`."""
+    m = [list(r) for r in rows]
+    nr = len(m)
+    pivots = []
+    prev, sign = 1, 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == nr:
+            break
+        p = next((i for i in range(r, nr) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        top, piv = m[r], m[r][c]
+        for i in range(nr):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = piv
+        pivots.append(c)
+    return m, pivots, prev, sign
+
+
+def det_by_gauss_jordan(rows) -> int:
+    """Determinant of square integer rows read off the full Gauss-Jordan
+    `eliminate_every_row`."""
+    _, pivots, d, sign = eliminate_every_row(rows)
+    return sign * d if len(pivots) == len(rows) else 0
+
+
+def integral_rows(rows):
+    """Rows of ints or Fractions, each scaled by the lcm of its
+    denominators to ints."""
+    out = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def solve_unique(rows, b):
+    """The unique solution x of rows * x = b (ints or Fractions) as a
+    tuple of Fractions, or None when there is none or more than one."""
+    n = len(rows[0])
+    m, pivots, d, _ = eliminate_every_row(integral_rows([list(r) + [y] for r, y in zip(rows, b)]))
+    if pivots != list(range(n)):
+        return None
+    return tuple(Fraction(m[i][n], d) for i in range(n))
 
 
 def _frac_pivot(tab, basis, row, col):
@@ -155,6 +217,39 @@ def lattice_points_by_box(p: VPolytope, strict: bool = False):
         coords = [v[i] for v in verts]
         ranges.append(range(math.ceil(min(coords)), math.floor(max(coords)) + 1))
     return sorted(c for c in itertools.product(*ranges) if h.contains(c, strict=strict))
+
+
+def lattice_points_last_coordinate(p: VPolytope, strict: bool = False):
+    """Lattice points of P (strict=True: interior only), sorted, by line
+    intervals that always take the last coordinate as the line and run
+    the others over the bounding box."""
+    h = facet_enumeration(p)
+    verts = p.vertex_list()
+    box = []
+    for i in range(p.dim):
+        coords = [v[i] for v in verts]
+        box.append((math.ceil(min(coords)), math.floor(max(coords))))
+    rows = []
+    for f in h.facets:
+        den = f.offset.denominator
+        rows.append(([den * a for a in f.normal[:-1]], den * f.normal[-1], f.offset.numerator))
+    lo_box, hi_box = box.pop()
+    pts = []
+    for prefix in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+        lo, hi = lo_box, hi_box
+        for head, last, c in rows:
+            s = c + sum(a * x for a, x in zip(head, prefix))
+            if last > 0:
+                lo = max(lo, (-s) // last + 1 if strict else -(s // last))
+            elif last < 0:
+                hi = min(hi, -(s // last) - 1 if strict else s // -last)
+            elif s < 0 or (strict and s == 0):
+                hi = lo - 1
+            if lo > hi:
+                break
+        else:
+            pts.extend(prefix + (x,) for x in range(lo, hi + 1))
+    return pts
 
 
 def _interval_length_1d(rows):

@@ -315,6 +315,42 @@ def test_family_work_counts(capsys, monkeypatch):
     assert counts["snf"] <= 1
 
 
+def test_report_hulls_each_point_set_once(monkeypatch):
+    # with every cache empty, one report hulls each sequence of integer
+    # rows (D, D*p) at most once: conv(V), conv(W), conv(Lambda°) and the
+    # polar sides are shared by every caller through one cache
+    import glob
+    import os
+    from collections import Counter
+
+    import toriq
+    from toriq import polytope
+
+    caches = [
+        fn
+        for mod in (toriq.covering, toriq.fans, toriq.gale, toriq.polytope)
+        for fn in vars(mod).values()
+        if hasattr(fn, "cache_clear") and fn.__module__ == mod.__name__
+    ]
+    hulls = Counter()
+    real = polytope._hull
+
+    def counted(rows):
+        hulls[tuple(map(tuple, rows))] += 1
+        return real(rows)
+
+    monkeypatch.setattr(polytope, "_hull", counted)
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+        name = os.path.splitext(os.path.basename(path))[0]
+        if name == "mds_W":
+            continue  # deliberately non-complete
+        for fn in caches:
+            fn.cache_clear()
+        hulls.clear()
+        build_report(*resolve_variety(load_document(path)))
+        assert hulls and max(hulls.values()) == 1, (name, hulls)
+
+
 def test_smith_reduction_limit_is_a_named_error(capsys, monkeypatch):
     # a Smith reduction that runs out of rounds ends in exit 2 with an
     # error object, not a traceback

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import FIXTURES
-from oracles import cell_supports_by_solving, fan_from_point_by_merging, rays_covered
+from oracles import cell_supports_by_solving, fan_from_point_by_merging, rays_covered, solve_unique
 from toriq.errors import InvalidFan, OriginNotInterior, OutOfDomain, OutsideMoving, ToriqError
 from toriq.fans import (
     FanData,
@@ -23,7 +23,7 @@ from toriq.fans import (
     qfano_representative,
 )
 from toriq.gale import gale_dual
-from toriq.intmat import IntMatrix, _det, _maximal_minors, rank, solve_unique
+from toriq.intmat import IntMatrix, _det, _maximal_minors, rank
 
 BLUP_V = IntMatrix([[1, 0, 0, 0, -1, 1], [0, 1, 0, 0, -1, 1], [0, 0, 1, -1, -1, 1]])
 BLUP_Q = IntMatrix([[1, 1, 1, 0, 1, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]])
@@ -391,8 +391,9 @@ def test_square_cone_checks_keep_their_messages():
 
 
 def test_cell_point_work_counts(monkeypatch):
-    # the cells are read off one minors table: solve_unique runs only in
-    # the validation, at most once per maximal cone, where one solve per
+    # the cells are read off one minors table: the exact eliminations run
+    # only in the validation, one square solve of cone_contains and one
+    # closed-form cone facet set per maximal cone, where one solve per
     # 5-subset of the 9 weight columns (126) ran before
     import sys
 
@@ -405,15 +406,18 @@ def test_cell_point_work_counts(monkeypatch):
     rng = random.Random(65)
     w = _combination(rays1, [rng.randint(1, 4) for _ in rays1])
     w += _combination(rays2, [rng.randint(1, 4) for _ in rays2])
-    real, calls = intmat.solve_unique, []
+    # warm the cached moving cone and Gale dual: their work is not the cell's
+    mov_cone(q).contains(w)
+    gale_dual(q)
+    real, calls = intmat._eliminate, []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("toriq") and getattr(mod, "solve_unique", None) is real:
-            monkeypatch.setattr(mod, "solve_unique", counted)
+        if name.startswith("toriq") and getattr(mod, "_eliminate", None) is real:
+            monkeypatch.setattr(mod, "_eliminate", counted)
     fan = fan_from_point(q, w)
     assert len(fan.max_cones) > 1
-    assert len(calls) <= len(fan.max_cones)
+    assert len(calls) <= 2 * len(fan.max_cones)

@@ -353,7 +353,7 @@ def test_library_caches_are_bounded():
         for fn in vars(mod).values()
         if hasattr(fn, "cache_parameters") and fn.__module__ == mod.__name__
     ]
-    assert len(cached) == 7
+    assert len(cached) == 8
     assert all(fn.cache_parameters()["maxsize"] == CACHE_SIZE for fn in cached)
     gale_dual.cache_clear()
     for k in range(CACHE_SIZE + 10):

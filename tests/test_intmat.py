@@ -1,15 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
 
+from oracles import det_by_gauss_jordan, eliminate_every_row, integral_rows, solve_unique
 from toriq.errors import NonIntegerQuotient, NotSquare, RankDeficient
 from toriq.intmat import (
     FiniteAbelianGroup,
     IntMatrix,
     _det,
-    _integral,
+    _eliminate,
     cokernel,
     hnf,
     kernel_basis,
@@ -20,7 +22,6 @@ from toriq.intmat import (
     smith_diagonal,
     snf,
     solve_integer,
-    solve_unique,
     unimodular_inverse,
 )
 
@@ -271,13 +272,13 @@ def test_elimination_core_randomized():
             rational = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in a]
         else:
             rational = a
-        r = snf_rank(_integral(rational))
+        r = snf_rank(integral_rows(rational))
         if nr == nc:
             assert IntMatrix(a).det() == expand(a)
             # a rational row is scaled by the lcm of its denominators
             dens = [lcm(*(Fraction(x).denominator for x in row)) for row in rational]
-            assert Fraction(_det(_integral(rational)), prod(dens)) == expand(rational)
-        kernel = primitive_kernel(_integral(rational))
+            assert Fraction(_det(integral_rows(rational)), prod(dens)) == expand(rational)
+        kernel = primitive_kernel(integral_rows(rational))
         assert len(kernel) == nc - r
         for k in kernel:
             assert gcd(*k) == 1
@@ -289,12 +290,63 @@ def test_elimination_core_randomized():
         if trial % 2:
             b[-1] += 1  # inconsistent unless the last row is independent
         sol = solve_unique(rational, b)
-        consistent = snf_rank(_integral([list(row) + [y] for row, y in zip(rational, b)])) == r
+        consistent = snf_rank(integral_rows([list(row) + [y] for row, y in zip(rational, b)])) == r
         assert (sol is not None) == (r == nc and consistent)
         if sol is not None:
             assert all(sum(x * y for x, y in zip(row, sol)) == y for row, y in zip(rational, b))
             if not trial % 2:
                 assert sol == tuple(x0)
+
+
+def sparse_rows(rng, nr, nc):
+    """nr x nc rows with entries in [-4, 4], each nonzero with a seeded
+    probability between 0.1 and 1, so zero rows and columns, rank
+    deficiency and unit and non-unit pivots all occur."""
+    density = rng.uniform(0.1, 1)
+    return [
+        [rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)) if rng.random() < density else 0 for _ in range(nc)]
+        for _ in range(nr)
+    ]
+
+
+def test_skipped_updates_match_full_gauss_jordan():
+    # the elimination that skips the updates that cannot change a row, and
+    # the forward pass behind det and rank, give exactly what applying
+    # every update gives
+    rng = random.Random(13)
+    seen = Counter()
+    for _ in range(20000):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 8)
+        rows = sparse_rows(rng, nr, nc)
+        want = eliminate_every_row(rows)
+        assert _eliminate(rows) == want, rows
+        assert rank(IntMatrix(rows)) == len(want[1]), rows
+        k = min(nr, nc)
+        block = [row[:k] for row in rows[:k]]
+        assert _det(block) == det_by_gauss_jordan(block), block
+        seen["zero row"] += not all(map(any, rows))
+        seen["zero column"] += not all(map(any, zip(*rows)))
+        seen["rank deficient"] += len(want[1]) < k
+        seen["unit d" if abs(want[2]) == 1 else "non-unit d"] += 1
+        seen["singular block"] += not _det(block)
+    assert min(seen.values()) >= 1000 and len(seen) == 6, seen
+    assert _det([]) == 1 and rank(IntMatrix([])) == 0
+
+
+def test_det_and_rank_run_no_gauss_jordan(monkeypatch):
+    # det and rank take the forward pass only: no call of _eliminate
+    from toriq import intmat
+
+    def refuse(rows):
+        raise AssertionError("Gauss-Jordan elimination in a det or rank")
+
+    monkeypatch.setattr(intmat, "_eliminate", refuse)
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        m = IntMatrix(sparse_rows(rng, n, n)) if n else IntMatrix([])
+        assert m.det() == det_by_gauss_jordan(m.data)
+        assert rank(m) == len(eliminate_every_row(m.data)[1])
 
 
 def test_solve_integer():

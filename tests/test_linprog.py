@@ -127,3 +127,40 @@ def test_simplicial_facets_match_double_description():
             seen["singular"] += 1
             seen["singular with facets"] += bool(got[1])
     assert seen["singular with facets"] >= 100, seen
+
+
+def test_square_cone_contains_matches_fraction_simplex():
+    # n generators in Q^n: a nonsingular G is decided by the signs of one
+    # elimination of [G | w], a singular one by its facets; both against
+    # the Fraction simplex, with w inside, on a facet and outside
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(N_SYSTEMS):
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
+        if rng.random() < 0.25:
+            if n > 1:
+                a, b = rng.sample(range(n), 2)
+                s = rng.choice((-2, -1, 1, 2))
+                gens[b] = tuple(s * x for x in gens[a])
+            else:
+                gens[0] = (0,)
+        draw = rng.random()
+        if draw < 0.6:
+            # a nonnegative combination; a zero coefficient puts w on a facet
+            coef = [rng.choice((0, 1, 2, 3)) for _ in gens]
+            w = tuple(sum(c * g[i] for c, g in zip(coef, gens)) for i in range(n))
+        else:
+            w = tuple(rng.randint(-4, 4) for _ in range(n))
+        a = [[g[i] for g in gens] for i in range(n)]
+        closed = lp_max_by_fractions([0] * n, a, w)[0] == "optimal"
+        strict = strict_solution_by_fractions(a, w) is not None
+        assert cone_contains(gens, w) == closed, (gens, w)
+        assert cone_contains(gens, w, strict=True) == strict, (gens, w)
+        singular = not _det(gens)
+        seen["singular" if singular else "nonsingular"] += 1
+        seen["interior"] += strict
+        seen["on a facet"] += closed and not strict and any(w)
+        seen["outside"] += not closed
+        seen["singular, inside"] += singular and closed
+    assert min(seen.values()) >= 100 and len(seen) == 6, seen

@@ -1,11 +1,16 @@
+import glob
 import itertools
+import os
 import random
 import warnings
 from fractions import Fraction
 
+from collections import Counter
+
 import pytest
 
-from oracles import lattice_points_by_box, slab_volume
+from conftest import FIXTURES
+from oracles import lattice_points_by_box, lattice_points_last_coordinate, slab_volume
 from toriq.errors import NotFullDimensional, OriginNotInterior
 from toriq.fans import FanData
 from toriq.intmat import IntMatrix, RatMatrix
@@ -148,6 +153,103 @@ def test_lattice_points_match_box_scan():
     for p in polytopes:
         for strict in (False, True):
             assert lattice_points(p, strict) == lattice_points_by_box(p, strict)
+
+
+def test_rational_volume_against_slab_oracle():
+    # rational points with denominators 1-6: the determinants of the
+    # integer rows (D, D*v), divided once by D^(n+1), against slab
+    # integration
+    rng = random.Random(31)
+    checked = Counter()
+    while sum(checked.values()) < 300:
+        n, top = rng.randint(2, 3), rng.randint(1, 6)
+        cols = [
+            [Fraction(rng.randint(-4, 4), den) for _ in range(n)]
+            for den in (rng.randint(1, top) for _ in range(rng.randint(n + 1, n + 3)))
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = VPolytope(RatMatrix.from_columns(cols))
+        try:
+            facet_enumeration(p)
+        except NotFullDimensional:
+            continue
+        assert normalized_volume(p) == slab_volume(p), cols
+        checked[p.dim, p.vertices.denominator_lcm() > 1] += 1
+    assert min(checked.values()) >= 20 and len(checked) == 4, checked
+
+
+def _block_diag(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    return IntMatrix(
+        [row + (0,) * b.cols for row in a.data] + [(0,) * a.cols + row for row in b.data]
+    )
+
+
+def _gl_variant(rng, v: IntMatrix) -> IntMatrix:
+    """U * v with U a signed coordinate permutation times one shear, and
+    the columns permuted."""
+    n = v.rows
+    perm = rng.sample(range(n), n)
+    u = [[rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    if n >= 2:
+        i, j = rng.sample(range(n), 2)
+        u[i] = [a + rng.choice((-1, 1)) * b for a, b in zip(u[i], u[j])]
+    moved = IntMatrix(u) * v
+    return moved.cols_at(rng.sample(range(v.cols), v.cols))
+
+
+def test_widest_line_matches_last_coordinate_line():
+    # the widest coordinate as the line gives the same sorted points as
+    # the last coordinate, on GL x permutation variants of the fixture
+    # polytopes, of 40 of the products of two fixture surfaces, and of
+    # their polars
+    from toriq.cli import load_document, resolve_variety
+
+    fans = [resolve_variety(load_document(p))[0] for p in sorted(glob.glob(os.path.join(FIXTURES, "*.json")))]
+    surfaces = [v for v in fans if v.rows == 2]
+    rng = random.Random(37)
+    pairs = rng.sample(list(itertools.combinations(surfaces, 2)), 40)
+    bases = fans + [_block_diag(a, b) for a, b in pairs]
+    checked = Counter()
+    for base in bases:
+        for _ in range(2):
+            v = _gl_variant(rng, base)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                polytopes = [VPolytope(v)]
+            try:
+                polytopes.append(polar_dual(polytopes[0]))
+            except OriginNotInterior:
+                pass
+            for p in polytopes:
+                for strict in (False, True):
+                    assert lattice_points(p, strict) == lattice_points_last_coordinate(p, strict), v
+                checked[p.dim, p.vertices.is_integral()] += 1
+    assert sum(checked.values()) >= 200 and len(checked) >= 4, checked
+
+
+def test_widest_line_prefix_count(monkeypatch):
+    # conv(V) of bauerle x dim2_r1_1 in block order has a 17 x 29 x 3 x 3
+    # box: the last coordinate as the line scans 17 * 29 * 3 = 1,479
+    # prefixes, the widest (29) 17 * 3 * 3 = 153
+    import oracles
+    import toriq.polytope as polytope
+
+    p = VPolytope(_block_diag(BAUERLE_V, IntMatrix([[1, 0, -1], [0, 1, -1]])))
+    counts = Counter()
+    product = itertools.product
+
+    def counted(*ranges):
+        for prefix in product(*ranges):
+            counts["prefixes"] += 1
+            yield prefix
+
+    monkeypatch.setattr(polytope.itertools, "product", counted)
+    assert oracles.itertools is polytope.itertools
+    want = lattice_points_last_coordinate(p)
+    assert counts.pop("prefixes") == 1479
+    assert lattice_points(p) == want
+    assert counts.pop("prefixes") == 153
 
 
 def test_interior_lattice_points():
