@@ -30,7 +30,7 @@ from .fans import (
 )
 from .gale import classify_matrix, gale_dual
 from .intmat import IntMatrix, kernel_basis, smith_diagonal
-from .polytope import _polytope, fmatrix_index, normalized_volume, polar_vertex_matrix
+from .polytope import VPolytope, fmatrix_index, normalized_volume, polar_vertex_matrix
 
 _SAFE = 1 << 53
 
@@ -319,7 +319,7 @@ def cmd_polar(args) -> int:
 
 def cmd_volume(args) -> int:
     doc = load_document(args.path)
-    vol = normalized_volume(_polytope(doc["matrix"]))
+    vol = normalized_volume(VPolytope(doc["matrix"]))
     emit({"normalized_volume": vol})
     return 0
 

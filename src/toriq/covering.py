@@ -111,9 +111,9 @@ class CoveringData:
 
     @functools.cached_property
     def fan_polytope(self) -> VPolytope:
-        """conv(V), built once per fan matrix (`_polytope`); it
-        keeps its normalized volume, which the certificates and the report
-        both read."""
+        """conv(V), built once per point set (`_polytope`); it keeps its
+        normalized volume, which the certificates and the report both
+        read."""
         return _polytope(self.V)
 
     @functools.cached_property
@@ -184,13 +184,13 @@ def weight_modulus(q: IntMatrix) -> int:
     # cone over a triangulation of every facet of the hull; the identities
     # hold when every column is a vertex, and the simplices only ever use
     # vertices (the first column equal to each)
-    verts = p._rows
-    column = {c: j for j, c in reversed(list(enumerate(zip(*w.data))))}
+    verts = p.vertex_list()
+    column = {c: j for j, c in reversed(list(enumerate(w.columns())))}
     facets = [mask for _, mask in p.hull()[1]]
     minor_sum = 0
     for f in facets:
         for g in _simplices(verts, facets, f, w.rows - 1):
-            comp = _complement([column[verts[i][1:]] for i in g], m)
+            comp = _complement([column[verts[i]] for i in g], m)
             minor_sum += abs(q.cols_at(list(comp)).det())
     assert minor_sum == vol, (minor_sum, vol)
     return int(vol)

@@ -134,12 +134,17 @@ def cone_contains(generators, w, strict: bool = False) -> bool:
     A square system G x = w with G nonsingular (a simplicial cone in its
     own span) is decided by one elimination of [G | w]: it leaves
     d * G^-1 w in the last column, so x_i has the sign of m[i][n] * d.
+    A rational w is first scaled by the lcm of its denominators, which
+    keeps membership and strictness and keeps the elimination integral.
     """
     w = tuple(w)
     if not generators:
         return not any(w)
     n = len(w)
     if len(generators) == n:
+        den = math.lcm(*(x.denominator for x in w))
+        if den != 1:
+            w = tuple(x.numerator * (den // x.denominator) for x in w)
         m, pivots, d, _ = _eliminate([[g[i] for g in generators] + [w[i]] for i in range(n)])
         if pivots == list(range(n)):
             signs = [m[i][n] * d for i in range(n)]

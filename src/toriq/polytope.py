@@ -13,10 +13,11 @@ intersections are all read off those incidences; volumes are
 determinants of the integer rows, divided once by a power of D.
 
 The library builds the polytope of a matrix in one place, `_polytope`, a
-bounded cache keyed by the matrix: each point set of a report (conv(V),
-conv(W) and conv(Lambda°), the polar sides behind the degrees) is hulled
-once, whichever of the face fan, the Gorenstein index, the weight modulus
-and the covering bundle asks first.
+bounded cache keyed by the sorted distinct columns: each point set of a
+report (conv(V), conv(W) and conv(Lambda°), the polar sides behind the
+degrees) is hulled once, in whichever column order the face fan, the
+Gorenstein index, the weight modulus or the covering bundle asks first,
+and its callers map vertices back to their columns by value.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ def _bits(mask) -> tuple:
 
 def _hull(rows):
     """(equalities, facets) of the cone over the integer rows (D, D*p) of
-    points p: a facet normal (c, a) is the facet <a, x> >= -c/D of
-    conv(points), so the primitive normal is the same for every D > 0."""
+    points p: a facet normal (c, a) is the facet <a, x> >= -c of
+    conv(points), whatever D > 0 is."""
     return _cone_facets(rows, len(rows[0]))
 
 
@@ -71,11 +72,6 @@ class VPolytope:
     __slots__ = ("dim", "pruned", "_den", "_rows", "_vertices", "_facets", "_volume")
 
     def __init__(self, matrix, prune: bool = True):
-        if self._build(matrix, prune):
-            warnings.warn(_PRUNED, stacklevel=2)
-
-    def _build(self, matrix, prune: bool) -> bool:
-        """Fill the slots from the matrix's columns; returns `pruned`."""
         den, rows = _lifted_rows(matrix)
         uniq = list(dict.fromkeys(rows))
         pruned = len(uniq) < len(rows)
@@ -100,7 +96,8 @@ class VPolytope:
         self._den, self._rows, self._vertices = den, uniq, None
         self.dim = len(uniq[0]) - 1 if uniq else 0
         self.pruned = pruned
-        return pruned
+        if pruned:
+            warnings.warn(_PRUNED, stacklevel=2)
 
     @property
     def vertices(self) -> RatMatrix:
@@ -127,21 +124,24 @@ class VPolytope:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _polytope_cached(matrix) -> VPolytope:
-    p = object.__new__(VPolytope)
-    p._build(matrix, True)
-    return p
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return VPolytope(matrix)
 
 
 def _polytope(matrix) -> VPolytope:
-    """`VPolytope(matrix)` of an IntMatrix or RatMatrix, built once per
-    matrix (a bounded cache) and shared by every caller, with its hull and
-    normalized volume; warns on each call, as `VPolytope(matrix)` does,
-    when columns were pruned.  An integral RatMatrix shares the entry of
-    the equal IntMatrix."""
+    """The polytope of the point set of the columns of an IntMatrix or
+    RatMatrix, built once per point set (a bounded cache keyed by the
+    sorted distinct columns) and shared by every caller with its hull and
+    normalized volume.  Its vertices come in sorted order, not in the
+    matrix's column order, so callers map them to columns by value.
+    Warns on each call, as `VPolytope(matrix)` does, when some column is
+    not a vertex (or repeats one).  An integral RatMatrix shares the
+    entry of the equal IntMatrix."""
     if isinstance(matrix, RatMatrix) and matrix.is_integral():
         matrix = matrix.to_int()
-    p = _polytope_cached(matrix)
-    if p.pruned:
+    p = _polytope_cached(matrix._of(zip(*sorted(set(matrix.columns())))))
+    if len(p._rows) < matrix.cols:
         warnings.warn(_PRUNED, stacklevel=2)
     return p
 

@@ -316,9 +316,10 @@ def test_family_work_counts(capsys, monkeypatch):
 
 
 def test_report_hulls_each_point_set_once(monkeypatch):
-    # with every cache empty, one report hulls each sequence of integer
-    # rows (D, D*p) at most once: conv(V), conv(W), conv(Lambda°) and the
-    # polar sides are shared by every caller through one cache
+    # with every cache empty, one report hulls each set of integer rows
+    # (D, D*p) at most once, in whatever column order it is asked for:
+    # conv(V), conv(W), conv(Lambda°) and the polar sides are shared by
+    # every caller through one cache
     import glob
     import os
     from collections import Counter
@@ -336,7 +337,7 @@ def test_report_hulls_each_point_set_once(monkeypatch):
     real = polytope._hull
 
     def counted(rows):
-        hulls[tuple(map(tuple, rows))] += 1
+        hulls[frozenset(map(tuple, rows))] += 1
         return real(rows)
 
     monkeypatch.setattr(polytope, "_hull", counted)

@@ -5,6 +5,7 @@ systems."""
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 from oracles import (
     lp_max_by_fractions,
@@ -132,7 +133,8 @@ def test_simplicial_facets_match_double_description():
 def test_square_cone_contains_matches_fraction_simplex():
     # n generators in Q^n: a nonsingular G is decided by the signs of one
     # elimination of [G | w], a singular one by its facets; both against
-    # the Fraction simplex, with w inside, on a facet and outside
+    # the Fraction simplex, with w inside, on a facet and outside, and
+    # with integer and rational w
     rng = random.Random(23)
     seen = Counter()
     for _ in range(N_SYSTEMS):
@@ -152,6 +154,11 @@ def test_square_cone_contains_matches_fraction_simplex():
             w = tuple(sum(c * g[i] for c, g in zip(coef, gens)) for i in range(n))
         else:
             w = tuple(rng.randint(-4, 4) for _ in range(n))
+        if rng.random() < 0.3:
+            # a rational w: one denominator per coordinate moves it in or
+            # out of the cone, and the elimination must stay exact
+            w = tuple(Fraction(x, rng.randint(1, 6)) for x in w)
+            seen["rational"] += any(x.denominator > 1 for x in w)
         a = [[g[i] for g in gens] for i in range(n)]
         closed = lp_max_by_fractions([0] * n, a, w)[0] == "optimal"
         strict = strict_solution_by_fractions(a, w) is not None
@@ -163,4 +170,7 @@ def test_square_cone_contains_matches_fraction_simplex():
         seen["on a facet"] += closed and not strict and any(w)
         seen["outside"] += not closed
         seen["singular, inside"] += singular and closed
-    assert min(seen.values()) >= 100 and len(seen) == 6, seen
+    assert min(seen.values()) >= 100 and len(seen) == 7, seen
+    # x = (-1/4, 1/4): outside, though floor division would round it in
+    assert not cone_contains([(-1, 1), (1, 1)], (Fraction(1, 2), 0))
+    assert cone_contains([(-1, 1), (1, 1)], (0, Fraction(1, 2)), strict=True)
