@@ -303,12 +303,12 @@ def cmd_gale(args) -> int:
 def cmd_polar(args) -> int:
     doc = load_document(args.path)
     v, fan = resolve_variety(doc)
-    vpolar = polar_vertex_matrix(v, fan)
+    vpolar, d = polar_vertex_matrix(v, fan)
     k = fmatrix_index(v)
     cd = analyze(v, fan)
     emit(
         {
-            "polar_vertices": [[x for x in row] for row in vpolar.data],
+            "polar_vertices": [[Fraction(x, d) for x in row] for row in vpolar.data],
             "k": k,
             "polar_weight": _rows(cd.Qpolar),
             "degree_scaled": cd.degree_scaled,

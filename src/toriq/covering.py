@@ -4,10 +4,15 @@ degrees, bundled per variety into a CoveringData value, the one source
 of these invariants.
 
 The whole chain lives on one column index space: V, Q = G(V) and
-W = G(Q) share m columns; the polar side V°, Q° = G(kV°) and
+W = G(Q) share m columns; the polar side kV°, Q° = G(kV°) and
 Λ° = G(Q°) share the m° columns indexed by the fan's maximal cones.
 That alignment is what makes every quotient equation (V = B·W,
 kV° = C·Λ°, k̂W° = Aᵀ·Λ°) hold literally, not just up to permutation.
+
+The polar sides are kept in integer coordinates, as the lattice
+polytopes k·P° of the paper: `Vpolar` is kV°, `Wpolar` is k̂W° and
+`Lambda` is k̂Λ = A·W.  Their integrality is checked where they are
+built, by exact division.
 """
 
 from __future__ import annotations
@@ -16,14 +21,13 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidFan, NonIntegralFactor, NotReflexive
+from .errors import InvalidFan, NonIntegerQuotient, NonIntegralFactor, NotReflexive
 from .fans import FanData, _anticanonical, _complement, fan_from_point, is_complete
 from .gale import _fan_conditions, gale_dual
 from .intmat import (
     CACHE_SIZE,
     FiniteAbelianGroup,
     IntMatrix,
-    RatMatrix,
     cokernel,
     lattice_index,
     quotient_matrix,
@@ -41,7 +45,10 @@ from .polytope import (
 
 @dataclass(frozen=True)
 class CoveringData:
-    """All covering/polar invariants of one complete toric variety."""
+    """All covering/polar invariants of one complete toric variety.
+
+    The polar fields are scaled to lattice points: Vpolar = k·V°,
+    Wpolar = k̂·W° and Lambda = k̂·Λ = A·W."""
 
     V: IntMatrix
     fan: FanData
@@ -50,11 +57,11 @@ class CoveringData:
     B: IntMatrix
     G: FiniteAbelianGroup
     Q: IntMatrix
-    Vpolar: RatMatrix
-    Wpolar: RatMatrix
+    Vpolar: IntMatrix
+    Wpolar: IntMatrix
     Qpolar: IntMatrix
     LambdaPolar: IntMatrix
-    Lambda: RatMatrix
+    Lambda: IntMatrix
     A: IntMatrix
     C: IntMatrix
     k: int
@@ -117,36 +124,31 @@ class CoveringData:
         return _polytope(self.V)
 
     @functools.cached_property
+    def degree_scaled(self) -> int:
+        """n! Vol of the lattice polytope k·P°."""
+        return int(normalized_volume(_polytope(self.Vpolar)))
+
+    @property
     def degree(self) -> Fraction:
         """Anticanonical self-intersection, n! Vol of the polar polytope."""
-        return normalized_volume(_polytope(self.Vpolar))
-
-    @property
-    def degree_scaled(self) -> int:
-        d = self.k ** self.n * self.degree
-        assert d.denominator == 1
-        return int(d)
+        return Fraction(self.degree_scaled, self.k ** self.n)
 
     @functools.cached_property
-    def cover_degree(self) -> Fraction:
-        return normalized_volume(_polytope(self.Wpolar))
+    def cover_degree_scaled(self) -> int:
+        return int(normalized_volume(_polytope(self.Wpolar)))
 
     @property
-    def cover_degree_scaled(self) -> int:
-        d = self.k_hat ** self.n * self.cover_degree
-        assert d.denominator == 1
-        return int(d)
+    def cover_degree(self) -> Fraction:
+        return Fraction(self.cover_degree_scaled, self.k_hat ** self.n)
 
     @property
     def cover_degree_scaled_k(self) -> int:
-        d = self.k ** self.n * self.cover_degree
-        assert d.denominator == 1
-        return int(d)
+        return self.h ** self.n * self.cover_degree_scaled
 
     @functools.cached_property
     def dual_cover_degree(self) -> Fraction:
         """n! Vol of conv(Λ), Λ the polar of the dual covering's polytope."""
-        return normalized_volume(_polytope(self.Lambda))
+        return normalized_volume(_polytope(self.Lambda, self.k_hat))
 
 
 def universal_cover(v: IntMatrix, fan: FanData):
@@ -196,12 +198,15 @@ def weight_modulus(q: IntMatrix) -> int:
     return int(vol)
 
 
-def _dedup_columns(mat: RatMatrix) -> RatMatrix:
-    seen = []
-    for c in mat.columns():
-        if c not in seen:
-            seen.append(c)
-    return RatMatrix._of(zip(*seen))
+def _lattice_polar(v: IntMatrix, fan: FanData, k: int) -> IntMatrix:
+    """k times the polar points of the cones of `fan`, first of equal
+    columns kept; raises NonIntegerQuotient unless they are lattice
+    points."""
+    p, d = polar_vertex_matrix(v, fan)
+    # gcd(d, P) = 1, so k*P/d is integral exactly when d divides k
+    if k % d:
+        raise NonIntegerQuotient(f"{k} times the polar points are not integral (denominator {d})")
+    return IntMatrix._of(zip(*dict.fromkeys(p.columns()))) * (k // d)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -222,22 +227,22 @@ def analyze(v: IntMatrix, fan: FanData) -> CoveringData:
         raise NonIntegralFactor(f"covering index {k_hat} does not divide index {k}")
     h = k // k_hat
 
-    vpolar = _dedup_columns(polar_vertex_matrix(v, fan))
-    wpolar = _dedup_columns(polar_vertex_matrix(w, fan_cover))
-    assert (b.t().to_rat() * vpolar) == wpolar, "polar quotient relation failed"
+    vpolar = _lattice_polar(v, fan, k)
+    wpolar = _lattice_polar(w, fan_cover, k_hat)
+    assert b.t() * vpolar == wpolar * h, "polar quotient relation failed"
 
-    qpolar = gale_dual(vpolar.scale(k).to_int())
-    assert gale_dual(vpolar.scale(2 * k).to_int()) == qpolar
+    qpolar = gale_dual(vpolar)
+    assert gale_dual(vpolar * 2) == qpolar
     lambda_polar = gale_dual(qpolar)
     # the checks of fmatrix_index(lambda_polar), on the one hull of conv(lambda_polar)
     assert all(_fan_conditions(lambda_polar)), "dual covering matrix is not a fan matrix"
     lam_from_polar = polar_dual(_polytope(lambda_polar))
-    assert lam_from_polar.vertices.denominator_lcm() == k_hat, "dual covering index mismatch"
+    assert lam_from_polar.den == k_hat, "dual covering index mismatch"
 
-    a_t = quotient_matrix(wpolar.scale(k_hat).to_int(), lambda_polar)
+    a_t = quotient_matrix(wpolar, lambda_polar)
     a = a_t.t()
-    c = quotient_matrix(vpolar.scale(k).to_int(), lambda_polar)
-    lam = (a.to_rat() * w.to_rat()).scale(Fraction(1, k_hat))
+    c = quotient_matrix(vpolar, lambda_polar)
+    lam = a * w
     assert set(lam.columns()) == set(lam_from_polar.vertices.columns()), (
         "polar-of-polar disagrees with the quotient construction"
     )

@@ -1,7 +1,7 @@
-"""Exact dense matrices over Z and Q, with the integer normal forms
-(Smith, Hermite), kernels, cokernels and the matrix-division operation
-that every quotient construction in the library is built on.  Null
-space, inverse, quotients and the cone predicates share one fraction-free
+"""Exact dense integer matrices, with the integer normal forms (Smith,
+Hermite), kernels, cokernels and the matrix-division operation that
+every quotient construction in the library is built on.  Null space,
+inverse, quotients and the cone predicates share one fraction-free
 Gauss-Jordan elimination (`_eliminate`); determinant and rank take its
 forward half only (`_forward`).  Both pay only for entries that change:
 Bareiss's update (piv*x - f*y) // prev divides exactly by Sylvester's
@@ -18,17 +18,17 @@ reads the kernel off it, `smith_diagonal` (behind `cokernel` and
 and the full `snf`, with both transforms, serves only callers that read
 a transform (`solve_integer`, the torsion matrix of `classify`).
 
-All entries are Python ints / Fractions, so nothing ever overflows. The
-matrices are immutable; every operation returns a fresh value.
+All entries are Python ints, so nothing ever overflows.  A rational point
+set is an IntMatrix of numerators over one common denominator (see
+`polytope`).  The matrices are immutable; every operation returns a fresh
+value.
 
 Entries are checked once, where they enter the library.  The public
 `IntMatrix(...)` and `IntMatrix.from_columns` reject a float, a bool, a
 string, a non-integral Fraction and ragged rows with ValueError (an
-integral Fraction becomes an int); the public `RatMatrix(...)` passes
-every entry through `Fraction` and rejects ragged rows.  Every matrix the
-library derives from checked data (products, transposes, stacks, normal
-forms, kernels, quotients) is built by the trusted `_of`, which stores
-the rows as given.
+integral Fraction becomes an int).  Every matrix the library derives
+from checked data (products, transposes, stacks, normal forms, kernels,
+quotients) is built by the trusted `_of`, which stores the rows as given.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .errors import NonIntegerQuotient, NotConverged, NotSquare, RankDeficient
 
@@ -186,15 +186,22 @@ def primitive_kernel(rows) -> list:
     return basis
 
 
-class _Matrix:
-    """Row-major storage and the access shared by IntMatrix and RatMatrix."""
+class IntMatrix:
+    """Immutable integer matrix stored row-major."""
 
     __slots__ = ("rows", "cols", "data")
 
+    def __init__(self, data):
+        rows = tuple(tuple(_as_int(x) for x in row) for row in data)
+        if rows and any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("ragged rows")
+        self.data = rows
+        self.rows = len(rows)
+        self.cols = len(rows[0]) if rows else 0
+
     @classmethod
     def _of(cls, rows):
-        """Trusted build from equal-length rows of checked entries (ints
-        for IntMatrix, Fractions for RatMatrix), stored as given."""
+        """Trusted build from equal-length rows of ints, stored as given."""
         m = object.__new__(cls)
         m.data = data = tuple(map(tuple, rows))
         m.rows = len(data)
@@ -207,6 +214,12 @@ class _Matrix:
         if any(len(c) != len(cols[0]) for c in cols):
             raise ValueError("ragged columns")
         return cls([[c[i] for c in cols] for i in range(len(cols[0]))] if cols else [])
+
+    @staticmethod
+    def identity(n: int) -> "IntMatrix":
+        return IntMatrix._of([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    # -- access -----------------------------------------------------------------
 
     def __getitem__(self, ij):
         i, j = ij
@@ -229,27 +242,6 @@ class _Matrix:
 
     def t(self):
         return self._of(zip(*self.data))
-
-    def __hash__(self):
-        return hash(self.data)
-
-
-class IntMatrix(_Matrix):
-    """Immutable integer matrix stored row-major."""
-
-    __slots__ = ()
-
-    def __init__(self, data):
-        rows = tuple(tuple(_as_int(x) for x in row) for row in data)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged rows")
-        self.data = rows
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix._of([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     # -- algebra ----------------------------------------------------------------
 
@@ -299,86 +291,16 @@ class IntMatrix(_Matrix):
             raise NotSquare(f"{self.rows}x{self.cols} matrix has no determinant")
         return _det(self.data)
 
-    def to_rat(self) -> "RatMatrix":
-        return RatMatrix._of([[Fraction(x) for x in r] for r in self.data])
-
     # -- dunder plumbing ---------------------------------------------------------
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.data == other.data
 
-    __hash__ = _Matrix.__hash__
+    def __hash__(self):
+        return hash(self.data)
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]})"
-
-
-class RatMatrix(_Matrix):
-    """Immutable matrix over exact rationals (Fractions in lowest terms)."""
-
-    __slots__ = ()
-
-    def __init__(self, data):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in data)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged rows")
-        self.data = rows
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
-
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return IntMatrix.identity(n).to_rat()
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatMatrix._of([[x * other for x in r] for r in self.data])
-        if isinstance(other, (RatMatrix, IntMatrix)):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
-            ot = list(zip(*other.data))
-            zero = Fraction(0)
-            return RatMatrix._of(
-                [[sum((a * b for a, b in zip(r, c)), zero) for c in ot] for r in self.data]
-            )
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        if isinstance(other, IntMatrix):
-            return other.to_rat() * self
-        return NotImplemented
-
-    def __sub__(self, other):
-        return RatMatrix._of([[a - b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)])
-
-    def mul_vec(self, v):
-        return tuple(sum(a * b for a, b in zip(r, v)) for r in self.data)
-
-    def scale(self, s) -> "RatMatrix":
-        return self * s
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for r in self.data for x in r)
-
-    def to_int(self) -> IntMatrix:
-        if not self.is_integral():
-            raise NonIntegerQuotient("matrix has non-integer entries")
-        return IntMatrix._of([[x.numerator for x in r] for r in self.data])
-
-    def denominator_lcm(self) -> int:
-        return lcm(*(x.denominator for r in self.data for x in r)) if self.rows else 1
-
-    def __eq__(self, other):
-        if isinstance(other, IntMatrix):
-            other = other.to_rat()
-        return isinstance(other, RatMatrix) and self.data == other.data
-
-    __hash__ = _Matrix.__hash__
-
-    def __repr__(self):
-        return f"RatMatrix({[[str(x) for x in r] for r in self.data]})"
 
 
 @dataclass(frozen=True)
@@ -659,21 +581,21 @@ def lattice_index(a: IntMatrix) -> int:
 
 def quotient_matrix(v: IntMatrix, w: IntMatrix) -> IntMatrix:
     """Unique integer B with v = B*w (division of one matrix by another
-    spanning a finer row lattice), solved as B = v_J * w_J^-1 on the
-    pivot columns J of w.
+    spanning a finer row lattice), solved as w^T B^T = v^T by one
+    elimination of the rows [w_j^T | v_j^T] over all columns j.
 
     Raises RankDeficient if w has rank < rows, NonIntegerQuotient if the
-    rational solution is not integral.
+    rational solution is not integral or does not exist.
     """
     if v.rows != w.rows or v.cols != w.cols:
         raise ValueError("shape mismatch")
     n = w.rows
-    pivots = _eliminate(w.data)[1]
-    if len(pivots) < n:
+    m, pivots, d, _ = _eliminate([w.col(j) + v.col(j) for j in range(w.cols)])
+    if pivots[:n] != list(range(n)):
         raise RankDeficient("divisor matrix is rank deficient")
-    # w_J^T B^T = v_J^T: one row per pivot column j
-    m, _, d, _ = _eliminate([w.col(j) + v.col(j) for j in pivots])
-    if any(x % d for r in m for x in r[n:]):
+    if len(pivots) > n:
+        raise NonIntegerQuotient("rows of dividend outside the row span of divisor")
+    if any(x % d for r in m[:n] for x in r[n:]):
         raise NonIntegerQuotient("quotient has non-integer entries")
     bi = IntMatrix._of([[m[j][n + i] // d for j in range(n)] for i in range(n)])
     if bi * w != v:

@@ -2,15 +2,17 @@
 lattice points, normalized volume, reflexivity and the Gorenstein index of
 a fan matrix.
 
-Every hull goes through the one exact double description of `linprog`
-(`_cone_facets`): a polytope is the cone over its points p lifted to
-integer rows (D, D*p), D the lcm of the denominators of the input (1 for
-an IntMatrix).  Those rows span the same cone as the rows (1, p), so the
-primitive facet normals, their order and the incidence bitmasks do not
-depend on D.  Facets come with the bitmask of the generators on them, as
-in PALP, and vertex pruning, triangulation, fan walls and cone
-intersections are all read off those incidences; volumes are
-determinants of the integer rows, divided once by a power of D.
+A rational point set is an IntMatrix of numerators over one positive
+common denominator D, as in PALP and lrs: the columns of (P, D) are the
+points P_j / D.  Every hull goes through the one exact double description
+of `linprog` (`_cone_facets`): a polytope is the cone over its points p
+lifted to integer rows (D, D*p).  Those rows span the same cone as the
+rows (1, p), so the primitive facet normals, their order and the
+incidence bitmasks do not depend on D.  Facets come with the bitmask of
+the generators on them, as in PALP, and vertex pruning, triangulation,
+fan walls and cone intersections are all read off those incidences;
+volumes are determinants of the integer rows, divided once by a power
+of D.
 
 The library builds the polytope of a matrix in one place, `_polytope`, a
 bounded cache keyed by the sorted distinct columns: each point set of a
@@ -31,7 +33,7 @@ from fractions import Fraction
 
 from .errors import DegenerateCone, NotFMatrix, NotFullDimensional, OriginNotInterior
 from .gale import _fan_conditions
-from .intmat import CACHE_SIZE, IntMatrix, RatMatrix, _det, _eliminate
+from .intmat import CACHE_SIZE, IntMatrix, _det, _eliminate
 from .linprog import _cone_facets
 
 _PRUNED = "non-vertex columns pruned from polytope input"
@@ -48,31 +50,47 @@ def _hull(rows):
     return _cone_facets(rows, len(rows[0]))
 
 
-def _lifted_rows(matrix) -> tuple:
-    """(D, rows): the columns p of an IntMatrix or RatMatrix as integer
-    rows (D, D*p), D the lcm of the denominators of the entries."""
-    cols = zip(*matrix.data)
-    if isinstance(matrix, IntMatrix):
-        return 1, [(1, *c) for c in cols]
-    den = matrix.denominator_lcm()
-    return den, [(den, *(x.numerator * (den // x.denominator) for x in c)) for c in cols]
+def _over_lcm(points) -> tuple:
+    """(P, D) for the points num/d given as rows (d, *num), d != 0: each
+    point in lowest terms, D the lcm of their denominators and P the
+    numerator columns over D, so gcd(D, P) = 1."""
+    reduced = []
+    for d, *num in points:
+        s = math.gcd(d, *num) * (1 if d > 0 else -1)
+        reduced.append((d // s, [x // s for x in num]))
+    den = math.lcm(*(d for d, _ in reduced))
+    return IntMatrix._of(zip(*([den // d * x for x in num] for d, num in reduced))), den
+
+
+def _reduced(matrix: IntMatrix, den: int) -> tuple:
+    """(P, D) for the points matrix/den: both divided by the gcd of den
+    and every entry, so D == 1 exactly when the points are integral."""
+    g = math.gcd(den, *(x for r in matrix.data for x in r))
+    if g == 1:
+        return matrix, den
+    return IntMatrix._of([[x // g for x in r] for r in matrix.data]), den // g
 
 
 class VPolytope:
-    """Convex hull of rational points, stored as vertex columns.
+    """Convex hull of the rational points given as the columns of an
+    IntMatrix divided by a positive common denominator `den`.
 
     Input columns that are not vertices (duplicates or convex
     combinations of the others) are pruned with a warning; `pruned`
     records whether that happened.  A column is a vertex exactly when
     the facets through it share no other column.  The hull that decides
     this is kept (see `hull`), so it is built once per polytope, and so is
-    the normalized volume.
+    the normalized volume.  The vertices are stored as the integer rows
+    (D, D*v), reduced by the gcd of D and every vertex entry: `den` is D,
+    and the polytope is a lattice polytope exactly when `den == 1`.
     """
 
-    __slots__ = ("dim", "pruned", "_den", "_rows", "_vertices", "_facets", "_volume")
+    __slots__ = ("dim", "pruned", "den", "_rows", "_facets", "_volume")
 
-    def __init__(self, matrix, prune: bool = True):
-        den, rows = _lifted_rows(matrix)
+    def __init__(self, matrix: IntMatrix, den: int = 1, prune: bool = True):
+        if den < 1:
+            raise ValueError(f"common denominator {den} is not positive")
+        rows = [(den, *c) for c in zip(*matrix.data)]
         uniq = list(dict.fromkeys(rows))
         pruned = len(uniq) < len(rows)
         self._facets = self._volume = None
@@ -93,20 +111,21 @@ class VPolytope:
                 (a, sum(1 << j for j, i in enumerate(kept) if mask >> i & 1))
                 for a, mask in facets
             ]
-        self._den, self._rows, self._vertices = den, uniq, None
+        # the facets do not depend on D, so the kept hull holds after reducing
+        g = math.gcd(*(x for r in uniq for x in r))
+        if g > 1:
+            uniq = [tuple(x // g for x in r) for r in uniq]
+        self._rows = uniq
+        self.den = uniq[0][0] if uniq else den
         self.dim = len(uniq[0]) - 1 if uniq else 0
         self.pruned = pruned
         if pruned:
             warnings.warn(_PRUNED, stacklevel=2)
 
     @property
-    def vertices(self) -> RatMatrix:
-        """The vertices as the columns of a matrix of Fractions, built on
-        first use."""
-        if self._vertices is None:
-            d = self._den
-            self._vertices = RatMatrix._of(zip(*([Fraction(x, d) for x in r[1:]] for r in self._rows)))
-        return self._vertices
+    def vertices(self) -> IntMatrix:
+        """The numerators of the vertices, as columns over `den`."""
+        return IntMatrix._of(zip(*(r[1:] for r in self._rows)))
 
     def vertex_list(self):
         return self.vertices.columns()
@@ -119,28 +138,27 @@ class VPolytope:
         return self._facets
 
     def __repr__(self):
-        return f"VPolytope(dim={self.dim}, vertices={self.vertices.cols})"
+        return f"VPolytope(dim={self.dim}, vertices={len(self._rows)}, den={self.den})"
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _polytope_cached(matrix) -> VPolytope:
+def _polytope_cached(matrix: IntMatrix, den: int) -> VPolytope:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return VPolytope(matrix)
+        return VPolytope(matrix, den)
 
 
-def _polytope(matrix) -> VPolytope:
-    """The polytope of the point set of the columns of an IntMatrix or
-    RatMatrix, built once per point set (a bounded cache keyed by the
-    sorted distinct columns) and shared by every caller with its hull and
-    normalized volume.  Its vertices come in sorted order, not in the
-    matrix's column order, so callers map them to columns by value.
-    Warns on each call, as `VPolytope(matrix)` does, when some column is
-    not a vertex (or repeats one).  An integral RatMatrix shares the
-    entry of the equal IntMatrix."""
-    if isinstance(matrix, RatMatrix) and matrix.is_integral():
-        matrix = matrix.to_int()
-    p = _polytope_cached(matrix._of(zip(*sorted(set(matrix.columns())))))
+def _polytope(matrix: IntMatrix, den: int = 1) -> VPolytope:
+    """The polytope of the point set of the columns of matrix/den, built
+    once per point set and shared by every caller with its hull and
+    normalized volume: a bounded cache keyed by (D, sorted distinct
+    columns) of the reduced (P, D), so an integral point set shares the
+    entry of the equal IntMatrix.  Its vertices come in sorted order,
+    not in the matrix's column order, so callers map them to columns by
+    value.  Warns on each call, as `VPolytope(matrix, den)` does, when
+    some column is not a vertex (or repeats one)."""
+    matrix, den = _reduced(matrix, den)
+    p = _polytope_cached(IntMatrix._of(zip(*sorted(set(matrix.columns())))), den)
     if len(p._rows) < matrix.cols:
         warnings.warn(_PRUNED, stacklevel=2)
     return p
@@ -189,14 +207,13 @@ def facet_enumeration(p: VPolytope) -> HPolytope:
 
 def polar_dual(p: VPolytope) -> VPolytope:
     """Polar polytope {u : <u, v> >= -1 for all v in P}; requires the
-    origin to be interior."""
-    h = facet_enumeration(p)
-    verts = []
-    for f in h.facets:
-        if f.offset <= 0:
-            raise OriginNotInterior("origin is not an interior point")
-        verts.append(tuple(Fraction(a) / f.offset for a in f.normal))
-    return VPolytope(RatMatrix._of(zip(*verts)), prune=False)
+    origin to be interior.  The facet <a, x> >= -c gives the vertex a/c,
+    so the facet rows (c, a) over their common denominator are the polar
+    vertices."""
+    rows = [r for r, _ in _full_hull(p)]
+    if any(r[0] <= 0 for r in rows):
+        raise OriginNotInterior("origin is not an interior point")
+    return VPolytope(*_over_lcm(rows), prune=False)
 
 
 def _simplices(verts, facets, face, d):
@@ -229,7 +246,7 @@ def normalized_volume(p: VPolytope) -> Fraction:
             abs(_det([rows[i] for i in s]))
             for s in _simplices(rows, facets, (1 << len(rows)) - 1, p.dim)
         )
-        p._volume = Fraction(total, p._den ** (p.dim + 1))
+        p._volume = Fraction(total, p.den ** (p.dim + 1))
     return p._volume
 
 
@@ -245,7 +262,7 @@ def lattice_points(p: VPolytope, strict: bool = False):
     facet that empties its interval.
     """
     h = facet_enumeration(p)
-    d = p._den
+    d = p.den
     # ceil(min / D) and floor(max / D) of each coordinate of the rows D * v
     box = [(-(-min(c) // d), max(c) // d) for c in itertools.islice(zip(*p._rows), 1, None)]
     k = max(range(p.dim), key=lambda i: (box[i][1] - box[i][0], i))
@@ -285,7 +302,7 @@ def interior_lattice_points(p: VPolytope):
 def is_reflexive(p: VPolytope) -> bool:
     """Lattice polytope with interior origin whose polar is again a
     lattice polytope."""
-    if not p.vertices.is_integral():
+    if p.den != 1:
         raise OriginNotInterior("reflexivity is defined for lattice polytopes")
     h = facet_enumeration(p)
     if any(f.offset <= 0 for f in h.facets):
@@ -307,9 +324,9 @@ def facet_columns(v: IntMatrix) -> list:
 
 def polar_index(v: IntMatrix, facets) -> int:
     """Least k making k times the polar of conv(v) a lattice polytope,
-    given the facets of conv(v) as column index sets: the lcm of the
-    denominators of the polar vertices, one per facet."""
-    return polar_vertex_matrix(v, facets).denominator_lcm()
+    given the facets of conv(v) as column index sets: the common
+    denominator of the polar vertices, one per facet."""
+    return polar_vertex_matrix(v, facets)[1]
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -322,16 +339,18 @@ def fmatrix_index(v: IntMatrix) -> int:
     return polar_index(v, facet_columns(v))
 
 
-def polar_vertex_matrix(v: IntMatrix, fan) -> RatMatrix:
+def polar_vertex_matrix(v: IntMatrix, fan) -> tuple:
     """One polar point per maximal cone: the solution of <x, v_j> = -1
     over the cone's generators, columns ordered like fan.max_cones.
 
-    Accepts anything with a `max_cones` attribute (or a raw list of
-    generator index sets).
+    Returns (P, d) with the points the columns of P/d: d > 0 is the lcm
+    of the reduced denominators of the points, so gcd(d, P) = 1.  Accepts
+    anything with a `max_cones` attribute (or a raw list of generator
+    index sets).
     """
     max_cones = getattr(fan, "max_cones", fan)
     n = v.rows
-    cols = []
+    points = []
     for g in max_cones:
         # one elimination of [sub^T | -1]: rank n, and no pivot on the -1 column
         m, pivots, d, _ = _eliminate([v.col(j) + (-1,) for j in g])
@@ -341,5 +360,5 @@ def polar_vertex_matrix(v: IntMatrix, fan) -> RatMatrix:
             raise DegenerateCone(
                 f"cone {tuple(g)} generators do not lie on a common polar hyperplane"
             )
-        cols.append(tuple(Fraction(m[i][n], d) for i in range(n)))
-    return RatMatrix._of(zip(*cols))
+        points.append((d, *(m[i][n] for i in range(n))))
+    return _over_lcm(points)

@@ -207,11 +207,17 @@ def positive_kernel_vector_by_fractions(a_rows):
     return None if status != "optimal" else tuple(_ONE + x for x in s)
 
 
+def rational_vertices(p: VPolytope):
+    """The vertices of P as tuples of Fractions: its integer numerator
+    columns over its common denominator."""
+    return [tuple(Fraction(x, p.den) for x in c) for c in p.vertex_list()]
+
+
 def lattice_points_by_box(p: VPolytope, strict: bool = False):
     """Lattice points of P (strict=True: interior only), sorted, by testing
     every point of the bounding box against every facet."""
     h = facet_enumeration(p)
-    verts = p.vertex_list()
+    verts = rational_vertices(p)
     ranges = []
     for i in range(p.dim):
         coords = [v[i] for v in verts]
@@ -224,7 +230,7 @@ def lattice_points_last_coordinate(p: VPolytope, strict: bool = False):
     intervals that always take the last coordinate as the line and run
     the others over the bounding box."""
     h = facet_enumeration(p)
-    verts = p.vertex_list()
+    verts = rational_vertices(p)
     box = []
     for i in range(p.dim):
         coords = [v[i] for v in verts]
@@ -299,7 +305,7 @@ def slab_volume(p: VPolytope) -> Fraction:
     n = p.dim
     h = facet_enumeration(p)
     rows = [tuple(f.normal) + (f.offset,) for f in h.facets]
-    verts = p.vertex_list()
+    verts = rational_vertices(p)
     if n == 2:
         return 2 * _area_2d_h(rows)
     if n != 3:

@@ -176,7 +176,7 @@ def test_criterion2_scaled_degree_as_stated():
         assert closed == area == 48
         cd = _analyzed_face("bauerle")
         assert cd.k == k
-        assert set(cd.Vpolar.scale(k).to_int().columns()) == set(tri)
+        assert set(cd.Vpolar.columns()) == set(tri)
         assert cd.degree_scaled == area
 
 

@@ -47,6 +47,37 @@ def test_polar_command(capsys):
     assert out["degree_scaled"] == 48
 
 
+def test_polar_command_on_every_complete_fixture(capsys):
+    # polar_vertices lists, cone by cone in fan.max_cones order, the
+    # Fraction solution of <x, v_j> = -1 over the cone's generators,
+    # each entry an int or a "p/q" string (docs/format.md); and on the
+    # face fan polar_vertex_matrix gives reduced numerators over the index
+    import glob
+    import os
+    from fractions import Fraction
+
+    from oracles import solve_unique
+    from toriq.fans import face_fan, is_complete
+    from toriq.polytope import fmatrix_index, polar_vertex_matrix
+
+    def encoded(x: Fraction):
+        return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    checked = 0
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+        v, fan = resolve_variety(load_document(path))
+        if not is_complete(fan):
+            continue
+        code, out = run_cli(capsys, "polar", path)
+        assert code == 0, path
+        points = [solve_unique([v.col(j) for j in g], [-1] * len(g)) for g in fan.max_cones]
+        assert out["polar_vertices"] == [[encoded(x[i]) for x in points] for i in range(v.rows)], path
+        p, d = polar_vertex_matrix(v, face_fan(v))
+        assert d == fmatrix_index(v) and math.gcd(d, *(x for r in p.data for x in r)) == 1, path
+        checked += 1
+    assert checked == 32
+
+
 def test_volume_command(capsys):
     code, out = run_cli(capsys, "volume", fixture_path("blupP3_X"))
     assert code == 0

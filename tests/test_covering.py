@@ -8,7 +8,7 @@ from toriq.covering import (
     universal_cover,
     weight_modulus,
 )
-from toriq.errors import NotReflexive, RankDeficient
+from toriq.errors import NonIntegerQuotient, NotReflexive, RankDeficient
 from toriq.fans import FanData, face_fan, fan_from_point
 from toriq.gale import gale_dual, gl_equivalent
 from toriq.intmat import FiniteAbelianGroup, IntMatrix, cokernel
@@ -123,6 +123,25 @@ def test_degrees():
     assert cd.degree_scaled == 48
     p2 = IntMatrix([[1, 0, -1], [0, 1, -1]])
     assert analyze(p2, face_fan(p2)).degree == 9
+
+
+def test_polar_sides_in_lattice_coordinates():
+    # Vpolar = k V°, Wpolar = k̂ W° and Lambda = k̂ Λ = A W; scaling the
+    # polar points by a k that their denominator 6 does not divide raises
+    from fractions import Fraction
+
+    from toriq.covering import _lattice_polar
+
+    fan = face_fan(BAUERLE_V)
+    cd = analyze(BAUERLE_V, fan)
+    assert (cd.k, cd.k_hat, cd.h) == (6, 3, 2)
+    assert cd.B.t() * cd.Vpolar == cd.Wpolar * cd.h
+    assert cd.Lambda == cd.A * cd.W
+    assert cd.degree == Fraction(cd.degree_scaled, 6 ** 2) == Fraction(4, 3)
+    assert _lattice_polar(BAUERLE_V, fan, 12) == cd.Vpolar * 2
+    for k in (1, 3, 4):
+        with pytest.raises(NonIntegerQuotient):
+            _lattice_polar(BAUERLE_V, fan, k)
 
 
 def test_fano_splitting_blowup():

@@ -1,5 +1,6 @@
 import glob
 import itertools
+import math
 import os
 import random
 import warnings
@@ -13,7 +14,7 @@ from conftest import FIXTURES
 from oracles import lattice_points_by_box, lattice_points_last_coordinate, slab_volume
 from toriq.errors import NotFullDimensional, OriginNotInterior
 from toriq.fans import FanData
-from toriq.intmat import IntMatrix, RatMatrix
+from toriq.intmat import IntMatrix
 from toriq.polytope import (
     VPolytope,
     facet_enumeration,
@@ -30,6 +31,14 @@ BLUP_V = IntMatrix([[1, 0, 0, 0, -1, 1], [0, 1, 0, 0, -1, 1], [0, 0, 1, -1, -1, 
 BAUERLE_V = IntMatrix([[1, 9, -7], [0, 16, -12]])
 BAUERLE_W = IntMatrix([[1, 1, -1], [0, 4, -3]])
 P2P1_W = IntMatrix([[1, 0, -1, 0, 0], [0, 1, -1, 0, 0], [0, 0, 0, 1, -1]])
+
+
+def over_common_denominator(cols):
+    """(P, D): columns of ints or Fractions as integer numerator columns
+    over the lcm D of their denominators."""
+    cols = [[Fraction(x) for x in c] for c in cols]
+    den = math.lcm(*(x.denominator for c in cols for x in c))
+    return IntMatrix.from_columns([[x.numerator * (den // x.denominator) for x in c] for c in cols]), den
 
 
 def simplex_matrix(n):
@@ -90,7 +99,7 @@ def test_hull_built_once_per_polytope(monkeypatch):
     assert len(calls) == 1
     # the pruning hull's facet bitmasks, re-indexed to the kept vertices,
     # equal those of a hull built on the vertices alone
-    fresh = VPolytope(p.vertices, prune=False)
+    fresh = VPolytope(p.vertices, p.den, prune=False)
     assert facet_enumeration(fresh) == facets
     assert normalized_volume(fresh) == volume == 12
     assert polytope.lattice_points(fresh) == points
@@ -149,7 +158,7 @@ def test_lattice_points_match_box_scan():
     polytopes = [VPolytope(product), polar_dual(VPolytope(product))]
     polytopes += _random_polytopes(random.Random(3), 80)
     assert {p.dim for p in polytopes} == {1, 2, 3, 4}
-    assert any(not p.vertices.is_integral() for p in polytopes)
+    assert any(p.den > 1 for p in polytopes)
     for p in polytopes:
         for strict in (False, True):
             assert lattice_points(p, strict) == lattice_points_by_box(p, strict)
@@ -169,13 +178,13 @@ def test_rational_volume_against_slab_oracle():
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            p = VPolytope(RatMatrix.from_columns(cols))
+            p = VPolytope(*over_common_denominator(cols))
         try:
             facet_enumeration(p)
         except NotFullDimensional:
             continue
         assert normalized_volume(p) == slab_volume(p), cols
-        checked[p.dim, p.vertices.denominator_lcm() > 1] += 1
+        checked[p.dim, p.den > 1] += 1
     assert min(checked.values()) >= 20 and len(checked) == 4, checked
 
 
@@ -224,7 +233,7 @@ def test_widest_line_matches_last_coordinate_line():
             for p in polytopes:
                 for strict in (False, True):
                     assert lattice_points(p, strict) == lattice_points_last_coordinate(p, strict), v
-                checked[p.dim, p.vertices.is_integral()] += 1
+                checked[p.dim, p.den == 1] += 1
     assert sum(checked.values()) >= 200 and len(checked) >= 4, checked
 
 
@@ -270,6 +279,7 @@ def test_polar_involution():
     for m in (P2P1_W, simplex_matrix(3), BLUP_V):
         p = VPolytope(m)
         back = polar_dual(polar_dual(p))
+        assert back.den == p.den == 1
         assert set(back.vertices.columns()) == set(p.vertices.columns())
 
 
@@ -291,25 +301,27 @@ def test_polar_vertex_matrix_blowup():
         BLUP_V,
         [(1, 3, 4), (1, 2, 4), (0, 3, 4), (0, 2, 4), (0, 1, 3, 5), (1, 2, 5), (0, 2, 5)],
     )
-    vpol = polar_vertex_matrix(BLUP_V, fan)
+    vpol, d = polar_vertex_matrix(BLUP_V, fan)
     printed = IntMatrix(
         [[-1, -1, -1, -1, 1, 1, 3], [-1, 1, 1, 3, -1, -1, -1], [1, -1, 1, -1, -1, 1, -1]]
     )
-    assert set(vpol.columns()) == set(printed.to_rat().columns())
+    assert d == 1
+    assert set(vpol.columns()) == set(printed.columns())
 
 
 def test_polar_vertex_matrix_rational():
     vq = IntMatrix([[1, 1, -2, 0, 0], [0, 3, -3, 1, -1], [0, 0, 0, 2, -2]])
     from toriq.fans import face_fan
 
-    vpol = polar_vertex_matrix(vq, face_fan(vq))
-    printed = RatMatrix(
-        [
+    vpol, d = polar_vertex_matrix(vq, face_fan(vq))
+    printed, den = over_common_denominator(
+        zip(
             [-1, -1, -1, -1, 2, 2],
             [0, 0, 1, 1, -1, -1],
             [Fraction(-1, 2), Fraction(1, 2), -1, 0, 0, 1],
-        ]
+        )
     )
+    assert d == den == 2
     assert set(vpol.columns()) == set(printed.columns())
 
 
@@ -317,9 +329,10 @@ def test_polar_vertices_of_projective_space():
     v = simplex_matrix(3)
     from toriq.fans import face_fan
 
-    vpol = polar_vertex_matrix(v, face_fan(v))
-    back = polar_dual(VPolytope(vpol))
-    assert set(back.vertices.columns()) == set(v.to_rat().columns())
+    vpol, d = polar_vertex_matrix(v, face_fan(v))
+    back = polar_dual(VPolytope(vpol, d))
+    assert back.den == 1
+    assert set(back.vertices.columns()) == set(v.columns())
 
 
 def test_mcmullen_facet_lower_bound():
@@ -372,6 +385,8 @@ def test_twenty_four_cell_prunes_origin_and_edge_midpoints():
     cols = verts + [(0, 0, 0, 0)] + sorted(mids)
     with warnings.catch_warnings(record=True):
         warnings.simplefilter("always")
-        p = VPolytope(RatMatrix.from_columns(cols))
+        p = VPolytope(*over_common_denominator(cols))
     assert p.pruned
+    # the midpoints carry the denominator 2; the vertices are integral
+    assert p.den == 1
     assert set(p.vertex_list()) == set(verts)
