@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import InvalidFan, OriginNotInterior, OutOfDomain, OutsideMoving, RankDeficient
 from .gale import gale_dual
 from .intmat import CACHE_SIZE, IntMatrix, _maximal_minors, rank, solve_integer
-from .linprog import _cone_facets, _facets_contain, cone_contains
+from .linprog import _cone_facets, _facets_contain, _simplicial_facets, cone_contains
 from .polytope import _bits, _polytope, facet_enumeration
 
 
@@ -37,13 +37,16 @@ class FanData:
         for g in cones:
             if any(j < 0 or j >= fan_matrix.cols for j in g):
                 raise InvalidFan(f"cone {g} indexes a missing column")
+            if len(g) == n:
+                # full-dimensional when its [G | I] elimination (shared with
+                # its walls) pivots only in G, hence simplicial and pointed
+                if _simplicial_facets(tuple(map(fan_matrix.col, g))) is None:
+                    raise InvalidFan(f"cone {g} is not full-dimensional")
+                continue
             cols = fan_matrix.cols_at(list(g))
-            # one det decides a square cone, and a full-dimensional square
-            # cone is simplicial, hence pointed
-            square = len(g) == n
-            if cols.det() == 0 if square else rank(cols) != n:
+            if rank(cols) != n:
                 raise InvalidFan(f"cone {g} is not full-dimensional")
-            if not square and not _pointed(cols):
+            if not _pointed(cols):
                 raise InvalidFan(f"cone {g} contains a line")
 
     def cones_1based(self):
@@ -204,15 +207,13 @@ def is_gorenstein_weight(q: IntMatrix, fan: FanData) -> bool:
 
 
 def is_qfano_weight(q: IntMatrix, fan: FanData) -> bool:
-    """Strictly positive rational solvability of Q_I x = Q*1 over every
-    maximal cone's complementary index set."""
+    """Is the fan complete (as a Q-Fano variety is), with Q*1 strictly
+    positively solvable by Q_I x = Q*1 over every maximal cone's
+    complementary index set?"""
     b = _anticanonical(q)
-    m = q.cols
-    for g in fan.max_cones:
-        comp = _complement(g, m)
-        if not cone_contains([q.col(j) for j in comp], b, strict=True):
-            return False
-    return True
+    return is_complete(fan) and all(
+        cone_contains([q.col(j) for j in _complement(g, q.cols)], b, strict=True) for g in fan.max_cones
+    )
 
 
 def _cell_supports(q: IntMatrix, w) -> set:

@@ -187,9 +187,9 @@ def primitive_kernel(rows) -> list:
 
 
 class IntMatrix:
-    """Immutable integer matrix stored row-major."""
+    """Immutable integer matrix stored row-major; columns built on first read."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_columns")
 
     def __init__(self, data):
         rows = tuple(tuple(_as_int(x) for x in row) for row in data)
@@ -228,11 +228,16 @@ class IntMatrix:
     def row(self, i: int) -> tuple:
         return self.data[i]
 
+    def _column_tuple(self) -> tuple:
+        if not hasattr(self, "_columns"):
+            self._columns = tuple(zip(*self.data))
+        return self._columns
+
     def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.data)
+        return self._column_tuple()[j] if self.data else ()
 
     def columns(self):
-        return [self.col(j) for j in range(self.cols)]
+        return list(self._column_tuple())
 
     def cols_at(self, idx):
         return self._of([[r[j] for j in idx] for r in self.data])

@@ -3,7 +3,9 @@
 Every hull, wall, cone intersection and cone predicate in the library
 reads a cone's facets off `_cone_facets`.  A simplicial cone (as many
 independent generators as dimensions) gets them in closed form, as the
-rows of the inverse of its generator matrix; every other cone goes
+rows of the inverse of its generator matrix, from one elimination per
+ordered generator tuple (`_simplicial_facets`, a bounded cache shared by
+fan checks, walls, membership tests and nef cones); every other cone goes
 through one exact integer double-description routine (`_dd`, Fukuda &
 Prodon 1996), as the extreme rays of its dual.  By Gordan's alternative
 (Ziegler, *Lectures on Polytopes*, 1.4) the linear-programming questions
@@ -15,9 +17,10 @@ vectors is zero exactly when their cone has no facet.
 
 from __future__ import annotations
 
+import functools
 import math
 
-from .intmat import _eliminate, primitive_kernel
+from .intmat import CACHE_SIZE, _eliminate, primitive_kernel
 
 
 def _dot(a, x):
@@ -79,6 +82,24 @@ def _dd(rows, dim):
     return rays
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _simplicial_facets(gens):
+    """Facets, as in `_cone_facets`, of the cone over a tuple of n integer
+    generators in Q^n, or None when they are dependent.  Row i of G^-1 (G
+    has the generators as columns) is 1 on generator i and 0 on the
+    others, so it is the inward normal of the facet without generator i;
+    one elimination of [G | I] gives them all, and pivots only in G
+    exactly when G is nonsingular."""
+    dim = len(gens)
+    rows = [list(row) + [int(i == j) for j in range(dim)] for i, row in enumerate(zip(*gens))]
+    m, pivots, d, _ = _eliminate(rows)
+    if pivots != list(range(dim)):
+        return None
+    full = (1 << dim) - 1
+    s = 1 if d > 0 else -1
+    return tuple((_primitive([s * x for x in m[i][dim:]]), full ^ (1 << i)) for i in range(dim))
+
+
 def _cone_facets(gens, dim):
     """(equalities, facets) of the cone over integer generators in Q^dim:
     a primitive basis of the vectors orthogonal to every generator, and
@@ -93,15 +114,9 @@ def _cone_facets(gens, dim):
     if not gens:
         return [tuple(int(i == j) for j in range(dim)) for i in range(dim)], []
     if len(gens) == dim:
-        # a simplicial cone: row i of G^-1 (G has the generators as
-        # columns) is 1 on generator i and 0 on the others, so it is the
-        # inward normal of the facet without generator i
-        ident = [[int(i == j) for j in range(dim)] for i in range(dim)]
-        m, pivots, d, _ = _eliminate([list(row) + e for row, e in zip(zip(*gens), ident)])
-        if pivots[-1] == dim - 1:  # every pivot of [G | I] falls in G
-            full = (1 << dim) - 1
-            s = 1 if d > 0 else -1
-            return [], [(_primitive([s * x for x in m[i][dim:]]), full ^ (1 << i)) for i in range(dim)]
+        facets = _simplicial_facets(tuple(map(tuple, gens)))
+        if facets is not None:
+            return [], list(facets)
     eqs = primitive_kernel(gens)
     if not eqs:
         return [], _dd(gens, dim)
@@ -131,26 +146,13 @@ def cone_contains(generators, w, strict: bool = False) -> bool:
     With `strict`, is it in the relative interior of their cone, i.e. a
     strictly positive combination of them?
 
-    A square system G x = w with G nonsingular (a simplicial cone in its
-    own span) is decided by one elimination of [G | w]: it leaves
-    d * G^-1 w in the last column, so x_i has the sign of m[i][n] * d.
-    A rational w is first scaled by the lcm of its denominators, which
-    keeps membership and strictness and keeps the elimination integral.
+    Read off the cone's facets (`_cone_facets`) like every other cone
+    question, so a simplicial cone is inverted once per generator tuple
+    however often it is asked about.  The dot products with the facet
+    normals are exact, so a rational w needs no scaling.
     """
     w = tuple(w)
-    if not generators:
-        return not any(w)
-    n = len(w)
-    if len(generators) == n:
-        den = math.lcm(*(x.denominator for x in w))
-        if den != 1:
-            w = tuple(x.numerator * (den // x.denominator) for x in w)
-        m, pivots, d, _ = _eliminate([[g[i] for g in generators] + [w[i]] for i in range(n)])
-        if pivots == list(range(n)):
-            signs = [m[i][n] * d for i in range(n)]
-            return all(x > 0 for x in signs) if strict else all(x >= 0 for x in signs)
-    eqs, facets = _cone_facets(generators, n)
-    return _facets_contain(eqs, facets, w, strict)
+    return _facets_contain(*_cone_facets(generators, len(w)), w, strict)
 
 
 def positive_relation(vectors, dim) -> bool:

@@ -106,6 +106,16 @@ def test_qfano_command(capsys):
     assert [1, 2, 4, 5] in out["representative_cones"]
 
 
+def test_qfano_command_on_incomplete_fans(tmp_path, capsys):
+    # P^2 missing a cone, and the non-complete mds_W: neither is Q-Fano
+    doc = tmp_path / "p2_missing_a_cone.json"
+    doc.write_text(json.dumps({"matrix": [[1, 0, -1], [0, 1, -1]], "role": "fan-matrix", "fan": [[1, 2], [2, 3]]}))
+    for path in (str(doc), fixture_path("mds_W")):
+        code, out = run_cli(capsys, "qfano", path)
+        assert code == 0
+        assert out["input_qfano"] is False, path
+
+
 def test_classify_command(capsys):
     code, out = run_cli(capsys, "classify", fixture_path("bauerle"), "--factor", "1")
     assert code == 0

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,6 +25,7 @@ from toriq.fans import (
 )
 from toriq.gale import gale_dual
 from toriq.intmat import IntMatrix, _det, _maximal_minors, rank
+from toriq.linprog import _simplicial_facets
 
 BLUP_V = IntMatrix([[1, 0, 0, 0, -1, 1], [0, 1, 0, 0, -1, 1], [0, 0, 1, -1, -1, 1]])
 BLUP_Q = IntMatrix([[1, 1, 1, 0, 1, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]])
@@ -380,8 +382,8 @@ def test_minors_table_of_a_small_matrix():
 
 
 def test_square_cone_checks_keep_their_messages():
-    # one det decides a square cone; a singular one is not
-    # full-dimensional, and a non-square cone with a line is named so
+    # one [G | I] elimination decides a square cone; a singular one is
+    # not full-dimensional, and a non-square cone with a line is named so
     v = IntMatrix([[1, 0, 2, -1], [0, 1, 0, 0]])
     with pytest.raises(InvalidFan, match="is not full-dimensional"):
         FanData(v, [(0, 2)])
@@ -390,15 +392,8 @@ def test_square_cone_checks_keep_their_messages():
     assert FanData(v, [(0, 1), (1, 3)]).max_cones == ((0, 1), (1, 3))
 
 
-def test_cell_point_work_counts(monkeypatch):
-    # the cells are read off one minors table: the exact eliminations run
-    # only in the validation, one square solve of cone_contains and one
-    # closed-form cone facet set per maximal cone, where one solve per
-    # 5-subset of the 9 weight columns (126) ran before
-    import sys
-
-    from toriq import intmat
-
+def _cell_point_system():
+    """The dim2_r2_4 x dim2_r3_3 weight matrix and a seeded moving point."""
     weights = {name: (q, rays) for name, q, rays in _golden_weights()}
     (q1, rays1), (q2, rays2) = weights["dim2_r2_4"], weights["dim2_r3_3"]
     q = IntMatrix([row + (0,) * q2.cols for row in q1.data] + [(0,) * q1.cols + row for row in q2.data])
@@ -406,18 +401,71 @@ def test_cell_point_work_counts(monkeypatch):
     rng = random.Random(65)
     w = _combination(rays1, [rng.randint(1, 4) for _ in rays1])
     w += _combination(rays2, [rng.randint(1, 4) for _ in rays2])
-    # warm the cached moving cone and Gale dual: their work is not the cell's
-    mov_cone(q).contains(w)
-    gale_dual(q)
+    return q, w
+
+
+def _count_eliminations(monkeypatch):
+    """Record the rows of every `_eliminate` call from here on."""
+    import sys
+
+    from toriq import intmat
+
     real, calls = intmat._eliminate, []
 
     def counted(*args):
-        calls.append(args)
+        calls.append(args[0])
         return real(*args)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("toriq") and getattr(mod, "_eliminate", None) is real:
             monkeypatch.setattr(mod, "_eliminate", counted)
+    return calls
+
+
+def test_cell_point_work_counts(monkeypatch):
+    # the cells are read off one minors table: the exact eliminations run
+    # only in the validation, one closed-form facet set of the V-side cone
+    # and one of its Q-side complement per maximal cone, where one solve
+    # per 5-subset of the 9 weight columns (126) ran before
+    q, w = _cell_point_system()
+    # warm the cached moving cone and Gale dual: their work is not the cell's
+    mov_cone(q).contains(w)
+    gale_dual(q)
+    _simplicial_facets.cache_clear()
+    calls = _count_eliminations(monkeypatch)
     fan = fan_from_point(q, w)
     assert len(fan.max_cones) > 1
     assert len(calls) <= 2 * len(fan.max_cones)
+
+
+def test_cell_point_inverts_each_square_cone_once(monkeypatch):
+    # the cell's fan, the fan rebuilt from its cones (as a caller reading
+    # the CLI output does) and its nef cone ask about the same square
+    # cones: each V-side cone is checked and walled, each Q-side
+    # complement validated and intersected, on one [G | I] elimination
+    q, w = _cell_point_system()
+    mov_cone(q).contains(w)
+    gale_dual(q)
+    _simplicial_facets.cache_clear()
+    calls = _count_eliminations(monkeypatch)
+    fan = fan_from_point(q, w)
+    rebuilt = FanData(IntMatrix(fan.fan_matrix.data), fan.max_cones)
+    nef = nef_cone(q, rebuilt)
+    assert nef.contains(w, strict=True)
+    square = Counter()
+    for rows in calls:
+        n = len(rows)
+        if all(len(r) == 2 * n and list(r[n:]) == [int(i == j) for j in range(n)] for i, r in enumerate(rows)):
+            square[tuple(zip(*(r[:n] for r in rows)))] += 1
+    assert len(square) >= 2 * len(fan.max_cones), square
+    assert max(square.values()) == 1, square
+
+
+def test_incomplete_fan_is_not_qfano():
+    # P^2 without its third cone: Q*1 is interior to both remaining dual
+    # cones, but a Q-Fano variety is complete
+    v = IntMatrix([[1, 0, -1], [0, 1, -1]])
+    fan = FanData(v, [(0, 1), (1, 2)])
+    assert not is_complete(fan)
+    assert not is_qfano_weight(gale_dual(v), fan)
+    assert is_qfano_weight(gale_dual(v), face_fan(v))

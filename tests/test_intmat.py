@@ -433,3 +433,29 @@ def test_trusted_builds_equal_checked_builds():
                 results.append(quotient_matrix(x * a, a))
         for res in results:
             same_as_checked(res)
+
+
+def test_columns_match_the_rows_however_the_matrix_is_built():
+    # columns are built once, on first read, for every way of building a
+    # matrix, and reading them changes neither == nor hash
+    rng = random.Random(29)
+    for _ in range(50):
+        r, c = rng.randint(1, 4), rng.randint(1, 5)
+        a = random_matrix(rng, r, c)
+        b = random_matrix(rng, r, rng.randint(1, 3))
+        built = [
+            a, IntMatrix._of(a.data), a.t(), a.cols_at([c - 1, 0, c - 1]), a.hstack(b),
+            IntMatrix.identity(r), IntMatrix.from_columns(a.columns()),
+        ]
+        for m in built:
+            twin = IntMatrix._of(m.data)
+            expected = list(zip(*m.data))
+            assert m.columns() == expected
+            assert [m.col(j) for j in range(m.cols)] == expected
+            assert m.col(m.cols - 1) is m.col(m.cols - 1)
+            m.columns().append(())
+            assert m.columns() == expected
+            assert m == twin and hash(m) == hash(twin)
+    for empty in (IntMatrix([]), IntMatrix._of([]), IntMatrix.identity(0), IntMatrix([]).t()):
+        assert empty.col(0) == () and empty.columns() == []
+        assert empty == IntMatrix([]) and hash(empty) == hash(IntMatrix([]))

@@ -13,8 +13,8 @@ from oracles import (
     strict_solution_by_fractions,
 )
 from toriq.fans import _pointed
-from toriq.intmat import IntMatrix, _det, rank
-from toriq.linprog import _cone_facets, _dd, cone_contains, positive_relation
+from toriq.intmat import CACHE_SIZE, IntMatrix, _det, rank
+from toriq.linprog import _cone_facets, _dd, _simplicial_facets, cone_contains, positive_relation
 
 N_SYSTEMS = 2000
 
@@ -131,8 +131,8 @@ def test_simplicial_facets_match_double_description():
 
 
 def test_square_cone_contains_matches_fraction_simplex():
-    # n generators in Q^n: a nonsingular G is decided by the signs of one
-    # elimination of [G | w], a singular one by its facets; both against
+    # n generators in Q^n: a nonsingular G is decided by its closed-form
+    # facets, a singular one by the double description; both against
     # the Fraction simplex, with w inside, on a facet and outside, and
     # with integer and rational w
     rng = random.Random(23)
@@ -174,3 +174,24 @@ def test_square_cone_contains_matches_fraction_simplex():
     # x = (-1/4, 1/4): outside, though floor division would round it in
     assert not cone_contains([(-1, 1), (1, 1)], (Fraction(1, 2), 0))
     assert cone_contains([(-1, 1), (1, 1)], (0, Fraction(1, 2)), strict=True)
+
+
+def test_simplicial_facets_cache_is_private_and_bounded():
+    # callers get a fresh list, so mutating one cannot change the next
+    # answer, and the cache keeps at most CACHE_SIZE generator tuples
+    gens = [(1, 0), (1, 2)]
+    eqs, facets = _cone_facets(gens, 2)
+    expected = ([], list(facets))
+    eqs.append((1, 1))
+    facets[0] = ((0, 0), 0)
+    facets.append(((9, 9), 3))
+    assert _cone_facets(gens, 2) == expected
+    assert cone_contains(gens, (1, 1), strict=True)
+    assert _simplicial_facets.cache_parameters()["maxsize"] == CACHE_SIZE
+    _simplicial_facets.cache_clear()
+    for k in range(CACHE_SIZE + 10):
+        hits = _simplicial_facets.cache_info().hits
+        assert _cone_facets([(1, k), (0, 1)], 2) == _cone_facets([(1, k), (0, 1)], 2)
+        assert _simplicial_facets.cache_info().hits == hits + 1
+        assert _simplicial_facets.cache_info().currsize <= CACHE_SIZE
+    assert _simplicial_facets.cache_info().currsize == CACHE_SIZE
