@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidFan, NonIntegerQuotient, NonIntegralFactor, NotReflexive
-from .fans import FanData, _anticanonical, _complement, fan_from_point, is_complete
+from .fans import FanData, _anticanonical, _complement, _cone_walls, fan_from_point, is_complete
 from .gale import _fan_conditions, gale_dual
 from .intmat import (
     CACHE_SIZE,
@@ -218,6 +218,15 @@ def analyze(v: IntMatrix, fan: FanData) -> CoveringData:
     if len(rays) < v.cols:
         lost = min(set(range(v.cols)) - rays)
         raise InvalidFan(f"column {lost + 1} of the fan matrix is a ray of no maximal cone")
+    for g in fan.max_cones:
+        # a generator is an extreme ray when the walls through it meet in it
+        # alone; only a cone with more generators than dimensions can fail
+        if len(g) > v.rows:
+            walls = [set(wall) for _, wall in _cone_walls(v, g)]
+            for j in g:
+                if set(g).intersection(*(w for w in walls if j in w)) != {j}:
+                    cone = tuple(i + 1 for i in g)
+                    raise InvalidFan(f"column {j + 1} of the fan matrix is not an extreme ray of the cone {cone}")
     q = gale_dual(v)
     w, fan_cover, b, g = universal_cover(v, fan)
 

@@ -6,10 +6,18 @@ Index convention: a maximal cone is stored as the sorted tuple of the
 GENERATOR column indices (0-based).  The dual weight-side cone of a
 maximal cone uses the complementary index set; `_complement` is the one
 conversion point.
+
+Caches, each bounded by CACHE_SIZE: `eff_cone` and `mov_cone` keyed by
+the weight matrix, `is_complete` keyed by the fan, `nef_cone` keyed by
+(weight matrix, fan), and the chamber record `_chambers`, which keeps,
+per (weight matrix, fan matrix), up to CACHE_SIZE cell fans that
+`fan_from_point` has validated, so each secondary-fan chamber is
+computed once.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -102,15 +110,16 @@ def is_simplicial(fan: FanData) -> bool:
     return all(len(g) == n for g in fan.max_cones)
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def is_complete(fan: FanData) -> bool:
     """Facet-coverage test: every wall of every maximal cone must be
     shared by exactly two maximal cones sitting on opposite sides."""
     seen = {}
     for ci, g in enumerate(fan.max_cones):
         for a, wall in _cone_walls(fan.fan_matrix, g):
-            key = (_wall_key(a), wall)
-            side = 1 if _wall_key(a) == a else -1
-            seen.setdefault(key, []).append((ci, side))
+            key = _wall_key(a)
+            side = 1 if key == a else -1
+            seen.setdefault((key, wall), []).append((ci, side))
     for members in seen.values():
         if len(members) != 2:
             return False
@@ -180,6 +189,7 @@ def mov_cone(q: IntMatrix) -> GkzCone:
     return GkzCone(gens)
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def nef_cone(q: IntMatrix, fan: FanData) -> GkzCone:
     """Intersection of the dual bunch cones of the fan's maximal cones."""
     m = q.cols
@@ -242,6 +252,28 @@ def _cell_supports(q: IntMatrix, w) -> set:
     return supports
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _chambers(q: IntMatrix, v: IntMatrix) -> collections.deque:
+    """The cell fans over v that `fan_from_point` has validated for the
+    weight matrix q, each with the `_cone_facets` of its complementary
+    weight cones, most recently validated or returned first; at most
+    CACHE_SIZE of them, for at most CACHE_SIZE (q, v) pairs."""
+    return collections.deque(maxlen=CACHE_SIZE)
+
+
+def _recorded_cell(q: IntMatrix, v: IntMatrix, w):
+    """A recorded cell fan over v that passes `fan_from_point`'s
+    validation at w, moved to the front of the record, or None."""
+    record = _chambers(q, v)
+    for i, entry in enumerate(record):
+        fan, duals = entry
+        if all(_facets_contain(*d, w, strict=True) for d in duals) and is_complete(fan):
+            del record[i]
+            record.appendleft(entry)
+            return fan
+    return None
+
+
 def fan_from_point(q: IntMatrix, w, fan_matrix: IntMatrix | None = None) -> FanData:
     """Fan dual to the secondary-fan cell whose relative interior
     contains w.
@@ -260,6 +292,18 @@ def fan_from_point(q: IntMatrix, w, fan_matrix: IntMatrix | None = None) -> FanD
     result is validated by an independent route (w in the relative
     interior of the complementary weight cone of each maximal cone, plus
     completeness) and never returned silently on failure.
+
+    Each chamber is paid for once per (q, fan matrix): the fans that
+    passed that validation are recorded with the facets it read
+    (`_chambers`), and w is first put to the same validation against
+    each of them.  That is exact.  The complementary cones of a fan Σ
+    validated at w0 are its minimal w0-relevant faces, so their
+    intersection is the GKZ cone λ(w0) = Nef(Σ).  If w lies in the
+    relative interior of each of them, it lies in the relative interior
+    of their intersection (Rockafellar, *Convex Analysis*, Thm 6.5), so
+    λ(w) = λ(w0), and the cell fan, which depends on w only through
+    λ(w), is Σ again.  A point that passes for no recorded fan takes the
+    route above.
     """
     m = q.cols
     r = q.rows
@@ -273,16 +317,19 @@ def fan_from_point(q: IntMatrix, w, fan_matrix: IntMatrix | None = None) -> FanD
     v = fan_matrix if fan_matrix is not None else gale_dual(q)
     if v.cols != m:
         raise RankDeficient("fan matrix has the wrong number of columns")
+    fan = _recorded_cell(q, v, w)
+    if fan is not None:
+        return fan
 
     fan = FanData(v, [_complement(s, m) for s in _cell_supports(q, w)])
+    duals = []
     for g in fan.max_cones:
-        comp = _complement(g, m)
-        if not cone_contains([q.col(j) for j in comp], w, strict=True):
-            raise InvalidFan(
-                f"cell point is not interior to the dual cone of {tuple(g)}"
-            )
+        duals.append(_cone_facets([q.col(j) for j in _complement(g, m)], r))
+        if not _facets_contain(*duals[-1], w, strict=True):
+            raise InvalidFan(f"cell point is not interior to the dual cone of {g}")
     if not is_complete(fan):
         raise InvalidFan("cell cones do not form a complete fan")
+    _chambers(q, v).appendleft((fan, tuple(duals)))
     return fan
 
 

@@ -312,6 +312,43 @@ def test_column_in_no_maximal_cone_is_a_named_error(tmp_path, capsys):
     assert "column 6" in out["error"]["message"]
 
 
+NON_EXTREME_GENERATORS = [
+    # column 3 = (-2, 0) lies inside the face fan's cone over columns 1, 3, 5
+    ({"matrix": [[-2, -1, -2, 2, -2, 3, 0], [-1, -3, 0, 3, 1, 2, -3]], "role": "fan-matrix"},
+     "column 3 of the fan matrix is not an extreme ray of the cone (1, 3, 5)"),
+    # -K = (-3, 0) is on the boundary of Mov(Q); its cell fan's cone over
+    # columns 1, 2, 4 has column 4 inside it
+    ({"matrix": [[-2, -1, -2, 2], [2, 1, 0, -3]], "role": "weight-matrix"},
+     "column 4 of the fan matrix is not an extreme ray of the cone (1, 2, 4)"),
+]
+
+
+@pytest.mark.parametrize("doc, message", NON_EXTREME_GENERATORS, ids=["fan-matrix", "weight-matrix"])
+@pytest.mark.filterwarnings("ignore:non-vertex columns pruned")
+def test_generator_inside_its_cone_is_a_named_error(tmp_path, capsys, doc, message):
+    # the covering identities fail on such a fan; analyze and verify end in
+    # exit 2 with the column and the cone named, also without asserts
+    import os
+    import subprocess
+    import sys
+
+    import toriq
+
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in ("analyze", "verify"):
+        code, out = run_cli(capsys, command, str(path))
+        assert code == 2, command
+        assert out["error"] == {"type": "InvalidFan", "message": message}
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(toriq.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-W", "ignore", "-m", "toriq.cli", "verify", str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"] == {"type": "InvalidFan", "message": message}
+
+
 def test_fan_point_of_the_wrong_length_is_invalid_input(capsys):
     # the weight matrices have r = 1 (bauerle) and r = 2 (mds_Zprime); a
     # longer or shorter point was cut to fit

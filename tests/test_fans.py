@@ -8,6 +8,7 @@ import pytest
 
 from conftest import FIXTURES
 from oracles import cell_supports_by_solving, fan_from_point_by_merging, rays_covered, solve_unique
+from toriq import fans as fans_module
 from toriq.errors import InvalidFan, OriginNotInterior, OutOfDomain, OutsideMoving, ToriqError
 from toriq.fans import (
     FanData,
@@ -422,6 +423,14 @@ def _count_eliminations(monkeypatch):
     return calls
 
 
+def _clear_cell_caches():
+    """Empty the completeness, nef-cone and chamber caches, so that the next
+    cell is computed cold."""
+    is_complete.cache_clear()
+    nef_cone.cache_clear()
+    fans_module._chambers.cache_clear()
+
+
 def test_cell_point_work_counts(monkeypatch):
     # the cells are read off one minors table: the exact eliminations run
     # only in the validation, one closed-form facet set of the V-side cone
@@ -432,6 +441,7 @@ def test_cell_point_work_counts(monkeypatch):
     mov_cone(q).contains(w)
     gale_dual(q)
     _simplicial_facets.cache_clear()
+    _clear_cell_caches()
     calls = _count_eliminations(monkeypatch)
     fan = fan_from_point(q, w)
     assert len(fan.max_cones) > 1
@@ -447,6 +457,7 @@ def test_cell_point_inverts_each_square_cone_once(monkeypatch):
     mov_cone(q).contains(w)
     gale_dual(q)
     _simplicial_facets.cache_clear()
+    _clear_cell_caches()
     calls = _count_eliminations(monkeypatch)
     fan = fan_from_point(q, w)
     rebuilt = FanData(IntMatrix(fan.fan_matrix.data), fan.max_cones)
@@ -459,6 +470,107 @@ def test_cell_point_inverts_each_square_cone_once(monkeypatch):
             square[tuple(zip(*(r[:n] for r in rows)))] += 1
     assert len(square) >= 2 * len(fan.max_cones), square
     assert max(square.values()) == 1, square
+
+
+def test_second_point_of_a_known_chamber_builds_no_minors_table(monkeypatch):
+    # a point in the relative interior of a chamber already met is answered
+    # from the chamber record: no minors table and no double description
+    from toriq import linprog
+
+    q, w = _cell_point_system()
+    _clear_cell_caches()
+    fan = fan_from_point(q, w)
+    nef = nef_cone(q, fan)
+    w2 = tuple(3 * x + y for x, y in zip(w, nef.generators[0]))
+    assert w2 != w and nef.contains(w2, strict=True)
+    calls = Counter()
+    real_minors, real_dd = fans_module._maximal_minors, linprog._dd
+
+    def minors(*args):
+        calls["minors"] += 1
+        return real_minors(*args)
+
+    def dd(*args):
+        calls["dd"] += 1
+        return real_dd(*args)
+
+    monkeypatch.setattr(fans_module, "_maximal_minors", minors)
+    monkeypatch.setattr(linprog, "_dd", dd)
+    assert fan_from_point(q, w2) is fan
+    assert nef_cone(q, fan) is nef
+    assert not calls, calls
+    _clear_cell_caches()
+    assert fan_from_point(q, w2) == fan
+    assert calls["minors"] == 1
+
+
+def test_warm_chamber_record_matches_cold_cells(monkeypatch):
+    # every golden weight matrix at its anticanonical class, its moving
+    # rays, the sums of two rays and seeded interior combinations, all in
+    # one seeded order: with the chamber record warm and with the fans
+    # caches cleared before each point, the cells (or the exception types)
+    # agree; the warm pass answers from the record, and a point that
+    # raises InvalidFan leaves the record as it was
+    rng = random.Random(66)
+    points = []
+    for name, q, rays in _golden_weights():
+        ws = [tuple(sum(r) for r in q.data)] + list(rays)
+        ws += [_combination(pair, (1, 1)) for pair in itertools.combinations(rays, 2)]
+        ws += [_combination(rays, [rng.randint(1, 4) for _ in rays]) for _ in range(4)]
+        points += [(name, q, w) for w in ws]
+    rng.shuffle(points)
+    caches = [
+        fn for fn in vars(fans_module).values()
+        if hasattr(fn, "cache_clear") and fn.__module__ == fans_module.__name__
+    ]
+    cold = []
+    for name, q, w in points:
+        for fn in caches:
+            fn.cache_clear()
+        cold.append(_cell_or_error(fan_from_point, q, w))
+    for fn in caches:
+        fn.cache_clear()
+    hits = Counter()
+    real = fans_module._recorded_cell
+
+    def recorded(*args):
+        fan = real(*args)
+        hits[fan is not None] += 1
+        return fan
+
+    monkeypatch.setattr(fans_module, "_recorded_cell", recorded)
+    invalid = 0
+    for (name, q, w), expected in zip(points, cold):
+        record = fans_module._chambers(q, gale_dual(q))
+        before = list(record)
+        got = _cell_or_error(fan_from_point, q, w)
+        assert got == expected, (name, w)
+        if got is InvalidFan:
+            invalid += 1
+            assert list(record) == before, (name, w)
+    assert hits[True] > 50 and hits[False] > 20 and invalid > 20, (hits, invalid)
+
+
+def test_chamber_record_is_bounded_per_matrix(monkeypatch):
+    # with room for two chambers, walking through more of them keeps the
+    # two most recent and still gives every point its own cell
+    name, q, rays = next(e for e in _golden_weights() if e[0] == "blupP3_Xpolar")
+    v = gale_dual(q)
+    rng = random.Random(67)
+    points = [_combination(rays, [rng.randint(1, 4) for _ in rays]) for _ in range(12)]
+    expected = []
+    for w in points:
+        _clear_cell_caches()
+        expected.append(fan_from_point(q, w))
+    assert len(set(expected)) > 2
+    monkeypatch.setattr(fans_module, "CACHE_SIZE", 2)
+    _clear_cell_caches()
+    for w, fan in zip(points, expected):
+        assert fan_from_point(q, w) == fan
+        record = fans_module._chambers(q, v)
+        assert record.maxlen == 2 and len(record) <= 2
+        assert record[0][0] == fan
+    _clear_cell_caches()  # no record of two outlives the patched bound
 
 
 def test_incomplete_fan_is_not_qfano():
