@@ -25,6 +25,7 @@ from .gale import gale_dual, gl_canonical_form, is_reduced_f
 from .intmat import (
     FiniteAbelianGroup,
     IntMatrix,
+    _eliminate,
     _hermite_rows,
     cokernel,
     hnf,
@@ -32,7 +33,7 @@ from .intmat import (
     rank,
     snf,
 )
-from .polytope import facet_columns, fmatrix_index, polar_index
+from .polytope import facet_columns, fmatrix_index, polar_vertex_matrix
 
 
 @dataclass(frozen=True)
@@ -199,16 +200,29 @@ def quotient_by_subgroup(w: IntMatrix, gamma: TorsionMatrix, sub: SubgroupHandle
     """
     if gamma.ambient != sub.ambient:
         raise InconsistentAction("subgroup ambient differs from the action's group")
-    fs = gamma.ambient.invariant_factors
-    n = w.rows
+    return _invariant_basis(_action(w, gamma), sub) * w
+
+
+def _action(w: IntMatrix, gamma: TorsionMatrix) -> IntMatrix:
+    """W*Gamma (n x t): column t takes a character m to the t-th torsion
+    component of its class, through the rays of w."""
+    return w * IntMatrix._of(gamma.columns)
+
+
+def _invariant_basis(action: IntMatrix, sub: SubgroupHandle) -> IntMatrix:
+    """The HNF basis S of the invariant character lattice M_H of the
+    subgroup, acting through `_action` (n rows); raises
+    InconsistentAction when coker(S^T) is not the subgroup's group."""
+    fs = sub.ambient.invariant_factors
+    n = action.rows
     if not fs or sub.order == 1:
-        return w
+        return IntMatrix.identity(n)
     big = lcm(*fs)
     # per generator a: sum_t (big/d_t) a_t (Gamma_t . (w^T m))_t == 0 (mod big)
     gens = [[(big // d) * x for x, d in zip(a, fs)] for a in sub.generators if any(a)]
     if not gens:
-        return w
-    cmat = IntMatrix._of(gens) * (w * IntMatrix._of(gamma.columns)).t()
+        return IntMatrix.identity(n)
+    cmat = IntMatrix._of(gens) * action.t()
     g = len(gens)
     # the rows (C^T e_i | e_i) and (-big e_t | 0) span {(C m - big t, m)};
     # the first block has rank g, so in their row HNF the rows past its g
@@ -221,23 +235,43 @@ def quotient_by_subgroup(w: IntMatrix, gamma: TorsionMatrix, sub: SubgroupHandle
     got, want = cokernel(s_mat.t()), sub.group_type()
     if got != want:
         raise InconsistentAction(f"quotient covering group {got} != subgroup {want}")
-    return s_mat * w
+    return s_mat
 
 
 def _quotients(w: IntMatrix, a: IntMatrix):
-    """(subgroup, quotient fan matrix) for every subgroup of coker(a^T),
-    acting on the covering fan matrix w through the torsion matrix of a*w.
+    """(subgroup, S, quotient fan matrix S*w) for every subgroup of
+    coker(a^T), acting on the covering fan matrix w through the torsion
+    matrix of a*w.  The action W*Gamma is formed once for all subgroups.
 
     The columns of w span Z^n, so the multiplicity of a quotient S*w, the
-    index of its column lattice, is |det S|; `quotient_by_subgroup` has
+    index of its column lattice, is |det S|; `_invariant_basis` has
     matched coker(S^T) to the subgroup, so it is the subgroup's order.
     """
     if lattice_index(w) != 1:
         raise InconsistentAction("covering fan matrix does not span the lattice")
     gamma = torsion_matrix(a * w)
     assert gamma.ambient == cokernel(a.t())
+    action = _action(w, gamma)
     for sub in subgroups(gamma.ambient):
-        yield sub, quotient_by_subgroup(w, gamma, sub)
+        s = _invariant_basis(action, sub)
+        yield sub, s, s * w
+
+
+def _polar_index_of_image(s: IntMatrix, polar: IntMatrix, d: int) -> int:
+    """Index of S*W for nonsingular S, given the polar points of W, the
+    columns of polar/d, on the facets of conv(W): those facets are the
+    facets of conv(S*W) on the same column sets, and <x, S w_j> = -1
+    exactly when <S^T x, w_j> = -1, so the polar points of S*W are
+    S^-T polar / d.  A nonsingular S keeps the rank of each facet's
+    columns and whether they lie on a common polar hyperplane, so the
+    checks of `polar_vertex_matrix` on W hold for S*W.  One elimination
+    of [S^T | polar] gives e*[I | S^-T polar] (e its last pivot); the
+    index is the lcm of the reduced denominators of the columns over e*d.
+    """
+    n = s.rows
+    m, _, e, _ = _eliminate([row + prow for row, prow in zip(s.t().data, polar.data)])
+    den = e * d
+    return lcm(*(abs(den) // gcd(den, *(row[n + f] for row in m)) for f in range(polar.cols)))
 
 
 def _gl_classes(entries):
@@ -265,7 +299,7 @@ def enumerate_fano_family(q: IntMatrix):
     cd = analyze(fan.fan_matrix, fan)
     assert cd.k == 1 and cd.k_hat == 1
     entries = []
-    for sub, v_h in _quotients(cd.W, cd.A):
+    for sub, _, v_h in _quotients(cd.W, cd.A):
         assert is_reduced_f(v_h), "reflexive-case quotient must stay reduced"
         entries.append((sub, v_h, sub.order))
     classes = _gl_classes(entries)
@@ -295,20 +329,23 @@ def enumerate_qgorenstein_family(q: IntMatrix, h: int) -> QGorensteinFamily:
     entries are (subgroup, fan matrix, witness column index).  Every
     quotient S*W is a linear image of the covering fan matrix W, so
     conv(S*W) has the facets of conv(W) on the same column sets: W is
-    hulled once and each kept index is read off its polar vertices.
+    hulled once, its polar points on those facets are solved once, and
+    each kept index is read off one elimination with S
+    (`_polar_index_of_image`).  The action W*Gamma is formed once for
+    the family (`_quotients`).
     """
     if h < 1:
         raise OutOfDomain("needs h >= 1")
     fan = fan_from_point(q, _anticanonical(q))
     cd = analyze(fan.fan_matrix, fan)
-    facets = facet_columns(cd.W)
+    polar, d = polar_vertex_matrix(cd.W, facet_columns(cd.W))
     kept = []
     indices = []
     rejected = []
-    for sub, v_h in _quotients(cd.W, cd.A * h):
+    for sub, s, v_h in _quotients(cd.W, cd.A * h):
         if is_reduced_f(v_h):
             kept.append((sub, v_h, sub.order))
-            indices.append(polar_index(v_h, facets))
+            indices.append(_polar_index_of_image(s, polar, d))
         else:
             witness = next(
                 j

@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import prod
 
 from . import bounds as bounds_mod
@@ -165,26 +166,59 @@ def resolve_variety(doc) -> tuple:
 # serialization
 
 
-def _encode(obj):
-    if isinstance(obj, dict):
-        return {k: _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return str(obj) if abs(obj) > _SAFE else obj
-    if isinstance(obj, Fraction):
+def _write(obj, out: list, pad: str) -> None:
+    """Append the JSON text of obj to out, in one walk: the text
+    json.dumps(..., sort_keys=True, indent=2) gives once integers beyond
+    the 53-bit safe range become decimal strings, a Fraction "p/q" (an
+    integer when q = 1), a tuple or IntMatrix a list.  pad is the
+    indentation of the line obj starts on."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(f'"{obj}"' if abs(obj) > _SAFE else int.__repr__(obj))
+    elif isinstance(obj, (list, tuple, IntMatrix)):
+        items = obj.data if isinstance(obj, IntMatrix) else obj
+        if not items:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if all(type(x) is int and -_SAFE <= x <= _SAFE for x in items):
+            out.append("[\n" + inner + sep.join(map(int.__repr__, items)) + "\n" + pad + "]")
+            return
+        out.append("[\n" + inner)
+        for i, x in enumerate(items):
+            if i:
+                out.append(sep)
+            _write(x, out, inner)
+        out.append("\n" + pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        out.append("{\n" + inner)
+        for i, k in enumerate(sorted(obj)):
+            if i:
+                out.append(",\n" + inner)
+            out.append(encode_basestring_ascii(k) + ": ")
+            _write(obj[k], out, inner)
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, Fraction):  # an ABC check, so after the containers
         if obj.denominator == 1:
-            return _encode(obj.numerator)
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, IntMatrix):
-        return [_encode(list(r)) for r in obj.data]
-    return obj
+            _write(obj.numerator, out, pad)
+        else:
+            out.append(f'"{obj.numerator}/{obj.denominator}"')
+    else:
+        out.append(json.dumps(obj))
 
 
 def emit(payload: dict) -> None:
-    print(json.dumps(_encode(payload), sort_keys=True, indent=2))
+    out = []
+    _write(payload, out, "")
+    print("".join(out))
 
 
 def _rows(mat) -> list:
@@ -384,7 +418,9 @@ def cmd_qfano(args) -> int:
 def cmd_classify(args) -> int:
     doc = load_document(args.path)
     v, fan = resolve_variety(doc)
-    q = gale_dual(v)
+    # a weight-matrix document's own Q: `resolve_variety` has recorded
+    # its anticanonical chamber, which the family's fan_from_point reuses
+    q = doc["matrix"] if doc["role"] == "weight-matrix" else gale_dual(v)
     fam = enumerate_qgorenstein_family(q, args.factor)
     kept = [
         {

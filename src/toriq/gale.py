@@ -16,7 +16,9 @@ from .errors import RankDeficient
 from .intmat import (
     CACHE_SIZE,
     IntMatrix,
+    _hermite_rows,
     _hermite_step,
+    _maximal_minors,
     hnf,
     kernel_basis,
     rank,
@@ -230,11 +232,64 @@ def gale_dual(m: IntMatrix) -> IntMatrix:
     return IntMatrix._of(rows if basis is None else sorted(basis))
 
 
+def _column_cells(m: IntMatrix) -> list:
+    """The cell of each column of m, as an int: columns in one cell share
+    every invariant below, and the cells are numbered in the order of
+    their labels.
+
+    Take the nonzero rows R of the row HNF of m (r of them) and the
+    |r x r minors| of R, one per r-subset of the columns.  A column's
+    first label is the sorted multiset of |minor| over the r-subsets that
+    contain it.  Each round labels a column again by (its label, the
+    sorted multiset over those subsets of (|minor|, the sorted labels of
+    the subset's other columns)), and numbers the distinct labels in
+    sorted order; the rounds stop when the number of cells does not grow.
+    """
+    rows = [list(r) for r in m.data]
+    r = _hermite_rows(rows)
+    if r == 0:
+        return [0] * m.cols
+    incident = [[] for _ in range(m.cols)]
+    for s, x in _maximal_minors(rows[:r]).items():
+        for j in s:
+            incident[j].append((s, abs(x)))
+    label = _numbered([tuple(sorted(a for _, a in inc)) for inc in incident])
+    cells = len(set(label))
+    while cells < m.cols:
+        new = _numbered([
+            (label[j], tuple(sorted((a, tuple(sorted(label[i] for i in s if i != j))) for s, a in inc)))
+            for j, inc in enumerate(incident)
+        ])
+        grown = len(set(new))
+        if grown == cells:
+            break
+        label, cells = new, grown
+    return label
+
+
+def _numbered(labels) -> list:
+    """Each label replaced by its rank among the distinct labels."""
+    rank_of = {x: i for i, x in enumerate(sorted(set(labels)))}
+    return [rank_of[x] for x in labels]
+
+
 def gl_canonical_form(m: IntMatrix):
     """Canonical form of m under GL_n(Z) x column permutations: the
-    lexicographically least row HNF over all column orderings, compared
-    column-major (which makes prefix pruning valid, because the leading
-    columns of a row HNF depend only on the leading columns of the input).
+    lexicographically least row HNF over the column orderings compatible
+    with the cells of `_column_cells` (each cell's columns placed together,
+    the cells in their order), compared column-major (which makes prefix
+    pruning valid, because the leading columns of a row HNF depend only on
+    the leading columns of the input).
+
+    The cells are invariant.  P*m has the same HNF as m, and the nonzero
+    HNF rows of m*S and R*S (R those of m) are two bases of one lattice,
+    so their r x r minors on corresponding columns agree up to sign:
+    every label moves with its column.  So if m2 = P*m1*S, the
+    orderings compatible with the cells of m2 are those of m1 composed
+    with S, with the same HNFs, and the keys are equal; equal keys give
+    m2 = P*m1*S with P read off the two transforms.  Refining first is
+    the individualization-refinement idea of McKay & Piperno (Practical
+    graph isomorphism II, 2014): the search permutes only within cells.
 
     Each node of the search extends its parent's HNF by one column c: the
     transform U maps c to U*c, and one Hermite step (`_hermite_step`) on
@@ -249,6 +304,8 @@ def gl_canonical_form(m: IntMatrix):
     """
     cols = m.columns()
     n = m.rows
+    label = _column_cells(m)
+    slots = sorted(label)  # the cell each position of the order is filled from
     best = {"key": None, "perm": None, "u": None}
 
     def dfs(chosen, remaining, key, u, r):
@@ -258,10 +315,11 @@ def gl_canonical_form(m: IntMatrix):
             if best["key"] is None or key < best["key"]:
                 best.update(key=key, perm=tuple(chosen), u=u)
             return
+        cell = slots[len(chosen)]
         tried = set()
         for i in remaining:
             c = cols[i]
-            if c in tried:
+            if label[i] != cell or c in tried:
                 continue
             tried.add(c)
             col = [[_dot(row, c)] for row in u]

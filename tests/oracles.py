@@ -17,7 +17,9 @@ bounding box.  The subgroup oracle builds every upper-triangular HNF
 candidate and keeps those whose lattice contains diag(f), where the
 library's column walk never builds a candidate that fails.  The
 canonical-form oracle runs a full `hnf` on every prefix of its search,
-where the library extends the parent's HNF by one column.  The quotient
+where the library extends the parent's HNF by one column, and finds the
+column cells with one `det` per subset, where the library reads every
+minor off one Laplace table.  The quotient
 oracle finds the invariant lattice of a subgroup as the projection of a
 saturated kernel, where the library reads it off one row HNF.  The
 elimination oracle applies every Bareiss update of a full Gauss-Jordan
@@ -25,7 +27,9 @@ pass, where the library skips the updates that cannot change a row and
 takes determinants and ranks from a forward pass; `solve_unique` reads a
 square system's Fraction solution off it.  The line-interval oracle for
 lattice points always takes the last coordinate as the line, where the
-library takes the widest one.
+library takes the widest one.  The JSON oracle converts a payload to
+plain values and leaves the text to `json.dumps`, where the CLI writes it
+in one walk.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from toriq.gale import gale_dual
 from toriq.intmat import FiniteAbelianGroup, IntMatrix, hnf, kernel_basis, rank
 from toriq.linprog import cone_contains
 from toriq.polytope import VPolytope, facet_enumeration
+
+_SAFE = 1 << 53
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -486,10 +492,41 @@ def subgroups_by_filter(g: FiniteAbelianGroup, order: int | None = None):
     return out
 
 
-def gl_canonical_form_by_prefix_hnf(m: IntMatrix):
+def gl_cells_by_det(m: IntMatrix) -> list:
+    """The cell of each column, as `gale._column_cells` defines it, with
+    one `det` per r-subset of the nonzero HNF rows."""
+    h, _ = hnf(m)
+    rows = IntMatrix([r for r in h.data if any(r)])
+    if not rows.rows:
+        return [0] * m.cols
+    minor = {s: abs(rows.cols_at(s).det()) for s in itertools.combinations(range(m.cols), rows.rows)}
+
+    def numbered(labels):
+        order = sorted(set(labels))
+        return [order.index(x) for x in labels]
+
+    label = numbered([tuple(sorted(x for s, x in minor.items() if j in s)) for j in range(m.cols)])
+    while True:
+        new = numbered([
+            (label[j], tuple(sorted(
+                (x, tuple(sorted(label[i] for i in s if i != j))) for s, x in minor.items() if j in s
+            )))
+            for j in range(m.cols)
+        ])
+        if len(set(new)) == len(set(label)):
+            return label
+        label = new
+
+
+def gl_canonical_form_by_prefix_hnf(m: IntMatrix, label=None):
     """(key, perm, H, U) of `gale.gl_canonical_form`, with one full row
-    HNF of the reordered prefix at every node of the search."""
+    HNF of the reordered prefix at every node of the search; the orders
+    searched keep the cells of `gl_cells_by_det` together, in their order.
+    label=[0] * m.cols searches every order (the key before cells)."""
     cols = m.columns()
+    if label is None:
+        label = gl_cells_by_det(m)
+    slots = sorted(label)
     best = {"key": None, "perm": None}
 
     def dfs(chosen, remaining):
@@ -505,7 +542,7 @@ def gl_canonical_form_by_prefix_hnf(m: IntMatrix):
         tried = set()
         for i in remaining:
             c = cols[i]
-            if c in tried:
+            if label[i] != slots[len(chosen)] or c in tried:
                 continue
             tried.add(c)
             dfs(chosen + [i], [x for x in remaining if x != i])
@@ -529,3 +566,25 @@ def quotient_fan_matrix_by_kernel(w: IntMatrix, gamma: TorsionMatrix, sub: Subgr
     k = kernel_basis(cmat.hstack(IntMatrix.identity(len(gens)) * -big))
     basis, _ = hnf(k.rows_at(range(w.rows)).t())
     return IntMatrix([r for r in basis.data if any(r)]) * w
+
+
+def _encode(obj):
+    """The payload as plain JSON values, for `json.dumps(..., sort_keys=True,
+    indent=2)` to give the text `cli.emit` writes in one walk: integers
+    beyond the 53-bit safe range as decimal strings, a Fraction as "p/q"
+    (an integer when q = 1), tuples and IntMatrix rows as lists."""
+    if isinstance(obj, dict):
+        return {k: _encode(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encode(v) for v in obj]
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return str(obj) if abs(obj) > _SAFE else obj
+    if isinstance(obj, Fraction):
+        if obj.denominator == 1:
+            return _encode(obj.numerator)
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, IntMatrix):
+        return [_encode(list(r)) for r in obj.data]
+    return obj

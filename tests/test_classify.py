@@ -260,6 +260,32 @@ def test_family_indices_match_fmatrix_index_on_fixtures():
     assert families >= 40
 
 
+def test_family_indices_from_one_solve_match_polar_index():
+    # each kept index comes from one elimination of [S^T | polar points of
+    # W]; it must equal the index solved on S*W facet by facet and the
+    # index of S*W hulled afresh, for every golden weight matrix at h = 1..3
+    import json
+    import os
+
+    from conftest import FIXTURES
+    from toriq.fans import _anticanonical
+    from toriq.polytope import facet_columns, polar_index
+
+    with open(os.path.join(FIXTURES, "..", "perfbench", "golden.json")) as fh:
+        weights = json.load(fh)["weights"]
+    kept = 0
+    for name in sorted(weights):
+        q = IntMatrix(weights[name]["q"])
+        fan = fan_from_point(q, _anticanonical(q))
+        facets = facet_columns(analyze(fan.fan_matrix, fan).W)
+        for h in (1, 2, 3):
+            fam = enumerate_qgorenstein_family(q, h)
+            for (_, v_h, _), index in zip(fam.kept, fam.indices, strict=True):
+                assert index == polar_index(v_h, facets) == fmatrix_index(v_h), (name, h, v_h)
+                kept += 1
+    assert kept > 500
+
+
 def test_unitary_cover_bauerle():
     v1 = unitary_cover(BAUERLE_V, face_fan(BAUERLE_V))
     assert gl_equivalent(v1, IntMatrix([[1, 1, -1], [0, 8, -6]]))[0]

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from conftest import FIXTURES, fixture_path
-from toriq.cli import _encode, build_report, load_document, main, resolve_variety
+from oracles import _encode
+from toriq.cli import build_report, load_document, main, resolve_variety
 from toriq.errors import ToriqError
 from toriq.intmat import IntMatrix
 
@@ -457,6 +458,90 @@ def test_fraction_serialization():
 
     assert _encode(Fraction(3, 2)) == "3/2"
     assert _encode(Fraction(4, 2)) == 2
+
+
+def _dumped(payload) -> str:
+    return json.dumps(_encode(payload), sort_keys=True, indent=2) + "\n"
+
+
+def test_emit_matches_json_dumps_on_edge_values(capsys):
+    # the one-walk writer against json.dumps of the converted payload
+    from fractions import Fraction
+
+    from toriq.cli import emit
+
+    edge = {
+        "safe": [2**53, -(2**53)],
+        "unsafe": [2**53 + 1, -(2**53) - 1],
+        "mixed": [1, 2**53, -(2**53), 2**53 + 1, True, 1, False, None, "s"],
+        "fractions": [Fraction(4, 2), Fraction(-3, 2), Fraction(2**60, 3), Fraction(2**60)],
+        "empty": [[], {}, (), IntMatrix._of(())],
+        "nested": ((1, (2, (3, ()))), [(), [[]]], {"a": ({}, [])}),
+        "matrix": IntMatrix([[2**60, -1], [0, 5]]),
+        "message": 'caf\u00e9 \u2260 \U0001d4aa "quoted" \\ /\n\t',
+        "flags": {"true": True, "one": 1, "false": False, "zero": 0},
+    }
+    for payload in [edge, *edge.values(), True, 1, Fraction(4, 2), 2**53, -(2**53) - 1, []]:
+        emit(payload)
+        assert capsys.readouterr().out == _dumped(payload), payload
+
+
+@pytest.mark.filterwarnings("ignore:non-vertex columns pruned")
+def test_emit_matches_json_dumps_on_every_payload(capsys, monkeypatch, tmp_path):
+    # every fixture's payloads, the golden families and cells at moving
+    # points of the golden weight matrices, errors included
+    import glob
+    import os
+
+    from toriq import cli
+
+    payloads = []
+    real = cli.emit
+
+    def recording(payload):
+        payloads.append(payload)
+        real(payload)
+
+    monkeypatch.setattr(cli, "emit", recording)
+    runs = []
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+        for cmd in ("analyze", "gale", "polar", "volume", "cover", "fan", "qfano", "verify"):
+            runs.append([cmd, path])
+        runs.append(["classify", path, "--factor", "2"])
+    with open(os.path.join(FIXTURES, "..", "perfbench", "golden.json")) as fh:
+        golden = json.load(fh)
+    for name, entry in sorted(golden["weights"].items()):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"matrix": entry["q"], "role": "weight-matrix"}))
+        rays = entry["mov_rays"]
+        for point in ([sum(c) for c in zip(*rays)], rays[0], [2 * x for x in rays[-1]]):
+            runs.append(["fan", str(path), "--point", ",".join(map(str, point))])
+    for item in golden["families"]:
+        name, h = item.rsplit(":h", 1)
+        runs.append(["classify", str(tmp_path / f"{name}.json"), "--factor", h])
+    for argv in runs:
+        main(argv)
+        assert capsys.readouterr().out == _dumped(payloads[-1]), argv
+    assert len(payloads) == len(runs)
+
+
+def test_classify_is_invariant_under_the_weight_basis(capsys, tmp_path):
+    # `classify` on a weight matrix Q and on U * Q (U unimodular) prints the
+    # same family: the fan and the quotients depend on the row lattice only
+    import os
+
+    with open(os.path.join(FIXTURES, "..", "perfbench", "golden.json")) as fh:
+        weights = json.load(fh)["weights"]
+    rng = random.Random(23)
+    for name, entry in sorted(weights.items()):
+        q = IntMatrix(entry["q"])
+        outs = []
+        for mat in (q, _unimodular(rng, q.rows) * q):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"matrix": [list(r) for r in mat.data], "role": "weight-matrix"}))
+            assert main(["classify", str(path), "--factor", "2"]) == 0, name
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], name
 
 
 def test_torsion_block_parses():

@@ -218,6 +218,109 @@ def test_gl_canonical_form_runs_hnf_at_most_once(monkeypatch):
         assert len(calls) - before <= 1
 
 
+def _scramble(rng, m: IntMatrix):
+    """(U * m * S, perm) for a random unimodular U (a signed row
+    permutation and shears) and a random column permutation S: column k
+    of the result is column perm[k] of U * m."""
+    n = m.rows
+    perm = rng.sample(range(n), n)
+    u = [[rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    for _ in range(3 if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    cols = (IntMatrix(u) * m).columns()
+    perm = rng.sample(range(m.cols), m.cols)
+    return IntMatrix.from_columns([cols[j] for j in perm]), perm
+
+
+def _random_gl_matrix(rng, max_cols: int = 12) -> IntMatrix:
+    """1-3 rows, 1 to max_cols columns, entries in [-3, 3]; some draws are
+    rank-deficient (the last row a combination of the rows above it) and
+    some repeat columns."""
+    n, m = rng.randint(1, 3), rng.randint(1, max_cols)
+    rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.25:
+        c = rng.randint(-2, 2)
+        rows[-1] = [x + c * y for x, y in zip(rows[0], rows[1 % (n - 1)])]
+    if m > 1 and rng.random() < 0.3:
+        i, j = rng.sample(range(m), 2)
+        for row in rows:
+            row[i] = row[j]
+    return IntMatrix(rows)
+
+
+def test_gl_canonical_form_is_invariant():
+    # a random U * M * S gets M's key, and its cells are M's cells moved
+    # by S; symmetric columns (the hexagon's) stay in one cell
+    from toriq.gale import _column_cells
+
+    rng = random.Random(17)
+    mats = [_random_gl_matrix(rng) for _ in range(150)] + list(_family_quotients())
+    for m in mats:
+        key, cells = gl_canonical_form(m)[0], _column_cells(m)
+        for _ in range(2):
+            scrambled, perm = _scramble(rng, m)
+            assert gl_canonical_form(scrambled)[0] == key, (m, scrambled)
+            assert _column_cells(scrambled) == [cells[j] for j in perm], (m, scrambled)
+    hexagon = IntMatrix([[1, -1, 0, 1, 0, -1], [0, 0, 1, -1, -1, 1]])
+    assert _column_cells(hexagon) == [0] * 6
+
+
+def test_gl_keys_partition_family_quotients_like_the_full_search():
+    # over the golden families' quotients, the cell-ordered keys are equal
+    # exactly when the keys of the search over every column order are, so
+    # `_gl_classes` keeps its classes and their order
+    import json
+    import os
+
+    from conftest import FIXTURES
+    from toriq.classify import _gl_classes, enumerate_qgorenstein_family
+
+    with open(os.path.join(FIXTURES, "..", "perfbench", "golden.json")) as fh:
+        golden = json.load(fh)
+
+    def classes(entries, key):
+        buckets = {}
+        for entry in entries:
+            buckets.setdefault(key(entry), []).append(entry)
+        return list(buckets.values())
+
+    quotients = 0
+    for item in sorted(golden["families"]):
+        name, h = item.rsplit(":h", 1)
+        fam = enumerate_qgorenstein_family(IntMatrix(golden["weights"][name]["q"]), int(h))
+        entries = [(sub, mat, sub.order) for sub, mat, _ in fam.kept + fam.rejected]
+        old = {id(e): gl_canonical_form_by_prefix_hnf(e[1], [0] * e[1].cols)[0] for e in entries}
+        new = {id(e): gl_canonical_form(e[1])[0] for e in entries}
+        assert classes(entries, lambda e: new[id(e)]) == classes(entries, lambda e: old[id(e)]), item
+        assert _gl_classes(entries) == classes(entries, lambda e: (e[2], old[id(e)])), item
+        quotients += len(entries)
+    assert quotients > 200
+
+
+def test_gl_canonical_form_work_count(monkeypatch):
+    # refining the columns first leaves the search a few Hermite steps per
+    # column on random 3 x 12 matrices (the search over every column order
+    # took 10^4 to 10^5 each)
+    from toriq import gale
+
+    calls = []
+    real = gale._hermite_step
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(gale, "_hermite_step", counted)
+    rng = random.Random(12)
+    for _ in range(20):
+        m = IntMatrix([[rng.randint(-3, 3) for _ in range(12)] for _ in range(3)])
+        before = len(calls)
+        gl_canonical_form(m)
+        assert len(calls) - before <= 4 * m.cols, m
+
+
 def test_gl_equivalent_shape_mismatch():
     a = IntMatrix([[1, 0], [0, 1]])
     b = IntMatrix([[1, 0, 0], [0, 1, 0]])
