@@ -54,8 +54,10 @@ def torsion_matrix(v: IntMatrix) -> TorsionMatrix:
     """Split coker(v^T) into free and torsion parts via SNF; the columns
     are the torsion components of the ray classes.
 
-    The free component spans the same row lattice as the Gale dual of v,
-    which is asserted.
+    The coordinates follow the Smith transforms, so they are one valid
+    choice among many: another unimodular pair gives the same group
+    with other coordinates (an automorphism of it).  The free component
+    spans the same row lattice as the Gale dual of v, which is asserted.
     """
     n, m = v.rows, v.cols
     if rank(v) < n:

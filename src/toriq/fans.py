@@ -112,8 +112,11 @@ def is_simplicial(fan: FanData) -> bool:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def is_complete(fan: FanData) -> bool:
-    """Facet-coverage test: every wall of every maximal cone must be
-    shared by exactly two maximal cones sitting on opposite sides."""
+    """Facet-coverage test: there is a maximal cone, and every wall of
+    every maximal cone is shared by exactly two maximal cones sitting on
+    opposite sides."""
+    if not fan.max_cones:
+        return False
     seen = {}
     for ci, g in enumerate(fan.max_cones):
         for a, wall in _cone_walls(fan.fan_matrix, g):
@@ -263,11 +266,12 @@ def _chambers(q: IntMatrix, v: IntMatrix) -> collections.deque:
 
 def _recorded_cell(q: IntMatrix, v: IntMatrix, w):
     """A recorded cell fan over v that passes `fan_from_point`'s
-    validation at w, moved to the front of the record, or None."""
+    validation at w, moved to the front of the record, or None.  Only
+    complete fans are recorded, and completeness does not depend on w."""
     record = _chambers(q, v)
     for i, entry in enumerate(record):
         fan, duals = entry
-        if all(_facets_contain(*d, w, strict=True) for d in duals) and is_complete(fan):
+        if all(_facets_contain(*d, w, strict=True) for d in duals):
             del record[i]
             record.appendleft(entry)
             return fan

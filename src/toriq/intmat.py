@@ -10,13 +10,13 @@ piv = prev, which is skipped), and no division is made when prev = 1.
 When every maximal minor is wanted at once, `_maximal_minors` builds them
 all by one Laplace expansion.
 
-Every Hermite reduction runs one column step (`_hermite_step`), with or
-without the unimodular transform.  Each normal form is computed only as
-far as its caller reads it: `hnf` carries the transform, `kernel_basis`
-reads the kernel off it, `smith_diagonal` (behind `cokernel` and
-`lattice_index`) alternates row and column reductions with no transform,
-and the full `snf`, with both transforms, serves only callers that read
-a transform (`solve_integer`, the torsion matrix of `classify`).
+Every Hermite reduction runs one column step (`_hermite_step`), and every
+Smith reduction one loop (`_smith`), each with or without the unimodular
+transforms.  Each normal form is computed only as far as its caller reads
+it: `hnf` carries the transform, `kernel_basis` reads the kernel off it,
+`smith_diagonal` (behind `cokernel` and `lattice_index`) carries no
+transform, and `snf` carries both for the callers that read them
+(`solve_integer`, the torsion matrix of `classify`).
 
 All entries are Python ints, so nothing ever overflows.  A rational point
 set is an IntMatrix of numerators over one common denominator (see
@@ -366,92 +366,6 @@ class SnfDecomposition:
         return tuple(self.D[i, i] for i in range(n))
 
 
-def _is_diagonal(m: IntMatrix) -> bool:
-    return all(
-        m.data[i][j] == 0
-        for i in range(m.rows)
-        for j in range(m.cols)
-        if i != j
-    )
-
-
-_SNF_ROUNDS = 500
-
-
-def snf(a: IntMatrix) -> SnfDecomposition:
-    """Smith normal form with transforms.
-
-    Returns SnfDecomposition(D, P, U) with P*a*U = D, |det P| = |det U| = 1
-    and D diagonal with d1 | d2 | ... >= 0.
-
-    Computed by alternating row and column Hermite reductions (which keeps
-    intermediate entries bounded by pivot products, avoiding the
-    coefficient blow-up of naive elimination), then repairing the
-    divisibility chain pairwise.
-    """
-    m = a
-    p = IntMatrix.identity(a.rows)
-    u = IntMatrix.identity(a.cols)
-
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > _SNF_ROUNDS:
-            raise NotConverged("Smith reduction failed to converge")
-        while not _is_diagonal(m):
-            h, left = hnf(m)
-            p = left * p
-            m = h
-            if _is_diagonal(m):
-                break
-            ht, right = hnf(m.t())
-            u = u * right.t()
-            m = ht.t()
-        # pull the diagonal entries onto the main diagonal (row HNF can
-        # leave pivots in later columns when earlier columns vanish)
-        rows = [list(r) for r in m.data]
-        perm = []
-        used = set()
-        for i in range(m.rows):
-            piv = next((j for j in range(m.cols) if rows[i][j]), None)
-            if piv is not None:
-                perm.append(piv)
-                used.add(piv)
-        perm += [j for j in range(m.cols) if j not in used]
-        if perm != list(range(m.cols)):
-            s = IntMatrix._of([[1 if perm[j] == i else 0 for j in range(m.cols)] for i in range(m.cols)])
-            m = m * s
-            u = u * s
-            continue
-        diag = [m.data[i][i] for i in range(min(m.rows, m.cols))]
-        # repair divisibility by folding each offending pair
-        offender = None
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[i] and diag[j] % diag[i] != 0 or (diag[i] == 0 and diag[j] != 0):
-                    offender = (i, j)
-                    break
-            if offender:
-                break
-        if offender is None:
-            break
-        i, j = offender
-        coldata = [[int(r == c) for c in range(m.cols)] for r in range(m.cols)]
-        coldata[j][i] = 1  # column i += column j
-        col = IntMatrix._of(coldata)
-        m = m * col
-        u = u * col
-
-    # normalize signs
-    pdata = [list(r) for r in p.data]
-    mdata = [list(r) for r in m.data]
-    for i in range(min(m.rows, m.cols)):
-        if mdata[i][i] < 0:
-            mdata[i] = [-x for x in mdata[i]]
-            pdata[i] = [-x for x in pdata[i]]
-    return SnfDecomposition(IntMatrix._of(mdata), IntMatrix._of(pdata), u)
-
-
 def _hermite_step(m, u, r, c) -> int:
     """One column of the row Hermite reduction, in place on the row lists
     m (and u, the transform, unless it is None): gcd the entries of
@@ -527,33 +441,77 @@ def rank(a: IntMatrix) -> int:
     return _forward(a.data)[0]
 
 
-def smith_diagonal(a: IntMatrix) -> tuple:
-    """The diagonal of the Smith normal form of a (`snf(a).diagonal`),
-    without the transforms.
+_SNF_ROUNDS = 500
 
-    Row and column Hermite reductions alternate, with no transform
-    carried, until every row has at most one nonzero entry; then the
-    absolute values of those entries are folded into a divisibility
-    chain ((x, y) -> (gcd, lcm) pairwise, which keeps the elementary
-    divisors) and padded with zeros.
+
+def _smith(m, p=None, ut=None) -> tuple:
+    """The one Smith reduction, of the row lists m in place: the Smith
+    diagonal, padded with zeros to min(rows, cols) entries.
+
+    Row Hermite reductions of m, acting on p (the left transform), and of
+    its transpose, acting on ut (the right transform transposed),
+    alternate until every nonzero row holds one entry; those pivots are
+    folded pairwise into a divisibility chain, (x, y) -> (gcd, lcm).
+    Without transforms nothing else is done.  With them (row lists,
+    changed in place), rows of ut are swapped so that pivot i lands at
+    (i, i), and each pair with x not dividing y is folded by the
+    unimodular Bezout step (Cohen, *A Course in Computational Algebraic
+    Number Theory*): with s x + t y = g,
+    [[s, t], [-y/g, x/g]] diag(x, y) [[1, -t y/g], [1, s x/g]] = diag(g, lcm).
     """
-    m = [list(r) for r in a.data]
+    n = min(len(m), len(m[0])) if m else 0
     rounds = 0
     while True:
         rounds += 1
         if rounds > _SNF_ROUNDS:
             raise NotConverged("Smith reduction failed to converge")
-        r = _hermite_rows(m)
+        r = _hermite_rows(m, p)
         if all(sum(map(bool, row)) == 1 for row in m[:r]):
             break
         m = [list(c) for c in zip(*m)]
-    # each nonzero row holds one positive pivot
+        p, ut = ut, p
+    # each pivot row holds one positive pivot, in increasing columns
     diag = [sum(row) for row in m[:r]]
+    if p is not None:
+        for i, row in enumerate(m[:r]):
+            c = next(j for j, x in enumerate(row) if x)
+            ut[i], ut[c] = ut[c], ut[i]
     for i in range(r):
         for j in range(i + 1, r):
-            g = gcd(diag[i], diag[j])
-            diag[i], diag[j] = g, diag[i] // g * diag[j]
-    return tuple(diag) + (0,) * (min(a.rows, a.cols) - r)
+            x, y = diag[i], diag[j]
+            if y % x == 0:
+                continue
+            g, h, s, s1, t, t1 = x, y, 1, 0, 0, 1  # extended Euclid: s x + t y = g
+            while h:
+                q = g // h
+                g, h, s, s1, t, t1 = h, g - q * h, s1, s - q * s1, t1, t - q * t1
+            xg, yg = x // g, y // g
+            diag[i], diag[j] = g, xg * y
+            if p is not None:
+                pi, pj, ui, uj = p[i], p[j], ut[i], ut[j]
+                p[i] = [s * a + t * b for a, b in zip(pi, pj)]
+                p[j] = [xg * b - yg * a for a, b in zip(pi, pj)]
+                ut[i] = [a + b for a, b in zip(ui, uj)]
+                ut[j] = [s * xg * b - t * yg * a for a, b in zip(ui, uj)]
+    return tuple(diag) + (0,) * (n - r)
+
+
+def snf(a: IntMatrix) -> SnfDecomposition:
+    """Smith normal form with transforms: SnfDecomposition(D, P, U) with
+    P*a*U = D, |det P| = |det U| = 1 and D diagonal with d1 | d2 | ...
+    >= 0, by the one Smith reduction (`_smith`) carrying both transforms.
+    """
+    p = [[int(i == j) for j in range(a.rows)] for i in range(a.rows)]
+    ut = [[int(i == j) for j in range(a.cols)] for i in range(a.cols)]
+    diag = _smith([list(r) for r in a.data], p, ut)
+    d = [[diag[i] if i == j else 0 for j in range(a.cols)] for i in range(a.rows)]
+    return SnfDecomposition(IntMatrix._of(d), IntMatrix._of(p), IntMatrix._of(zip(*ut)))
+
+
+def smith_diagonal(a: IntMatrix) -> tuple:
+    """The diagonal of the Smith normal form of a (`snf(a).diagonal`), by
+    the same Smith reduction with no transform carried."""
+    return _smith([list(r) for r in a.data])
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:

@@ -25,7 +25,12 @@ saturated kernel, where the library reads it off one row HNF.  The
 elimination oracle applies every Bareiss update of a full Gauss-Jordan
 pass, where the library skips the updates that cannot change a row and
 takes determinants and ranks from a forward pass; `solve_unique` reads a
-square system's Fraction solution off it.  The line-interval oracle for
+square system's Fraction solution off it.  The Smith oracle alternates
+full `hnf` calls on the matrix and its transpose with IntMatrix
+transform products, moves the pivots onto the diagonal with a
+permutation and repairs the divisibility chain by adding one column to
+another and starting over, where the library runs one Hermite loop and
+folds each pivot pair by a Bezout step.  The line-interval oracle for
 lattice points always takes the last coordinate as the line, where the
 library takes the widest one.  The JSON oracle converts a payload to
 plain values and leaves the text to `json.dumps`, where the CLI writes it
@@ -39,10 +44,10 @@ import math
 from fractions import Fraction
 
 from toriq.classify import SubgroupHandle, TorsionMatrix
-from toriq.errors import InvalidFan, OutsideMoving, RankDeficient
+from toriq.errors import InvalidFan, NotConverged, OutsideMoving, RankDeficient
 from toriq.fans import FanData, _cone_walls, _complement, is_complete, mov_cone
 from toriq.gale import gale_dual
-from toriq.intmat import FiniteAbelianGroup, IntMatrix, hnf, kernel_basis, rank
+from toriq.intmat import FiniteAbelianGroup, IntMatrix, SnfDecomposition, hnf, kernel_basis, rank
 from toriq.linprog import cone_contains
 from toriq.polytope import VPolytope, facet_enumeration
 
@@ -588,3 +593,73 @@ def _encode(obj):
     if isinstance(obj, IntMatrix):
         return [_encode(list(r)) for r in obj.data]
     return obj
+
+
+def _is_diagonal(m: IntMatrix) -> bool:
+    return all(m.data[i][j] == 0 for i in range(m.rows) for j in range(m.cols) if i != j)
+
+
+def snf_by_alternating_hnf(a: IntMatrix) -> SnfDecomposition:
+    """Smith normal form with transforms, P*a*U = D, by alternating row
+    and column `hnf` calls (transforms multiplied as IntMatrix products)
+    until the matrix is diagonal, then permuting the pivots onto the
+    diagonal and repairing the divisibility chain by adding column j to
+    column i for the first offending pair (i, j) and starting over."""
+    m = a
+    p = IntMatrix.identity(a.rows)
+    u = IntMatrix.identity(a.cols)
+    rounds = 0
+    while True:
+        rounds += 1
+        if rounds > 500:
+            raise NotConverged("Smith reduction failed to converge")
+        while not _is_diagonal(m):
+            h, left = hnf(m)
+            p = left * p
+            m = h
+            if _is_diagonal(m):
+                break
+            ht, right = hnf(m.t())
+            u = u * right.t()
+            m = ht.t()
+        # pull the diagonal entries onto the main diagonal (row HNF can
+        # leave pivots in later columns when earlier columns vanish)
+        rows = [list(r) for r in m.data]
+        perm = []
+        used = set()
+        for i in range(m.rows):
+            piv = next((j for j in range(m.cols) if rows[i][j]), None)
+            if piv is not None:
+                perm.append(piv)
+                used.add(piv)
+        perm += [j for j in range(m.cols) if j not in used]
+        if perm != list(range(m.cols)):
+            s = IntMatrix([[1 if perm[j] == i else 0 for j in range(m.cols)] for i in range(m.cols)])
+            m = m * s
+            u = u * s
+            continue
+        diag = [m.data[i][i] for i in range(min(m.rows, m.cols))]
+        offender = None
+        for i in range(len(diag)):
+            for j in range(i + 1, len(diag)):
+                if diag[i] and diag[j] % diag[i] != 0 or (diag[i] == 0 and diag[j] != 0):
+                    offender = (i, j)
+                    break
+            if offender:
+                break
+        if offender is None:
+            break
+        i, j = offender
+        coldata = [[int(r == c) for c in range(m.cols)] for r in range(m.cols)]
+        coldata[j][i] = 1  # column i += column j
+        col = IntMatrix(coldata)
+        m = m * col
+        u = u * col
+
+    pdata = [list(r) for r in p.data]
+    mdata = [list(r) for r in m.data]
+    for i in range(min(m.rows, m.cols)):
+        if mdata[i][i] < 0:
+            mdata[i] = [-x for x in mdata[i]]
+            pdata[i] = [-x for x in pdata[i]]
+    return SnfDecomposition(IntMatrix(mdata), IntMatrix(pdata), u)

@@ -1,11 +1,12 @@
 import json
 import math
+import os
 import random
 
 import pytest
 
 from conftest import FIXTURES, fixture_path
-from oracles import _encode
+from oracles import _encode, snf_by_alternating_hnf
 from toriq.cli import build_report, load_document, main, resolve_variety
 from toriq.errors import ToriqError
 from toriq.intmat import IntMatrix
@@ -108,13 +109,19 @@ def test_qfano_command(capsys):
 
 
 def test_qfano_command_on_incomplete_fans(tmp_path, capsys):
-    # P^2 missing a cone, and the non-complete mds_W: neither is Q-Fano
+    # P^2 missing a cone, P^2 with no cone at all, and the non-complete
+    # mds_W: none is Q-Fano
     doc = tmp_path / "p2_missing_a_cone.json"
     doc.write_text(json.dumps({"matrix": [[1, 0, -1], [0, 1, -1]], "role": "fan-matrix", "fan": [[1, 2], [2, 3]]}))
-    for path in (str(doc), fixture_path("mds_W")):
+    empty = tmp_path / "p2_no_cone.json"
+    empty.write_text(json.dumps({"matrix": [[1, 0, -1], [0, 1, -1]], "role": "fan-matrix", "fan": []}))
+    for path in (str(doc), str(empty), fixture_path("mds_W")):
         code, out = run_cli(capsys, "qfano", path)
         assert code == 0
         assert out["input_qfano"] is False, path
+    code, out = run_cli(capsys, "analyze", str(empty))
+    assert code == 2
+    assert out["error"] == {"type": "InvalidFan", "message": "covering invariants need a complete fan"}
 
 
 def test_classify_command(capsys):
@@ -123,6 +130,48 @@ def test_classify_command(capsys):
     assert sorted(e["order"] for e in out["kept"]) == [1, 2]
     assert sorted(e["order"] for e in out["rejected"]) == [3, 6]
     assert all("witness_column" in e for e in out["rejected"])
+
+
+def _family_invariants(out):
+    """What a classify output says about the family, whatever the torsion
+    coordinates: the factor, the set of subgroup handles, and the
+    multisets of kept (order, fan_matrix, mult, index) and rejected
+    (order, fan_matrix, witness_column)."""
+    if "error" in out:
+        return out
+    key = lambda e, *names: json.dumps([e[n] for n in ("order", "fan_matrix", *names)])
+    return (
+        out["factor"],
+        sorted({json.dumps(e["subgroup"]) for e in out["kept"] + out["rejected"]}),
+        sorted(key(e, "mult", "index") for e in out["kept"]),
+        sorted(key(e, "witness_column") for e in out["rejected"]),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:non-vertex columns pruned")
+def test_classify_family_does_not_depend_on_torsion_coordinates(capsys, monkeypatch):
+    # the torsion matrix reads its coordinates off the Smith transforms;
+    # another valid pair (the alternating-HNF oracle's) may pair subgroup
+    # handles with other quotients, but the family must be the same
+    from toriq import classify
+
+    names = sorted(f[:-5] for f in os.listdir(FIXTURES) if f.endswith(".json"))
+    runs = {}
+    for snf in (classify.snf, snf_by_alternating_hnf):
+        monkeypatch.setattr(classify, "snf", snf)
+        for name in names:
+            for h in ("1", "2", "3"):
+                code, out = run_cli(capsys, "classify", fixture_path(name), "--factor", h)
+                runs.setdefault((name, h), []).append((code, out))
+    differ = []
+    for (name, h), ((code, out), (oracle_code, oracle_out)) in runs.items():
+        assert code == oracle_code, (name, h)
+        assert _family_invariants(out) == _family_invariants(oracle_out), (name, h)
+        if out != oracle_out:
+            differ.append((name, h))
+    # the two transforms give other coordinates on these fixtures, so the
+    # comparison above is not vacuous
+    assert {(f"qfanocanonica_{x}polar", h) for x in "YZ" for h in "23"} <= set(differ)
 
 
 def test_bounds_command(capsys):

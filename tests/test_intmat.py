@@ -5,7 +5,7 @@ from math import gcd, lcm, prod
 
 import pytest
 
-from oracles import det_by_gauss_jordan, eliminate_every_row, integral_rows, solve_unique
+from oracles import det_by_gauss_jordan, eliminate_every_row, integral_rows, snf_by_alternating_hnf, solve_unique
 from toriq.errors import NonIntegerQuotient, NotSquare, RankDeficient
 from toriq.intmat import (
     FiniteAbelianGroup,
@@ -44,32 +44,54 @@ def snf_rank(rows) -> int:
     return sum(1 for d in snf(IntMatrix(rows)).diagonal if d)
 
 
-def test_snf_fixed_values():
-    assert snf(IntMatrix([[1, 0], [2, 4]])).diagonal == (1, 4)
-    assert snf(IntMatrix([[21, -6], [-6, 2]])).diagonal == (1, 6)
-    assert snf(IntMatrix.identity(4)).diagonal == (1, 1, 1, 1)
+def _check_snf(a):
+    dec = snf(a)
+    assert dec.P * a * dec.U == dec.D
+    assert abs(dec.P.det()) == 1
+    assert abs(dec.U.det()) == 1
+    diag = dec.diagonal
+    assert all(d >= 0 for d in diag)
+    nz = [d for d in diag if d]
+    for x, y in zip(nz, nz[1:]):
+        assert y % x == 0
+    # zeros last, off-diagonal zero
+    assert diag[len(nz):] == (0,) * (len(diag) - len(nz))
+    for i in range(dec.D.rows):
+        for j in range(dec.D.cols):
+            if i != j:
+                assert dec.D[i, j] == 0
+    if a.rows == a.cols:
+        assert abs(dec.D.det()) == abs(a.det())
+    return dec
 
 
 def test_snf_postconditions_randomized():
     rng = random.Random(7)
     for _ in range(60):
-        a = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-        dec = snf(a)
-        assert dec.P * a * dec.U == dec.D
-        assert abs(dec.P.det()) == 1
-        assert abs(dec.U.det()) == 1
-        diag = dec.diagonal
-        assert all(d >= 0 for d in diag)
-        nz = [d for d in diag if d]
-        for x, y in zip(nz, nz[1:]):
-            assert y % x == 0
-        # off-diagonal zero
-        for i in range(dec.D.rows):
-            for j in range(dec.D.cols):
-                if i != j:
-                    assert dec.D[i, j] == 0
-        if a.rows == a.cols:
-            assert abs(dec.D.det()) == abs(a.det())
+        _check_snf(random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5)))
+    # rank-deficient, with zero rows and columns
+    for a in _shaped_matrices():
+        _check_snf(a)
+
+
+def test_snf_fixed_values():
+    # the last six need a pivot moved onto the diagonal (pivots in later
+    # columns) or a Bezout fold of pivots that do not divide each other
+    cases = {
+        ((1, 0), (2, 4)): (1, 4),
+        ((21, -6), (-6, 2)): (1, 6),
+        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)): (1, 1, 1, 1),
+        ((0, 3, 0), (0, 0, 2)): (1, 6),
+        ((2, 0), (0, 3)): (1, 6),
+        ((6, 0), (0, 4)): (2, 12),
+        ((0, 0), (0, 5), (4, 0)): (1, 20),
+        ((0, 4, 0, 0), (0, 0, 0, 6), (0, 0, 0, 0)): (2, 12, 0),
+        ((3, 0, 0), (0, 0, 0), (0, 0, 2)): (1, 6, 0),
+    }
+    for rows, diag in cases.items():
+        a = IntMatrix(rows)
+        assert _check_snf(a).diagonal == diag, rows
+        assert smith_diagonal(a) == diag, rows
 
 
 def test_hnf_convention():
@@ -161,13 +183,15 @@ def _shaped_matrices(seed=11, count=600):
 
 
 def test_transform_free_normal_forms_match_snf():
-    # smith_diagonal, cokernel and lattice_index skip the transforms;
-    # snf, which keeps them, is the reference for the diagonal
+    # smith_diagonal, cokernel and lattice_index skip the transforms and
+    # snf keeps them; all run one Smith loop, so the reference diagonal
+    # is the oracle's alternating-HNF reduction
     mats = _shaped_matrices()
     deficient = 0
     for a in mats:
-        diag = snf(a).diagonal
+        diag = snf_by_alternating_hnf(a).diagonal
         assert smith_diagonal(a) == diag, a
+        assert snf(a).diagonal == diag, a
         r = sum(1 for d in diag if d)
         deficient += r < min(a.rows, a.cols)
         assert cokernel(a) == FiniteAbelianGroup(tuple(d for d in diag if d >= 2), a.rows - r)
