@@ -19,7 +19,7 @@ from math import prod
 from . import bounds as bounds_mod
 from .classify import enumerate_qgorenstein_family, unitary_cover
 from .covering import analyze
-from .errors import InvalidInput, ToriqError
+from .errors import InvalidInput, TooLarge, ToriqError
 from .fans import (
     FanData,
     _anticanonical,
@@ -64,7 +64,7 @@ def load_document(path: str) -> dict:
     if "matrix" not in raw:
         raise InvalidInput("missing required key 'matrix'")
     mat = raw["matrix"]
-    if not isinstance(mat, list) or not mat or not all(isinstance(r, list) for r in mat):
+    if not isinstance(mat, list) or not mat or not all(isinstance(r, list) for r in mat) or not mat[0]:
         raise InvalidInput("'matrix' must be a non-empty 2-D array")
     try:
         matrix = IntMatrix([[_parse_int(x) for x in row] for row in mat])
@@ -166,6 +166,17 @@ def resolve_variety(doc) -> tuple:
 # serialization
 
 
+def _decimal(x: int) -> str:
+    """x in decimal, or TooLarge when x has more digits than the
+    interpreter converts (`sys.get_int_max_str_digits`); that limit is
+    process-wide, so it is left as it is."""
+    try:
+        return int.__repr__(x)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise TooLarge(f"an output integer has more than {limit} digits, the interpreter's limit") from exc
+
+
 def _write(obj, out: list, pad: str) -> None:
     """Append the JSON text of obj to out, in one walk: the text
     json.dumps(..., sort_keys=True, indent=2) gives once integers beyond
@@ -177,7 +188,7 @@ def _write(obj, out: list, pad: str) -> None:
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, int):
-        out.append(f'"{obj}"' if abs(obj) > _SAFE else int.__repr__(obj))
+        out.append(f'"{_decimal(obj)}"' if abs(obj) > _SAFE else int.__repr__(obj))
     elif isinstance(obj, (list, tuple, IntMatrix)):
         items = obj.data if isinstance(obj, IntMatrix) else obj
         if not items:
@@ -210,7 +221,7 @@ def _write(obj, out: list, pad: str) -> None:
         if obj.denominator == 1:
             _write(obj.numerator, out, pad)
         else:
-            out.append(f'"{obj.numerator}/{obj.denominator}"')
+            out.append(f'"{_decimal(obj.numerator)}/{_decimal(obj.denominator)}"')
     else:
         out.append(json.dumps(obj))
 
@@ -365,7 +376,7 @@ def cmd_cover(args) -> int:
     emit(
         {
             "cover_fan_matrix": _rows(cd.W),
-            "cover_fan": cd.fan_cover.cones_1based(),
+            "cover_fan": cd.fan.cones_1based(),
             "quotient_matrix": _rows(cd.B),
             "covering_group": str(cd.G),
             "mult": cd.mult,

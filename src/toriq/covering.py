@@ -48,12 +48,12 @@ class CoveringData:
     """All covering/polar invariants of one complete toric variety.
 
     The polar fields are scaled to lattice points: Vpolar = k·V°,
-    Wpolar = k̂·W° and Lambda = k̂·Λ = A·W."""
+    Wpolar = k̂·W° and Lambda = k̂·Λ = A·W.  The fan over the cover W has
+    the maximal cones of `fan`, on the same index sets."""
 
     V: IntMatrix
     fan: FanData
     W: IntMatrix
-    fan_cover: FanData
     B: IntMatrix
     G: FiniteAbelianGroup
     Q: IntMatrix
@@ -151,16 +151,18 @@ class CoveringData:
         return normalized_volume(_polytope(self.Lambda, self.k_hat))
 
 
-def universal_cover(v: IntMatrix, fan: FanData):
-    """Universal 1-covering data: (W, fan over W with the same index
-    sets, quotient matrix B with V = B*W, covering group coker(B^T))."""
+def universal_cover(v: IntMatrix):
+    """Universal 1-covering data: (W, quotient matrix B with V = B*W,
+    covering group coker(B^T)).  The fan over W has the maximal cones of
+    the fan over V on the same index sets: B is nonsingular, so it maps
+    each cone over W onto the cone over V with the same generators, and a
+    cone is full-dimensional and pointed exactly when its image is."""
     q = gale_dual(v)
     w = gale_dual(q)
     b = quotient_matrix(v, w)
     g = cokernel(b.t())
-    fan_theta = FanData(w, fan.max_cones)
     assert abs(b.det()) == (g.order or 0)
-    return w, fan_theta, b, g
+    return w, b, g
 
 
 def multiplicity(v: IntMatrix) -> int:
@@ -228,7 +230,7 @@ def analyze(v: IntMatrix, fan: FanData) -> CoveringData:
                     cone = tuple(i + 1 for i in g)
                     raise InvalidFan(f"column {j + 1} of the fan matrix is not an extreme ray of the cone {cone}")
     q = gale_dual(v)
-    w, fan_cover, b, g = universal_cover(v, fan)
+    w, b, g = universal_cover(v)
 
     k = fmatrix_index(v)
     k_hat = fmatrix_index(w)
@@ -237,7 +239,7 @@ def analyze(v: IntMatrix, fan: FanData) -> CoveringData:
     h = k // k_hat
 
     vpolar = _lattice_polar(v, fan, k)
-    wpolar = _lattice_polar(w, fan_cover, k_hat)
+    wpolar = _lattice_polar(w, fan, k_hat)
     assert b.t() * vpolar == wpolar * h, "polar quotient relation failed"
 
     qpolar = gale_dual(vpolar)
@@ -262,7 +264,6 @@ def analyze(v: IntMatrix, fan: FanData) -> CoveringData:
         V=v,
         fan=fan,
         W=w,
-        fan_cover=fan_cover,
         B=b,
         G=g,
         Q=q,

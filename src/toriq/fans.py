@@ -8,11 +8,12 @@ maximal cone uses the complementary index set; `_complement` is the one
 conversion point.
 
 Caches, each bounded by CACHE_SIZE: `eff_cone` and `mov_cone` keyed by
-the weight matrix, `is_complete` keyed by the fan, `nef_cone` keyed by
-(weight matrix, fan), and the chamber record `_chambers`, which keeps,
-per (weight matrix, fan matrix), up to CACHE_SIZE cell fans that
-`fan_from_point` has validated, so each secondary-fan chamber is
-computed once.
+the weight matrix, `nef_cone` keyed by (weight matrix, fan), and the
+chamber record `_chambers`, which keeps, per (weight matrix, fan
+matrix), up to CACHE_SIZE cell fans that `fan_from_point` has
+validated, so each secondary-fan chamber is computed once.  Every cone's
+facets, behind fan validity, walls, completeness and membership, come
+from the one cache of `linprog._cone_facets`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from .errors import InvalidFan, OriginNotInterior, OutOfDomain, OutsideMoving, RankDeficient
 from .gale import gale_dual
 from .intmat import CACHE_SIZE, IntMatrix, _maximal_minors, rank, solve_integer
-from .linprog import _cone_facets, _facets_contain, _simplicial_facets, cone_contains
+from .linprog import _cone_facets, _facets_contain, cone_contains
 from .polytope import _bits, _polytope, facet_enumeration
 
 
@@ -45,33 +46,19 @@ class FanData:
         for g in cones:
             if any(j < 0 or j >= fan_matrix.cols for j in g):
                 raise InvalidFan(f"cone {g} indexes a missing column")
-            if len(g) == n:
-                # full-dimensional when its [G | I] elimination (shared with
-                # its walls) pivots only in G, hence simplicial and pointed
-                if _simplicial_facets(tuple(map(fan_matrix.col, g))) is None:
-                    raise InvalidFan(f"cone {g} is not full-dimensional")
-                continue
-            cols = fan_matrix.cols_at(list(g))
-            if rank(cols) != n:
+            gens = tuple(map(fan_matrix.col, g))
+            eqs, facets = _cone_facets(gens, n)
+            if eqs:
                 raise InvalidFan(f"cone {g} is not full-dimensional")
-            if not _pointed(cols):
+            # a square full-dimensional cone is simplicial, hence pointed;
+            # otherwise a zero generator is a nonzero nonnegative relation,
+            # which counts as a line, and the lineality space is cut out by
+            # the facet normals, so the cone is pointed when they span Q^n
+            if len(g) > n and (not all(map(any, gens)) or rank(IntMatrix._of(a for a, _ in facets)) != n):
                 raise InvalidFan(f"cone {g} contains a line")
 
     def cones_1based(self):
         return [[j + 1 for j in g] for g in self.max_cones]
-
-
-def _pointed(cols: IntMatrix) -> bool:
-    """Is the cone over the columns (of full row rank) free of lines?"""
-    # a zero generator is a nonzero nonnegative relation, which counts as a
-    # line; otherwise the lineality space is cut out by the equalities and
-    # the facet normals, so the cone is pointed when they span Q^n
-    gens = cols.columns()
-    if not all(map(any, gens)):
-        return False
-    eqs, facets = _cone_facets(gens, cols.rows)
-    normals = eqs + [a for a, _ in facets]
-    return bool(normals) and rank(IntMatrix._of(normals)) == cols.rows
 
 
 def _complement(g, m):
@@ -97,7 +84,7 @@ def face_fan(v: IntMatrix) -> FanData:
 def _cone_walls(v: IntMatrix, g):
     """Facets of the cone over columns g: (inward primitive normal,
     generator indices on the wall)."""
-    _, facets = _cone_facets([v.col(j) for j in g], v.rows)
+    _, facets = _cone_facets(tuple(map(v.col, g)), v.rows)
     return [(a, tuple(g[t] for t in _bits(mask))) for a, mask in facets]
 
 
@@ -110,11 +97,11 @@ def is_simplicial(fan: FanData) -> bool:
     return all(len(g) == n for g in fan.max_cones)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def is_complete(fan: FanData) -> bool:
     """Facet-coverage test: there is a maximal cone, and every wall of
     every maximal cone is shared by exactly two maximal cones sitting on
-    opposite sides."""
+    opposite sides.  The walls are read off the cached facets of each
+    cone (`_cone_facets`)."""
     if not fan.max_cones:
         return False
     seen = {}
@@ -145,16 +132,13 @@ class GkzCone:
             return 0
         return rank(IntMatrix._of(self.generators))
 
-    @functools.cached_property
-    def _facets(self):
-        return _cone_facets(self.generators, len(self.generators[0]))
-
     def contains(self, w, strict: bool = False) -> bool:
-        """Is w in the cone (strict: in its relative interior)?  The
-        facets are computed on the first call and kept."""
+        """Is w in the cone (strict: in its relative interior)?  Read off
+        the cone's cached facets (`_cone_facets`)."""
         if not self.generators:
             return not any(w)
-        return _facets_contain(*self._facets, tuple(w), strict)
+        eqs, facets = _cone_facets(self.generators, len(self.generators[0]))
+        return _facets_contain(eqs, facets, tuple(w), strict)
 
 
 def _cone_intersection(gen_lists, dim) -> tuple:
@@ -170,7 +154,7 @@ def _cone_intersection(gen_lists, dim) -> tuple:
     # {x : <a, x> >= 0 for a in rows} is the dual of the cone over the
     # rows, so its lineality basis and rays are that cone's equalities and
     # facet normals
-    lin, rays = _cone_facets(sorted(rows), dim)
+    lin, rays = _cone_facets(tuple(sorted(rows)), dim)
     gens = {r for r, _ in rays} | set(lin) | {tuple(-x for x in l) for l in lin}
     return tuple(sorted(gens))
 
@@ -178,7 +162,7 @@ def _cone_intersection(gen_lists, dim) -> tuple:
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def eff_cone(q: IntMatrix) -> GkzCone:
     """Cone spanned by the weight columns (pseudo-effective classes)."""
-    return GkzCone(_cone_intersection([q.columns()], q.rows))
+    return GkzCone(_cone_intersection([tuple(q.columns())], q.rows))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -187,7 +171,7 @@ def mov_cone(q: IntMatrix) -> GkzCone:
     m = q.cols
     gen_lists = []
     for i in range(m):
-        gen_lists.append([q.col(j) for j in range(m) if j != i])
+        gen_lists.append(tuple(q.col(j) for j in range(m) if j != i))
     gens = _cone_intersection(gen_lists, q.rows)
     return GkzCone(gens)
 
@@ -199,7 +183,7 @@ def nef_cone(q: IntMatrix, fan: FanData) -> GkzCone:
     gen_lists = []
     for g in fan.max_cones:
         comp = _complement(g, m)
-        gen_lists.append([q.col(j) for j in comp])
+        gen_lists.append(tuple(map(q.col, comp)))
     return GkzCone(_cone_intersection(gen_lists, q.rows))
 
 
@@ -328,7 +312,7 @@ def fan_from_point(q: IntMatrix, w, fan_matrix: IntMatrix | None = None) -> FanD
     fan = FanData(v, [_complement(s, m) for s in _cell_supports(q, w)])
     duals = []
     for g in fan.max_cones:
-        duals.append(_cone_facets([q.col(j) for j in _complement(g, m)], r))
+        duals.append(_cone_facets(tuple(map(q.col, _complement(g, m))), r))
         if not _facets_contain(*duals[-1], w, strict=True):
             raise InvalidFan(f"cell point is not interior to the dual cone of {g}")
     if not is_complete(fan):

@@ -1,18 +1,19 @@
 """Exact cone questions, all answered by a cone's facets.
 
 Every hull, wall, cone intersection and cone predicate in the library
-reads a cone's facets off `_cone_facets`.  A simplicial cone (as many
-independent generators as dimensions) gets them in closed form, as the
-rows of the inverse of its generator matrix, from one elimination per
-ordered generator tuple (`_simplicial_facets`, a bounded cache shared by
-fan checks, walls, membership tests and nef cones); every other cone goes
-through one exact integer double-description routine (`_dd`, Fukuda &
-Prodon 1996), as the extreme rays of its dual.  By Gordan's alternative
-(Ziegler, *Lectures on Polytopes*, 1.4) the linear-programming questions
-the library asks are read off those facets: w lies in a cone exactly when
-every equality vanishes on it and every facet normal is >= 0 on it (> 0
-for the relative interior), and a strictly positive combination of
-vectors is zero exactly when their cone has no facet.
+reads a cone's facets off `_cone_facets`, one bounded cache keyed by the
+generator tuple, so each cone of a report is computed once however many
+of the fan checks, walls, membership tests, nef cones and hulls ask about
+it.  A simplicial cone (as many independent generators as dimensions)
+gets them in closed form, as the rows of the inverse of its generator
+matrix (`_simplicial_facets`); every other cone goes through one exact
+integer double-description routine (`_dd`, Fukuda & Prodon 1996), as the
+extreme rays of its dual.  By Gordan's alternative (Ziegler, *Lectures on
+Polytopes*, 1.4) the linear-programming questions the library asks are
+read off those facets: w lies in a cone exactly when every equality
+vanishes on it and every facet normal is >= 0 on it (> 0 for the
+relative interior), and a strictly positive combination of vectors is
+zero exactly when their cone has no facet.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ def _dd(rows, dim):
     return rays
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def _simplicial_facets(gens):
     """Facets, as in `_cone_facets`, of the cone over a tuple of n integer
     generators in Q^n, or None when they are dependent.  Row i of G^-1 (G
@@ -100,35 +100,36 @@ def _simplicial_facets(gens):
     return tuple((_primitive([s * x for x in m[i][dim:]]), full ^ (1 << i)) for i in range(dim))
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _cone_facets(gens, dim):
-    """(equalities, facets) of the cone over integer generators in Q^dim:
-    a primitive basis of the vectors orthogonal to every generator, and
-    each facet as (inward primitive normal in the span of the generators,
-    bitmask of the generators on it).
+    """(equalities, facets) of the cone over a tuple of integer generator
+    tuples in Q^dim: a primitive basis of the vectors orthogonal to every
+    generator, and each facet as (inward primitive normal in the span of
+    the generators, bitmask of the generators on it).  Both are tuples,
+    so no caller can change a cached answer.
 
     Dually: the lineality basis and the extreme rays, with their tight-row
     bitmasks, of {x : <g, x> >= 0 for g in gens}; the rays are the
     canonical ones orthogonal to the lineality space.
     """
-    gens = list(gens)
     if not gens:
-        return [tuple(int(i == j) for j in range(dim)) for i in range(dim)], []
+        return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)), ()
     if len(gens) == dim:
-        facets = _simplicial_facets(tuple(map(tuple, gens)))
+        facets = _simplicial_facets(gens)
         if facets is not None:
-            return [], list(facets)
-    eqs = primitive_kernel(gens)
+            return (), facets
+    eqs = tuple(primitive_kernel(gens))
     if not eqs:
-        return [], _dd(gens, dim)
+        return (), tuple(_dd(gens, dim))
     if len(eqs) == dim:
-        return eqs, []
+        return eqs, ()
     basis = primitive_kernel(eqs)
     projected = [tuple(_dot(b, g) for b in basis) for g in gens]
     facets = []
     for y, mask in _dd(projected, len(basis)):
         a = [sum(c * b[j] for c, b in zip(y, basis)) for j in range(dim)]
         facets.append((_primitive(a), mask))
-    return eqs, facets
+    return eqs, tuple(facets)
 
 
 def _facets_contain(eqs, facets, w, strict: bool = False) -> bool:
@@ -146,13 +147,13 @@ def cone_contains(generators, w, strict: bool = False) -> bool:
     With `strict`, is it in the relative interior of their cone, i.e. a
     strictly positive combination of them?
 
-    Read off the cone's facets (`_cone_facets`) like every other cone
-    question, so a simplicial cone is inverted once per generator tuple
-    however often it is asked about.  The dot products with the facet
-    normals are exact, so a rational w needs no scaling.
+    Read off the cone's cached facets (`_cone_facets`) like every other
+    cone question, so each generator tuple is solved once however often
+    it is asked about.  The dot products with the facet normals are
+    exact, so a rational w needs no scaling.
     """
     w = tuple(w)
-    return _facets_contain(*_cone_facets(generators, len(w)), w, strict)
+    return _facets_contain(*_cone_facets(tuple(map(tuple, generators)), len(w)), w, strict)
 
 
 def positive_relation(vectors, dim) -> bool:
@@ -160,4 +161,4 @@ def positive_relation(vectors, dim) -> bool:
     Q^dim zero?  That holds exactly when their cone is a linear space,
     i.e. has no facet.  With no vectors the empty combination is zero.
     """
-    return not _cone_facets(vectors, dim)[1]
+    return not _cone_facets(tuple(map(tuple, vectors)), dim)[1]

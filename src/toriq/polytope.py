@@ -47,7 +47,7 @@ def _hull(rows):
     """(equalities, facets) of the cone over the integer rows (D, D*p) of
     points p: a facet normal (c, a) is the facet <a, x> >= -c of
     conv(points), whatever D > 0 is."""
-    return _cone_facets(rows, len(rows[0]))
+    return _cone_facets(tuple(rows), len(rows[0]))
 
 
 def _over_lcm(points) -> tuple:
@@ -322,21 +322,15 @@ def facet_columns(v: IntMatrix) -> list:
     return [tuple(verts[i] for i in _bits(mask)) for _, mask in _full_hull(p)]
 
 
-def polar_index(v: IntMatrix, facets) -> int:
-    """Least k making k times the polar of conv(v) a lattice polytope,
-    given the facets of conv(v) as column index sets: the common
-    denominator of the polar vertices, one per facet."""
-    return polar_vertex_matrix(v, facets)[1]
-
-
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def fmatrix_index(v: IntMatrix) -> int:
     """Least k making k times the polar of conv(v) a lattice polytope
     (the Gorenstein index when v is the fan matrix of a Q-Fano variety):
-    one hull for the facets (`facet_columns`), then `polar_index`."""
+    one hull for the facets (`facet_columns`), then the common
+    denominator of the polar vertices, one per facet."""
     if not all(_fan_conditions(v)):
         raise NotFMatrix("index is defined for fan-type matrices only")
-    return polar_index(v, facet_columns(v))
+    return polar_vertex_matrix(v, facet_columns(v))[1]
 
 
 def polar_vertex_matrix(v: IntMatrix, fan) -> tuple:

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import sys
 
 import pytest
 
@@ -201,6 +202,32 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     code, out = run_cli(capsys, "analyze", str(missing))
     assert code == 2
+
+
+@pytest.mark.parametrize("matrix", [[[]], [[], []]])
+@pytest.mark.parametrize(
+    "command", ["analyze", "gale", "polar", "volume", "cover", "fan", "qfano", "classify", "verify"]
+)
+def test_matrix_without_columns_is_invalid_input(tmp_path, capsys, matrix, command):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    code, out = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out["error"] == {"type": "invalid-input", "message": "'matrix' must be a non-empty 2-D array"}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer-to-string limit")
+def test_bound_beyond_the_digit_limit_is_too_large(capsys):
+    # fano_bound(15, 1) has 6,668 digits, past the interpreter's default
+    # limit of 4,300; fano_bound(14, 1) is within it and still printed
+    from toriq.bounds import fano_bound
+
+    code, out = run_cli(capsys, "bounds", "--dim", "14", "--rank", "1")
+    assert code == 0
+    assert out["fano_bound"] == str(fano_bound(14, 1))
+    code, out = run_cli(capsys, "bounds", "--dim", "15", "--rank", "1")
+    assert code == 2
+    assert out["error"]["type"] == "TooLarge"
 
 
 def test_verify_failure_exit_code(capsys):
@@ -478,6 +505,58 @@ def test_report_hulls_each_point_set_once(monkeypatch):
         hulls.clear()
         build_report(*resolve_variety(load_document(path)))
         assert hulls and max(hulls.values()) == 1, (name, hulls)
+
+
+def test_report_solves_each_cone_once(monkeypatch):
+    # every cone's facets come from one cache: with it empty, over the
+    # reports of every complete fixture no generator tuple reaches the
+    # double description or the closed-form square elimination twice, and
+    # analyze validates no fan (the fan over the cover W is the input
+    # fan's preimage under the nonsingular B, so it is valid already)
+    import glob
+    import os
+    from collections import Counter
+
+    from toriq import covering, fans, linprog
+
+    dd, square, fan_data = Counter(), Counter(), Counter()
+    real_dd, real_square, real_init = linprog._dd, linprog._simplicial_facets, fans.FanData.__init__
+
+    def counted_dd(rows, dim):
+        dd[tuple(map(tuple, rows)), dim] += 1
+        return real_dd(rows, dim)
+
+    def counted_square(gens):
+        square[gens] += 1
+        return real_square(gens)
+
+    def counted_init(self, *args):
+        fan_data["init"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(linprog, "_dd", counted_dd)
+    monkeypatch.setattr(linprog, "_simplicial_facets", counted_square)
+    monkeypatch.setattr(fans.FanData, "__init__", counted_init)
+    linprog._cone_facets.cache_clear()
+    covering.analyze.cache_clear()
+    names = []
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+        name = os.path.splitext(os.path.basename(path))[0]
+        if name == "mds_W":
+            continue  # deliberately non-complete
+        v, fan = resolve_variety(load_document(path))
+        fan_data.clear()
+        covering.analyze(v, fan)
+        assert not fan_data, name
+        build_report(v, fan)
+        names.append(name)
+    assert len(names) == 32
+    assert dd and max(dd.values()) == 1, [k for k, c in dd.items() if c > 1]
+    assert square and max(square.values()) == 1, [k for k, c in square.items() if c > 1]
+    # the non-simplicial cone (1, 2, 4, 6) of blupP3_X went through the
+    # double description, once
+    v = load_document(fixture_path("blupP3_X"))["matrix"]
+    assert dd[tuple(map(v.col, (0, 1, 3, 5))), 3] == 1
 
 
 def test_smith_reduction_limit_is_a_named_error(capsys, monkeypatch):

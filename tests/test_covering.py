@@ -22,23 +22,23 @@ MDS_V = IntMatrix([[1, 0, 5, -2, -3], [0, 1, 3, -3, -2], [0, 0, 6, -3, -3]])
 
 def test_universal_cover_qfanocanonica():
     fan = face_fan(QFC_V)
-    w, fan_theta, b, g = universal_cover(QFC_V, fan)
+    w, b, g = universal_cover(QFC_V)
     p2p1 = IntMatrix([[1, 0, -1, 0, 0], [0, 1, -1, 0, 0], [0, 0, 0, 1, -1]])
     assert gl_equivalent(w, p2p1)[0]
     assert g == FiniteAbelianGroup((6,))
-    assert fan_theta.max_cones == fan.max_cones
+    # the input fan's cones, on the same index sets, form a fan over W
+    assert FanData(w, fan.max_cones).max_cones == fan.max_cones
 
 
 def test_universal_cover_bauerle():
-    w, _, b, g = universal_cover(BAUERLE_V, face_fan(BAUERLE_V))
+    w, b, g = universal_cover(BAUERLE_V)
     assert gl_equivalent(w, IntMatrix([[1, 1, -1], [0, 4, -3]]))[0]
     assert g == FiniteAbelianGroup((4,))
     assert abs(b.det()) == 4
 
 
 def test_universal_cover_of_cf_matrix_is_trivial():
-    fan = FanData(BLUP_V, SIGMA)
-    w, _, b, g = universal_cover(BLUP_V, fan)
+    w, b, g = universal_cover(BLUP_V)
     assert gl_equivalent(w, BLUP_V)[0]
     assert g.is_trivial()
 

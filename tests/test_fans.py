@@ -9,6 +9,7 @@ import pytest
 from conftest import FIXTURES
 from oracles import cell_supports_by_solving, fan_from_point_by_merging, rays_covered, solve_unique
 from toriq import fans as fans_module
+from toriq import linprog
 from toriq.errors import InvalidFan, OriginNotInterior, OutOfDomain, OutsideMoving, ToriqError
 from toriq.fans import (
     FanData,
@@ -26,7 +27,6 @@ from toriq.fans import (
 )
 from toriq.gale import gale_dual
 from toriq.intmat import IntMatrix, _det, _maximal_minors, rank
-from toriq.linprog import _simplicial_facets
 
 BLUP_V = IntMatrix([[1, 0, 0, 0, -1, 1], [0, 1, 0, 0, -1, 1], [0, 0, 1, -1, -1, 1]])
 BLUP_Q = IntMatrix([[1, 1, 1, 0, 1, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]])
@@ -424,9 +424,9 @@ def _count_eliminations(monkeypatch):
 
 
 def _clear_cell_caches():
-    """Empty the completeness, nef-cone and chamber caches, so that the next
+    """Empty the cone-facet, nef-cone and chamber caches, so that the next
     cell is computed cold."""
-    is_complete.cache_clear()
+    linprog._cone_facets.cache_clear()
     nef_cone.cache_clear()
     fans_module._chambers.cache_clear()
 
@@ -437,11 +437,10 @@ def test_cell_point_work_counts(monkeypatch):
     # and one of its Q-side complement per maximal cone, where one solve
     # per 5-subset of the 9 weight columns (126) ran before
     q, w = _cell_point_system()
+    _clear_cell_caches()
     # warm the cached moving cone and Gale dual: their work is not the cell's
     mov_cone(q).contains(w)
     gale_dual(q)
-    _simplicial_facets.cache_clear()
-    _clear_cell_caches()
     calls = _count_eliminations(monkeypatch)
     fan = fan_from_point(q, w)
     assert len(fan.max_cones) > 1
@@ -454,10 +453,9 @@ def test_cell_point_inverts_each_square_cone_once(monkeypatch):
     # cones: each V-side cone is checked and walled, each Q-side
     # complement validated and intersected, on one [G | I] elimination
     q, w = _cell_point_system()
+    _clear_cell_caches()
     mov_cone(q).contains(w)
     gale_dual(q)
-    _simplicial_facets.cache_clear()
-    _clear_cell_caches()
     calls = _count_eliminations(monkeypatch)
     fan = fan_from_point(q, w)
     rebuilt = FanData(IntMatrix(fan.fan_matrix.data), fan.max_cones)
@@ -475,8 +473,6 @@ def test_cell_point_inverts_each_square_cone_once(monkeypatch):
 def test_second_point_of_a_known_chamber_builds_no_minors_table(monkeypatch):
     # a point in the relative interior of a chamber already met is answered
     # from the chamber record: no minors table and no double description
-    from toriq import linprog
-
     q, w = _cell_point_system()
     _clear_cell_caches()
     fan = fan_from_point(q, w)
@@ -522,7 +518,7 @@ def test_warm_chamber_record_matches_cold_cells(monkeypatch):
     caches = [
         fn for fn in vars(fans_module).values()
         if hasattr(fn, "cache_clear") and fn.__module__ == fans_module.__name__
-    ]
+    ] + [linprog._cone_facets]
     cold = []
     for name, q, w in points:
         for fn in caches:

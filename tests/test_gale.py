@@ -452,7 +452,7 @@ def test_library_caches_are_bounded():
 
     cached = [
         fn
-        for mod in (toriq.covering, toriq.fans, toriq.gale, toriq.polytope)
+        for mod in (toriq.covering, toriq.fans, toriq.gale, toriq.linprog, toriq.polytope)
         for fn in vars(mod).values()
         if hasattr(fn, "cache_parameters") and fn.__module__ == mod.__name__
     ]

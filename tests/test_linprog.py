@@ -12,9 +12,10 @@ from oracles import (
     positive_kernel_vector_by_fractions,
     strict_solution_by_fractions,
 )
-from toriq.fans import _pointed
+from toriq.errors import InvalidFan
+from toriq.fans import FanData
 from toriq.intmat import CACHE_SIZE, IntMatrix, _det, rank
-from toriq.linprog import _cone_facets, _dd, _simplicial_facets, cone_contains, positive_relation
+from toriq.linprog import _cone_facets, _dd, cone_contains, positive_relation
 
 N_SYSTEMS = 2000
 
@@ -49,6 +50,19 @@ def _line_free_by_fractions(gens, n) -> bool:
     line, and no generator is zero."""
     a = [[g[i] for g in gens] for i in range(n)] + [[1] * len(gens)]
     return lp_max_by_fractions([0] * len(gens), a, [0] * n + [1])[0] == "infeasible"
+
+
+def _pointed(cols) -> bool:
+    """Does the one-cone fan over all the columns (of full row rank, more
+    columns than rows) accept its cone?  It raises "contains a line"
+    exactly when the cone is not pointed."""
+    try:
+        FanData(cols, [range(cols.cols)])
+    except InvalidFan as exc:
+        if "contains a line" not in str(exc):
+            raise
+        return False
+    return True
 
 
 def test_cone_predicates_match_fraction_simplex():
@@ -118,11 +132,11 @@ def test_simplicial_facets_match_double_description():
             a, b = rng.sample(range(n), 2)
             s, t = rng.choice((-2, -1, 1, 2)), rng.choice((0, 1))
             gens[b] = tuple(s * x + t * y for x, y in zip(gens[a], gens[b]))
-        got = _cone_facets(gens, n)
-        eqs, facets = _cone_facets(gens + [(0,) * n], n)
-        assert got == (eqs, [(a, mask & ~(1 << n)) for a, mask in facets]), gens
+        got = _cone_facets(tuple(gens), n)
+        eqs, facets = _cone_facets(tuple(gens) + ((0,) * n,), n)
+        assert got == (eqs, tuple((a, mask & ~(1 << n)) for a, mask in facets)), gens
         if _det(gens):
-            assert got == ([], _dd(gens, n)), gens
+            assert got == ((), tuple(_dd(gens, n))), gens
             seen["nonsingular"] += 1
         else:
             seen["singular"] += 1
@@ -176,22 +190,19 @@ def test_square_cone_contains_matches_fraction_simplex():
     assert cone_contains([(-1, 1), (1, 1)], (0, Fraction(1, 2)), strict=True)
 
 
-def test_simplicial_facets_cache_is_private_and_bounded():
-    # callers get a fresh list, so mutating one cannot change the next
-    # answer, and the cache keeps at most CACHE_SIZE generator tuples
-    gens = [(1, 0), (1, 2)]
-    eqs, facets = _cone_facets(gens, 2)
-    expected = ([], list(facets))
-    eqs.append((1, 1))
-    facets[0] = ((0, 0), 0)
-    facets.append(((9, 9), 3))
-    assert _cone_facets(gens, 2) == expected
-    assert cone_contains(gens, (1, 1), strict=True)
-    assert _simplicial_facets.cache_parameters()["maxsize"] == CACHE_SIZE
-    _simplicial_facets.cache_clear()
+def test_cone_facets_cache_is_bounded_and_immutable():
+    # answers are tuples all the way down, so no caller can change the
+    # next answer, and the cache keeps at most CACHE_SIZE generator tuples
+    for gens in (((1, 0), (1, 2)), ((1, 0), (0, 1), (-1, -1)), ((1, 0),), ()):
+        eqs, facets = _cone_facets(gens, 2)
+        assert type(eqs) is tuple and all(type(e) is tuple for e in eqs), gens
+        assert type(facets) is tuple and all(type(f) is tuple and type(f[0]) is tuple for f in facets), gens
+    assert cone_contains([(1, 0), (1, 2)], (1, 1), strict=True)
+    assert _cone_facets.cache_parameters()["maxsize"] == CACHE_SIZE
+    _cone_facets.cache_clear()
     for k in range(CACHE_SIZE + 10):
-        hits = _simplicial_facets.cache_info().hits
-        assert _cone_facets([(1, k), (0, 1)], 2) == _cone_facets([(1, k), (0, 1)], 2)
-        assert _simplicial_facets.cache_info().hits == hits + 1
-        assert _simplicial_facets.cache_info().currsize <= CACHE_SIZE
-    assert _simplicial_facets.cache_info().currsize == CACHE_SIZE
+        hits = _cone_facets.cache_info().hits
+        assert _cone_facets(((1, k), (0, 1)), 2) is _cone_facets(((1, k), (0, 1)), 2)
+        assert _cone_facets.cache_info().hits == hits + 1
+        assert _cone_facets.cache_info().currsize <= CACHE_SIZE
+    assert _cone_facets.cache_info().currsize == CACHE_SIZE
