@@ -4,12 +4,19 @@ quotient fan matrices, whole-family enumeration and unitary 1-coverings.
 Torsion matrices are canonical only up to automorphisms of the group, so
 family fixtures are always compared through the quotient fan matrices
 (up to GL-equivalence), never through torsion entries.
+
+A family reads each subgroup's invariant lattice off one frame of its
+action (`_frame`: a section and the kernel, checked onto) by one small
+Hermite reduction checked by index and pairing (`_invariant_basis`), with
+no Smith reduction (Cohen, *A Course in Computational Algebraic Number Theory*).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm, prod
+from operator import mul
 
 from .covering import analyze
 from .errors import (
@@ -66,17 +73,13 @@ def torsion_matrix(v: IntMatrix) -> TorsionMatrix:
     diag = dec.diagonal
     tor_rows = [i for i in range(len(diag)) if diag[i] >= 2]
     factors = tuple(diag[i] for i in tor_rows)
-    cols = []
-    for j in range(m):
-        pcol = dec.P.col(j)
-        cols.append(tuple(pcol[i] % diag[i] for i in tor_rows))
+    cols = tuple(tuple(dec.P[i, j] % diag[i] for i in tor_rows) for j in range(m))
     free_rows = [dec.P.row(i) for i in range(n, m)]
     if free_rows:
         free_h, _ = hnf(IntMatrix._of(free_rows))
         dual_h, _ = hnf(gale_dual(v))
         assert free_h == dual_h, "free part of the class map disagrees with the Gale dual"
-    ambient = FiniteAbelianGroup(factors, 0)
-    return TorsionMatrix(ambient=ambient, columns=tuple(cols))
+    return TorsionMatrix(ambient=FiniteAbelianGroup(factors, 0), columns=cols)
 
 
 @dataclass(frozen=True)
@@ -96,25 +99,29 @@ class SubgroupHandle:
         )
 
     def group_type(self) -> FiniteAbelianGroup:
-        """coker(X^T) for the integer X with diag(f) = X * R, R the HNF
-        rows.  R is upper triangular with pivots d_t | f_t, so row i of X
-        (the coordinates of f_i e_i in the rows) is found by back
-        substitution: zero before i, f_i / d_i at i, and each later entry
-        solved from its column of R."""
-        fs = self.ambient.invariant_factors
-        if not fs:
-            return FiniteAbelianGroup((), 0)
-        r = self.matrix.data
-        x = []
-        for i, f in enumerate(fs):
-            xi = [0] * len(fs)
-            xi[i] = f
-            for k in range(i, len(fs)):
-                xi[k], rem = divmod(xi[k] - _dot(xi[i:k], [row[k] for row in r[i:k]]), r[k][k])
-                if rem:
-                    raise NonIntegerQuotient(f"diag{fs} is not in the subgroup lattice")
-            x.append(xi)
-        return cokernel(IntMatrix._of(zip(*x)))
+        """coker(X^T), X = diag(f) R^-1 (`_annihilator`): G/H^perp, which
+        is isomorphic to H; off the family path (`_invariant_basis`)."""
+        return cokernel(IntMatrix._of(zip(*_annihilator(self))))
+
+
+def _annihilator(sub: SubgroupHandle) -> list:
+    """The rows of X = diag(f) R^-1, R the subgroup's HNF rows; col(X) is
+    the preimage of the annihilator H^perp of H under sum_k a_k x_k / f_k.
+    R is upper triangular with pivots d_t | f_t, so row i of X (the
+    coordinates of f_i e_i in the rows) is solved by back substitution:
+    zero before i, f_i / d_i at i, each later entry from its column of R."""
+    fs = sub.ambient.invariant_factors
+    r = sub.matrix.data
+    x = []
+    for i, f in enumerate(fs):
+        xi = [0] * len(fs)
+        xi[i] = f
+        for k in range(i, len(fs)):
+            xi[k], rem = divmod(xi[k] - _dot(xi[i:k], [row[k] for row in r[i:k]]), r[k][k])
+            if rem:
+                raise NonIntegerQuotient(f"diag{fs} is not in the subgroup lattice")
+        x.append(xi)
+    return x
 
 
 _ENUM_BOUND = 100_000  # most subgroups, and largest group order, enumerated
@@ -125,7 +132,7 @@ def _divisors(n: int):
 
 
 def _dot(x, y) -> int:
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def _column_entries(coords, d):
@@ -193,16 +200,15 @@ def subgroups(g: FiniteAbelianGroup, order: int | None = None):
 
 def quotient_by_subgroup(w: IntMatrix, gamma: TorsionMatrix, sub: SubgroupHandle) -> IntMatrix:
     """Fan matrix of the quotient of the variety with fan matrix w by the
-    subgroup, acting through the torsion matrix.
-
-    The invariant character lattice M_H is the solution lattice of one
-    congruence per subgroup generator; the quotient fan matrix is the
-    basis of M_H applied to w.  Raises InconsistentAction when the
-    resulting covering group does not match the subgroup.
-    """
+    subgroup, acting through the torsion matrix: S * w, S the HNF basis of
+    its invariant lattice (`_invariant_basis`), or w for the trivial one.
+    InconsistentAction if the action is not onto or S fails a check."""
     if gamma.ambient != sub.ambient:
         raise InconsistentAction("subgroup ambient differs from the action's group")
-    return _invariant_basis(_action(w, gamma), sub) * w
+    if sub.order == 1:
+        return w
+    action = _action(w, gamma)
+    return _invariant_basis(action, _frame(action, sub.ambient.invariant_factors), sub) * w
 
 
 def _action(w: IntMatrix, gamma: TorsionMatrix) -> IntMatrix:
@@ -211,52 +217,64 @@ def _action(w: IntMatrix, gamma: TorsionMatrix) -> IntMatrix:
     return w * IntMatrix._of(gamma.columns)
 
 
-def _invariant_basis(action: IntMatrix, sub: SubgroupHandle) -> IntMatrix:
-    """The HNF basis S of the invariant character lattice M_H of the
-    subgroup, acting through `_action` (n rows); raises
-    InconsistentAction when coker(S^T) is not the subgroup's group."""
-    fs = sub.ambient.invariant_factors
-    n = action.rows
-    if not fs or sub.order == 1:
-        return IntMatrix.identity(n)
-    big = lcm(*fs)
-    # per generator a: sum_t (big/d_t) a_t (Gamma_t . (w^T m))_t == 0 (mod big)
-    gens = [[(big // d) * x for x, d in zip(a, fs)] for a in sub.generators if any(a)]
-    if not gens:
-        return IntMatrix.identity(n)
-    cmat = IntMatrix._of(gens) * action.t()
-    g = len(gens)
-    # the rows (C^T e_i | e_i) and (-big e_t | 0) span {(C m - big t, m)};
-    # the first block has rank g, so in their row HNF the rows past its g
-    # pivots span the vectors with first block zero, and their second
-    # block is the HNF basis of M_H
-    rows = [list(c) + [int(i == j) for j in range(n)] for i, c in enumerate(zip(*cmat.data))]
-    rows += [[-big * (i == t) for t in range(g)] + [0] * n for i in range(g)]
+def _frame(action: IntMatrix, fs) -> tuple:
+    """The frame (P, K) of phi: Z^n -> G, m -> X m mod f, X = action^T:
+    the rows of a section P, X P = I (mod f), and of the HNF basis K of
+    ker phi.  The rows (X^T e_i | e_i), (-f_k e_k | 0) span {(X m - f y, m)}
+    of rank n + t: their row HNF is [[I, P^T], [0, K]] iff phi is onto."""
+    n, t = action.rows, len(fs)
+    rows = [list(a) + [int(i == j) for j in range(n)] for i, a in enumerate(action.data)]
+    rows += [[-f * (i == k) for k in range(t)] + [0] * n for i, f in enumerate(fs)]
     _hermite_rows(rows)
-    s_mat = IntMatrix._of(row[g:] for row in rows[g:])
-    got, want = cokernel(s_mat.t()), sub.group_type()
-    if got != want:
-        raise InconsistentAction(f"quotient covering group {got} != subgroup {want}")
-    return s_mat
+    if any(rows[k][k] != 1 for k in range(t)):
+        raise InconsistentAction("the torsion action does not reach every element of its group")
+    return list(zip(*(row[t:] for row in rows[:t]))), [row[t:] for row in rows[t:]]
+
+
+def _invariant_basis(action: IntMatrix, frame, sub: SubgroupHandle) -> IntMatrix:
+    """The HNF basis S of M_H = phi^-1(H^perp), the invariant lattice of
+    H, from the frame (P, K) of the action: H^perp has the preimage
+    col(X_H) (`_annihilator`), so M_H = ker phi + col(P X_H), the HNF of
+    n + t rows.  InconsistentAction unless (i) the pivots of S multiply to
+    |H| and (ii) each row s of S pairs integrally with each row a of the
+    HNF of H, sum_k a_k (X s)_k / f_k in Z.  As (iii) phi is onto
+    (`_frame`), [Z^n : phi^-1(H^perp)] = |G/H^perp| = |H| = [Z^n : row(S)],
+    so the inclusion (ii) is equality: Z^n/M_H is G/H^perp, the group of
+    `SubgroupHandle.group_type`, with no Smith reduction."""
+    section, kernel = frame
+    rows = kernel + [[_dot(xc, p) for p in section] for xc in zip(*_annihilator(sub))]
+    _hermite_rows(rows)
+    s = rows[: action.rows]
+    if prod(row[i] for i, row in enumerate(s)) != sub.order:
+        raise InconsistentAction(f"invariant lattice does not have the subgroup's index {sub.order}")
+    fs = sub.ambient.invariant_factors
+    big = lcm(*fs)
+    gens = [[big // f * a for f, a in zip(fs, row)] for row in sub.matrix.data]
+    ys = [[_dot(row, c) for c in action.columns()] for row in s]
+    if any(_dot(g, y) % big for y in ys for g in gens):
+        raise InconsistentAction("invariant lattice pairs non-integrally with the subgroup")
+    return IntMatrix._of(s)
 
 
 def _quotients(w: IntMatrix, a: IntMatrix):
     """(subgroup, S, quotient fan matrix S*w) for every subgroup of
     coker(a^T), acting on the covering fan matrix w through the torsion
-    matrix of a*w.  The action W*Gamma is formed once for all subgroups.
+    matrix of a*w.  The action W*Gamma and its frame (`_frame`) are formed
+    once; each S is one small Hermite reduction (`_invariant_basis`).
 
     The columns of w span Z^n, so the multiplicity of a quotient S*w, the
     index of its column lattice, is |det S|; `_invariant_basis` has
-    matched coker(S^T) to the subgroup, so it is the subgroup's order.
+    checked that it is the subgroup's order.
     """
     if lattice_index(w) != 1:
         raise InconsistentAction("covering fan matrix does not span the lattice")
     gamma = torsion_matrix(a * w)
     assert gamma.ambient == cokernel(a.t())
     action = _action(w, gamma)
+    frame = _frame(action, gamma.ambient.invariant_factors)
     for sub in subgroups(gamma.ambient):
-        s = _invariant_basis(action, sub)
-        yield sub, s, s * w
+        s = _invariant_basis(action, frame, sub)
+        yield sub, s, IntMatrix._of([[_dot(r, c) for c in w.columns()] for r in s.data])
 
 
 def _polar_index_of_image(s: IntMatrix, polar: IntMatrix, d: int) -> int:
@@ -278,11 +296,13 @@ def _polar_index_of_image(s: IntMatrix, polar: IntMatrix, d: int) -> int:
 
 def _gl_classes(entries):
     """Group (subgroup, matrix, mult) triples into GL-equivalence classes
-    in order of first appearance, each matrix canonicalised once and
-    bucketed by (mult, canonical key); all matrices share one shape."""
+    in order of first appearance, bucketed by (mult, canonical key), the
+    key read only where another entry shares the mult (equivalent
+    matrices have equal mults); all matrices share one shape."""
+    mults = Counter(entry[2] for entry in entries)
     classes = {}
     for entry in entries:
-        key = gl_canonical_form(entry[1])[0]
+        key = gl_canonical_form(entry[1])[0] if mults[entry[2]] > 1 else None
         classes.setdefault((entry[2], key), []).append(entry)
     return list(classes.values())
 
@@ -304,8 +324,7 @@ def enumerate_fano_family(q: IntMatrix):
     for sub, _, v_h in _quotients(cd.W, cd.A):
         assert is_reduced_f(v_h), "reflexive-case quotient must stay reduced"
         entries.append((sub, v_h, sub.order))
-    classes = _gl_classes(entries)
-    return [cls[0] for cls in classes]
+    return [cls[0] for cls in _gl_classes(entries)]
 
 
 @dataclass(frozen=True)
@@ -333,8 +352,8 @@ def enumerate_qgorenstein_family(q: IntMatrix, h: int) -> QGorensteinFamily:
     conv(S*W) has the facets of conv(W) on the same column sets: W is
     hulled once, its polar points on those facets are solved once, and
     each kept index is read off one elimination with S
-    (`_polar_index_of_image`).  The action W*Gamma is formed once for
-    the family (`_quotients`).
+    (`_polar_index_of_image`).  The action W*Gamma and its frame are
+    formed once for the family (`_quotients`).
     """
     if h < 1:
         raise OutOfDomain("needs h >= 1")

@@ -25,7 +25,7 @@ from .intmat import (
     smith_diagonal,
     unimodular_inverse,
 )
-from .linprog import _dd, _dot, positive_relation
+from .linprog import _cone_facets, _dot, positive_relation
 
 
 @dataclass(frozen=True)
@@ -173,16 +173,17 @@ def _nonnegative_basis(rows):
     By Gordan's alternative L has a nonnegative basis exactly when it holds
     a vector positive on S.  In row coordinates y the vectors of L that
     are nonnegative on S form the pointed cone {y : <col_j, y> >= 0, j in
-    S} (the rows are independent on S), and one double description gives
-    its rays.  A vector positive on S exists exactly when no column is
-    tight on every ray, and then the sum c of the rays is one.  The
-    L-primitive positive vector p with coordinates c / gcd(c) is extended
-    to a basis, every other row is lifted by the least multiple of p that
-    makes it nonnegative, and b_i is replaced by b_i - b_j while that
-    stays nonnegative (each step lowers the entry sum).
+    S} (the rows are independent on S), and one double description, read
+    off the cone cache `linprog._cone_facets`, gives its rays.  A vector
+    positive on S exists exactly when no column is tight on every ray, and
+    then the sum c of the rays is one.  The L-primitive positive vector p
+    with coordinates c / gcd(c) is extended to a basis, every other row is
+    lifted by the least multiple of p that makes it nonnegative, and b_i
+    is replaced by b_i - b_j while that stays nonnegative (each step
+    lowers the entry sum).
     """
     support = [j for j in range(len(rows[0])) if any(r[j] for r in rows)]
-    rays = _dd([tuple(r[j] for r in rows) for j in support], len(rows))
+    rays = _cone_facets(tuple(tuple(r[j] for r in rows) for j in support), len(rows))[1]
     tight = -1  # the columns tight on every ray; all of them when there is none
     for _, mask in rays:
         tight &= mask

@@ -21,7 +21,9 @@ where the library extends the parent's HNF by one column, and finds the
 column cells with one `det` per subset, where the library reads every
 minor off one Laplace table.  The quotient
 oracle finds the invariant lattice of a subgroup as the projection of a
-saturated kernel, where the library reads it off one row HNF.  The
+saturated kernel, and the congruence oracle as one wide row HNF of the
+subgroup's scaled congruences, checked by two Smith reductions, where the
+library reads it off the frame of the action with one small HNF.  The
 elimination oracle applies every Bareiss update of a full Gauss-Jordan
 pass, where the library skips the updates that cannot change a row and
 takes determinants and ranks from a forward pass; `solve_unique` reads a
@@ -44,10 +46,10 @@ import math
 from fractions import Fraction
 
 from toriq.classify import SubgroupHandle, TorsionMatrix
-from toriq.errors import InvalidFan, NotConverged, OutsideMoving, RankDeficient
+from toriq.errors import InconsistentAction, InvalidFan, NotConverged, OutsideMoving, RankDeficient
 from toriq.fans import FanData, _cone_walls, _complement, is_complete, mov_cone
 from toriq.gale import gale_dual
-from toriq.intmat import FiniteAbelianGroup, IntMatrix, SnfDecomposition, hnf, kernel_basis, rank
+from toriq.intmat import FiniteAbelianGroup, IntMatrix, SnfDecomposition, cokernel, hnf, kernel_basis, rank
 from toriq.linprog import cone_contains
 from toriq.polytope import VPolytope, facet_enumeration
 
@@ -571,6 +573,28 @@ def quotient_fan_matrix_by_kernel(w: IntMatrix, gamma: TorsionMatrix, sub: Subgr
     k = kernel_basis(cmat.hstack(IntMatrix.identity(len(gens)) * -big))
     basis, _ = hnf(k.rows_at(range(w.rows)).t())
     return IntMatrix([r for r in basis.data if any(r)]) * w
+
+
+def invariant_basis_by_congruence_hnf(action: IntMatrix, sub: SubgroupHandle) -> IntMatrix:
+    """The HNF basis S of the invariant lattice M_H = {m : C m = 0 (mod
+    big)}, C the generators scaled to big = lcm(f) times the action: the
+    second block of the row HNF of (C^T e_i | e_i) and (-big e_k | 0)
+    past its first pivots, checked by comparing coker(S^T) with the
+    subgroup's group type (two Smith reductions)."""
+    fs = sub.ambient.invariant_factors
+    n = action.rows
+    big = math.lcm(*fs) if fs else 1
+    gens = [[(big // d) * x for x, d in zip(a, fs)] for a in sub.generators if any(a)]
+    if not gens:
+        return IntMatrix.identity(n)
+    cmat = IntMatrix(gens) * action.t()
+    g = len(gens)
+    h, _ = hnf(IntMatrix([list(c) + [int(i == j) for j in range(n)] for i, c in enumerate(zip(*cmat.data))]
+                         + [[-big * (i == k) for k in range(g)] + [0] * n for i in range(g)]))
+    s = IntMatrix([row[g:] for row in h.data[g:]])
+    if cokernel(s.t()) != sub.group_type():
+        raise InconsistentAction("quotient covering group differs from the subgroup")
+    return s
 
 
 def _encode(obj):

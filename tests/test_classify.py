@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from oracles import quotient_fan_matrix_by_kernel, subgroups_by_filter
+from oracles import invariant_basis_by_congruence_hnf, quotient_fan_matrix_by_kernel, subgroups_by_filter
 from toriq import classify
 from toriq.classify import (
+    TorsionMatrix,
     enumerate_fano_family,
     enumerate_qgorenstein_family,
     quotient_by_subgroup,
@@ -14,7 +15,7 @@ from toriq.classify import (
     unitary_cover,
 )
 from toriq.covering import analyze
-from toriq.errors import NotFanoWeight, OutOfDomain, ToriqError, TooLarge
+from toriq.errors import InconsistentAction, NotFanoWeight, OutOfDomain, ToriqError, TooLarge
 from toriq.fans import FanData, face_fan, fan_from_point
 from toriq.gale import gale_dual, gl_equivalent
 from toriq.intmat import FiniteAbelianGroup, IntMatrix, cokernel, lattice_index, quotient_matrix
@@ -227,6 +228,84 @@ def test_quotients_match_kernel_projection():
                 assert quotient_by_subgroup(cd.W, gamma, sub) == quotient_fan_matrix_by_kernel(cd.W, gamma, sub)
                 checked += 1
     assert checked > 500
+
+
+def _covering(q):
+    from toriq.fans import _anticanonical
+
+    fan = fan_from_point(q, _anticanonical(q))
+    return analyze(fan.fan_matrix, fan)
+
+
+def test_frame_gives_the_congruence_hnf_basis():
+    # the frame of the action gives, on every subgroup, the S that one wide
+    # HNF of the scaled congruences (checked by two Smith reductions) gives
+    import json
+    import os
+
+    from conftest import FIXTURES
+
+    with open(os.path.join(FIXTURES, "..", "perfbench", "golden.json")) as fh:
+        weights = json.load(fh)["weights"]
+    checked = 0
+    for name, entry in sorted(weights.items()):
+        cd = _covering(IntMatrix(entry["q"]))
+        for h in (1, 2) if name == "mds_Z" else (1, 2, 3):
+            gamma = torsion_matrix(cd.A * h * cd.W)
+            action = classify._action(cd.W, gamma)
+            frame = classify._frame(action, gamma.ambient.invariant_factors)
+            for sub in subgroups(gamma.ambient):
+                got = classify._invariant_basis(action, frame, sub)
+                assert got == invariant_basis_by_congruence_hnf(action, sub), (name, h, sub.matrix)
+                checked += 1
+    assert checked == 768 + 1296  # mds_Z at h = 2 has 1,296
+
+
+def _not_onto(gamma):
+    # the first torsion component is zero on every ray, so the action
+    # misses every element with a nonzero first component
+    return TorsionMatrix(gamma.ambient, tuple((0,) + col[1:] for col in gamma.columns))
+
+
+def test_an_action_that_is_not_onto_is_refused(monkeypatch):
+    cd = _covering(gale_dual(MDS_V))
+    gamma = torsion_matrix(cd.A * cd.W)
+    bogus = _not_onto(gamma)
+    for sub in subgroups(gamma.ambient):
+        if sub.order == 1:
+            # the trivial subgroup builds no frame, so no action is read
+            assert quotient_by_subgroup(cd.W, bogus, sub) == cd.W
+            assert quotient_by_subgroup(cd.W, TorsionMatrix(gamma.ambient, ()), sub) == cd.W
+        else:
+            with pytest.raises(InconsistentAction, match="does not reach"):
+                quotient_by_subgroup(cd.W, bogus, sub)
+    monkeypatch.setattr(classify, "torsion_matrix", lambda v: _not_onto(torsion_matrix(v)))
+    with pytest.raises(InconsistentAction, match="does not reach"):
+        next(classify._quotients(cd.W, cd.A))
+
+
+def test_a_wrong_section_trips_a_check(monkeypatch):
+    # a section moved off X P = I (mod f) by one unit in any entry gives a
+    # lattice that is not phi^-1(H^perp) on some subgroup: the index check
+    # or the pairing check catches each move, and each check catches one
+    real = classify._frame
+    cd = _covering(gale_dual(MDS_V))
+    assert len(list(classify._quotients(cd.W, cd.A))) == 96
+    caught = set()
+    for i in range(cd.W.rows):
+        for k in range(2):
+
+            def moved(action, fs, i=i, k=k):
+                section, kernel = real(action, fs)
+                rows = [list(p) for p in section]
+                rows[i][k] += 1
+                return rows, kernel
+
+            monkeypatch.setattr(classify, "_frame", moved)
+            with pytest.raises(InconsistentAction, match="index|pairs") as exc:
+                list(classify._quotients(cd.W, cd.A))
+            caught.add("index" if "index" in str(exc.value) else "pairs")
+    assert caught == {"index", "pairs"}
 
 
 def test_qgorenstein_family_needs_positive_factor():

@@ -470,6 +470,38 @@ def test_family_work_counts(capsys, monkeypatch):
     assert counts["snf"] <= 1
 
 
+def test_family_reads_each_quotient_off_one_frame(capsys, monkeypatch):
+    # the frame of the action is reduced once per family; each of the
+    # 1,296 subgroups then costs one small Hermite reduction and no Smith
+    # reduction (the congruence HNF with two Smith reductions per subgroup
+    # ran _smith 2,596 times here): counts, not timings
+    import sys
+
+    from toriq import intmat
+
+    counts = {"_smith": 0, "_hermite_rows": 0}
+    real_rows = intmat._hermite_rows
+
+    def counter(name, real):
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return counted
+
+    monkeypatch.setattr(intmat, "_smith", counter("_smith", intmat._smith))
+    rows = counter("_hermite_rows", real_rows)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("toriq") and getattr(mod, "_hermite_rows", None) is real_rows:
+            monkeypatch.setattr(mod, "_hermite_rows", rows)
+    code, out = run_cli(capsys, "classify", fixture_path("mds_Z"), "--factor", "2")
+    assert code == 0
+    subgroups = len(out["kept"]) + len(out["rejected"])
+    assert subgroups == 1296
+    assert counts["_smith"] <= 8
+    assert counts["_hermite_rows"] <= subgroups + 40
+
+
 def test_report_hulls_each_point_set_once(monkeypatch):
     # with every cache empty, one report hulls each set of integer rows
     # (D, D*p) at most once, in whatever column order it is asked for:
