@@ -40,7 +40,7 @@ from .intmat import (
     rank,
     snf,
 )
-from .polytope import facet_columns, fmatrix_index, polar_vertex_matrix
+from .polytope import _polytope, fmatrix_index, polar_dual
 
 
 @dataclass(frozen=True)
@@ -278,15 +278,16 @@ def _quotients(w: IntMatrix, a: IntMatrix):
 
 
 def _polar_index_of_image(s: IntMatrix, polar: IntMatrix, d: int) -> int:
-    """Index of S*W for nonsingular S, given the polar points of W, the
-    columns of polar/d, on the facets of conv(W): those facets are the
-    facets of conv(S*W) on the same column sets, and <x, S w_j> = -1
-    exactly when <S^T x, w_j> = -1, so the polar points of S*W are
-    S^-T polar / d.  A nonsingular S keeps the rank of each facet's
-    columns and whether they lie on a common polar hyperplane, so the
-    checks of `polar_vertex_matrix` on W hold for S*W.  One elimination
-    of [S^T | polar] gives e*[I | S^-T polar] (e its last pivot); the
-    index is the lcm of the reduced denominators of the columns over e*d.
+    """Index of S*W for nonsingular S, given the polar vertices of
+    conv(W), the columns of polar/d, read off its hull rows: the facets
+    of conv(W) are the facets of conv(S*W) on the same column sets, and
+    <x, S w_j> = -1 exactly when <S^T x, w_j> = -1, so the polar vertices
+    of S*W are S^-T polar / d.  No `polar_vertex_matrix` checks are
+    needed: each hull facet spans its hyperplane, and the origin is
+    interior to conv(W) (F.b), so every facet has a polar vertex, and S
+    keeps both.  One elimination of [S^T | polar] gives
+    e*[I | S^-T polar] (e its last pivot); the index is the lcm of the
+    reduced denominators of the columns over e*d.
     """
     n = s.rows
     m, _, e, _ = _eliminate([row + prow for row, prow in zip(s.t().data, polar.data)])
@@ -350,8 +351,8 @@ def enumerate_qgorenstein_family(q: IntMatrix, h: int) -> QGorensteinFamily:
     entries are (subgroup, fan matrix, witness column index).  Every
     quotient S*W is a linear image of the covering fan matrix W, so
     conv(S*W) has the facets of conv(W) on the same column sets: W is
-    hulled once, its polar points on those facets are solved once, and
-    each kept index is read off one elimination with S
+    hulled once, its polar vertices are read off that hull, and each
+    kept index is read off one elimination with S
     (`_polar_index_of_image`).  The action W*Gamma and its frame are
     formed once for the family (`_quotients`).
     """
@@ -359,14 +360,15 @@ def enumerate_qgorenstein_family(q: IntMatrix, h: int) -> QGorensteinFamily:
         raise OutOfDomain("needs h >= 1")
     fan = fan_from_point(q, _anticanonical(q))
     cd = analyze(fan.fan_matrix, fan)
-    polar, d = polar_vertex_matrix(cd.W, facet_columns(cd.W))
+    polar = polar_dual(_polytope(cd.W))
+    points, d = polar.vertices, polar.den
     kept = []
     indices = []
     rejected = []
     for sub, s, v_h in _quotients(cd.W, cd.A * h):
         if is_reduced_f(v_h):
             kept.append((sub, v_h, sub.order))
-            indices.append(_polar_index_of_image(s, polar, d))
+            indices.append(_polar_index_of_image(s, points, d))
         else:
             witness = next(
                 j

@@ -31,7 +31,7 @@ from .fans import (
 )
 from .gale import classify_matrix, gale_dual
 from .intmat import IntMatrix, kernel_basis, smith_diagonal
-from .polytope import VPolytope, fmatrix_index, normalized_volume, polar_vertex_matrix
+from .polytope import VPolytope, normalized_volume, polar_vertex_matrix
 
 _SAFE = 1 << 53
 
@@ -348,13 +348,13 @@ def cmd_gale(args) -> int:
 def cmd_polar(args) -> int:
     doc = load_document(args.path)
     v, fan = resolve_variety(doc)
+    # one polar point per cone: cd.Vpolar keeps only the first of equal columns
     vpolar, d = polar_vertex_matrix(v, fan)
-    k = fmatrix_index(v)
     cd = analyze(v, fan)
     emit(
         {
             "polar_vertices": [[Fraction(x, d) for x in row] for row in vpolar.data],
-            "k": k,
+            "k": cd.k,
             "polar_weight": _rows(cd.Qpolar),
             "degree_scaled": cd.degree_scaled,
         }

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import InvalidFan, NonIntegerQuotient, NonIntegralFactor, NotReflexive
 from .fans import FanData, _anticanonical, _complement, _cone_walls, fan_from_point, is_complete
-from .gale import _fan_conditions, gale_dual
+from .gale import gale_dual
 from .intmat import (
     CACHE_SIZE,
     FiniteAbelianGroup,
@@ -245,16 +245,14 @@ def analyze(v: IntMatrix, fan: FanData) -> CoveringData:
     qpolar = gale_dual(vpolar)
     assert gale_dual(vpolar * 2) == qpolar
     lambda_polar = gale_dual(qpolar)
-    # the checks of fmatrix_index(lambda_polar), on the one hull of conv(lambda_polar)
-    assert all(_fan_conditions(lambda_polar)), "dual covering matrix is not a fan matrix"
-    lam_from_polar = polar_dual(_polytope(lambda_polar))
-    assert lam_from_polar.den == k_hat, "dual covering index mismatch"
+    k_lambda = fmatrix_index(lambda_polar)  # NotFMatrix unless Lambda° is a fan matrix
+    assert k_lambda == k_hat, "dual covering index mismatch"
 
     a_t = quotient_matrix(wpolar, lambda_polar)
     a = a_t.t()
     c = quotient_matrix(vpolar, lambda_polar)
     lam = a * w
-    assert set(lam.columns()) == set(lam_from_polar.vertices.columns()), (
+    assert set(lam.columns()) == set(polar_dual(_polytope(lambda_polar)).vertices.columns()), (
         "polar-of-polar disagrees with the quotient construction"
     )
     if k == 1:

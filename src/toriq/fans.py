@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from .errors import InvalidFan, OriginNotInterior, OutOfDomain, OutsideMoving, RankDeficient
 from .gale import gale_dual
 from .intmat import CACHE_SIZE, IntMatrix, _maximal_minors, rank, solve_integer
-from .linprog import _cone_facets, _facets_contain, cone_contains
-from .polytope import _bits, _polytope, facet_enumeration
+from .linprog import _cone_facets, _dot, _facets_contain, cone_contains
+from .polytope import _bits, _full_hull, _polytope
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,14 @@ def _complement(g, m):
 
 
 def face_fan(v: IntMatrix) -> FanData:
-    """Fan whose maximal cones sit over the facets of conv(v)."""
-    h = facet_enumeration(_polytope(v))
-    if any(f.offset <= 0 for f in h.facets):
+    """Fan whose maximal cones sit over the facets of conv(v): column x
+    lies on the hull row (c, a), the facet <a, x> >= -c, exactly when
+    c + <a, x> = 0."""
+    rows = [r for r, _ in _full_hull(_polytope(v))]
+    if any(c <= 0 for c, *_ in rows):
         raise OriginNotInterior("face fan needs the origin interior to conv(v)")
-    cones = []
-    for f in h.facets:
-        g = [
-            j
-            for j in range(v.cols)
-            if sum(a * x for a, x in zip(f.normal, v.col(j))) == -f.offset
-        ]
-        cones.append(tuple(g))
-    return FanData(v, cones)
+    cols = v.columns()
+    return FanData(v, [[j for j, x in enumerate(cols) if c + _dot(a, x) == 0] for c, *a in rows])
 
 
 def _cone_walls(v: IntMatrix, g):

@@ -8,11 +8,13 @@ points P_j / D.  Every hull goes through the one exact double description
 of `linprog` (`_cone_facets`): a polytope is the cone over its points p
 lifted to integer rows (D, D*p).  Those rows span the same cone as the
 rows (1, p), so the primitive facet normals, their order and the
-incidence bitmasks do not depend on D.  Facets come with the bitmask of
-the generators on them, as in PALP, and vertex pruning, triangulation,
-fan walls and cone intersections are all read off those incidences;
-volumes are determinants of the integer rows, divided once by a power
-of D.
+incidence bitmasks do not depend on D.  These primitive rows (c, a),
+the facets <a, x> >= -c with the bitmask of the vertices on them (as in
+PALP), are the library's one facet description: polar vertices a/c, the
+index lcm(c), reflexivity, the face fan, lattice-point intervals, vertex
+pruning, triangulation, fan walls and cone intersections are read off
+them, and `facet_enumeration` is their public Fraction view.  Volumes
+are determinants of the integer rows, divided once by a power of D.
 
 The library builds the polytope of a matrix in one place, `_polytope`, a
 bounded cache keyed by the sorted distinct columns: each point set of a
@@ -194,8 +196,8 @@ def _full_hull(p: VPolytope):
 
 
 def facet_enumeration(p: VPolytope) -> HPolytope:
-    """Complete irredundant facet list of a full-dimensional polytope,
-    sorted by (normal, offset)."""
+    """The hull rows (c, a) of a full-dimensional polytope as Facets
+    (normal a/g, offset c/g for g = gcd(a)), sorted by (normal, offset)."""
     facets = []
     for (c, *a), mask in _full_hull(p):
         g = math.gcd(*a)
@@ -208,8 +210,8 @@ def facet_enumeration(p: VPolytope) -> HPolytope:
 def polar_dual(p: VPolytope) -> VPolytope:
     """Polar polytope {u : <u, v> >= -1 for all v in P}; requires the
     origin to be interior.  The facet <a, x> >= -c gives the vertex a/c,
-    so the facet rows (c, a) over their common denominator are the polar
-    vertices."""
+    in lowest terms as the hull row (c, a) is primitive, so the polar's
+    `den` is the lcm of the c."""
     rows = [r for r, _ in _full_hull(p)]
     if any(r[0] <= 0 for r in rows):
         raise OriginNotInterior("origin is not an interior point")
@@ -253,24 +255,20 @@ def normalized_volume(p: VPolytope) -> Fraction:
 def lattice_points(p: VPolytope, strict: bool = False):
     """All lattice points of P (strict=True: interior only), sorted.
 
-    Line intervals: each facet <a, x> >= -c becomes the integer row
-    c.denominator * (a, c).  The coordinate with the widest bounding box
+    Line intervals on the hull's integer rows: each facet <a, x> >= -c
+    bounds c + <a, x> >= 0.  The coordinate with the widest bounding box
     (the last of equally wide ones) is the line; the others run over the
     bounding box, and for each such prefix every facet bounds the line
     coordinate to an exact integer interval (floor and ceiling by integer
     division, open bounds when strict).  A prefix is dropped at the first
     facet that empties its interval.
     """
-    h = facet_enumeration(p)
+    facets = _full_hull(p)
     d = p.den
     # ceil(min / D) and floor(max / D) of each coordinate of the rows D * v
     box = [(-(-min(c) // d), max(c) // d) for c in itertools.islice(zip(*p._rows), 1, None)]
     k = max(range(p.dim), key=lambda i: (box[i][1] - box[i][0], i))
-    rows = []
-    for f in h.facets:
-        den = f.offset.denominator
-        head = [den * a for i, a in enumerate(f.normal) if i != k]
-        rows.append((head, den * f.normal[k], f.offset.numerator))
+    rows = [(a[:k] + a[k + 1 :], a[k], c) for (c, *a), _ in facets]
     lo_box, hi_box = box.pop(k)
     pts = []
     for prefix in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
@@ -301,36 +299,21 @@ def interior_lattice_points(p: VPolytope):
 
 def is_reflexive(p: VPolytope) -> bool:
     """Lattice polytope with interior origin whose polar is again a
-    lattice polytope."""
+    lattice polytope: every hull row (c, a) has c = 1."""
     if p.den != 1:
         raise OriginNotInterior("reflexivity is defined for lattice polytopes")
-    h = facet_enumeration(p)
-    if any(f.offset <= 0 for f in h.facets):
-        raise OriginNotInterior("origin is not an interior point")
-    return all(f.offset == 1 for f in h.facets)
-
-
-def facet_columns(v: IntMatrix) -> list:
-    """The facets of conv(v) as tuples of the indices of the columns of
-    v that are vertices on them (the first of equal columns).
-
-    A linear isomorphism S keeps the face lattice, so these are also the
-    facets of conv(S*v), on the same column sets."""
-    p = _polytope(v)
-    column = {c: j for j, c in reversed(list(enumerate(zip(*v.data))))}
-    verts = [column[row[1:]] for row in p._rows]
-    return [tuple(verts[i] for i in _bits(mask)) for _, mask in _full_hull(p)]
+    return polar_dual(p).den == 1
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def fmatrix_index(v: IntMatrix) -> int:
     """Least k making k times the polar of conv(v) a lattice polytope
     (the Gorenstein index when v is the fan matrix of a Q-Fano variety):
-    one hull for the facets (`facet_columns`), then the common
-    denominator of the polar vertices, one per facet."""
+    the `den` of the polar read off the hull of conv(v), the lcm of its
+    rows' c, all positive as F.b puts the origin inside."""
     if not all(_fan_conditions(v)):
         raise NotFMatrix("index is defined for fan-type matrices only")
-    return polar_vertex_matrix(v, facet_columns(v))[1]
+    return polar_dual(_polytope(v)).den
 
 
 def polar_vertex_matrix(v: IntMatrix, fan) -> tuple:

@@ -34,15 +34,20 @@ permutation and repairs the divisibility chain by adding one column to
 another and starting over, where the library runs one Hermite loop and
 folds each pivot pair by a Bezout step.  The line-interval oracle for
 lattice points always takes the last coordinate as the line, where the
-library takes the widest one.  The JSON oracle converts a payload to
+library takes the widest one.  The index oracle solves one polar point
+per facet of the public `facet_enumeration` (`polar_vertex_matrix`, with
+its degeneracy checks), where the library reads the lcm of the hull
+rows' offsets off the one hull.  The JSON oracle converts a payload to
 plain values and leaves the text to `json.dumps`, where the CLI writes it
-in one walk.
+in one walk.  Oracle checks raise explicitly, so they also run under
+`python -O`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 from toriq.classify import SubgroupHandle, TorsionMatrix
@@ -51,7 +56,7 @@ from toriq.fans import FanData, _cone_walls, _complement, is_complete, mov_cone
 from toriq.gale import gale_dual
 from toriq.intmat import FiniteAbelianGroup, IntMatrix, SnfDecomposition, cokernel, hnf, kernel_basis, rank
 from toriq.linprog import cone_contains
-from toriq.polytope import VPolytope, facet_enumeration
+from toriq.polytope import VPolytope, facet_enumeration, polar_vertex_matrix
 
 _SAFE = 1 << 53
 
@@ -168,7 +173,8 @@ def lp_max_by_fractions(c, a_rows, b):
         cost[j] = sum(tab[i][j] for i in range(m))
     cost[-1] = -sum(tab[i][-1] for i in range(m))
     status = _frac_simplex(tab, basis, cost)
-    assert status == "optimal"
+    if status != "optimal":
+        raise ArithmeticError(f"phase one of the Fraction simplex ended {status}")
     deficit = sum(tab[i][-1] for i in range(m) if basis[i] >= n)
     if deficit != 0:
         return "infeasible", None, None
@@ -224,6 +230,30 @@ def rational_vertices(p: VPolytope):
     """The vertices of P as tuples of Fractions: its integer numerator
     columns over its common denominator."""
     return [tuple(Fraction(x, p.den) for x in c) for c in p.vertex_list()]
+
+
+def facet_columns(v: IntMatrix) -> list:
+    """The facets of conv(v) as tuples of the indices of every column of
+    v on them, read off the public `facet_enumeration`: column x lies on
+    the facet <normal, x> >= -offset when equality holds.
+
+    A linear isomorphism S keeps the face lattice, so these are also the
+    facets of conv(S*v), on the same column sets."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        facets = facet_enumeration(VPolytope(v)).facets
+    cols = v.columns()
+    return [
+        tuple(j for j, x in enumerate(cols) if sum(a * y for a, y in zip(f.normal, x)) == -f.offset)
+        for f in facets
+    ]
+
+
+def index_by_facets(v: IntMatrix, facets=None) -> int:
+    """The least k making k times the polar points of v on the facets of
+    conv(v) (or on the given column sets) integral: one elimination per
+    facet (`polar_vertex_matrix`), then the lcm of the denominators."""
+    return polar_vertex_matrix(v, facet_columns(v) if facets is None else facets)[1]
 
 
 def lattice_points_by_box(p: VPolytope, strict: bool = False):

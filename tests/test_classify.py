@@ -347,8 +347,8 @@ def test_family_indices_from_one_solve_match_polar_index():
     import os
 
     from conftest import FIXTURES
+    from oracles import facet_columns, index_by_facets
     from toriq.fans import _anticanonical
-    from toriq.polytope import facet_columns, polar_vertex_matrix
 
     with open(os.path.join(FIXTURES, "..", "perfbench", "golden.json")) as fh:
         weights = json.load(fh)["weights"]
@@ -360,7 +360,7 @@ def test_family_indices_from_one_solve_match_polar_index():
         for h in (1, 2, 3):
             fam = enumerate_qgorenstein_family(q, h)
             for (_, v_h, _), index in zip(fam.kept, fam.indices, strict=True):
-                assert index == polar_vertex_matrix(v_h, facets)[1] == fmatrix_index(v_h), (name, h, v_h)
+                assert index == index_by_facets(v_h, facets) == fmatrix_index(v_h), (name, h, v_h)
                 kept += 1
     assert kept > 500
 

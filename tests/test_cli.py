@@ -506,13 +506,19 @@ def test_report_hulls_each_point_set_once(monkeypatch):
     # with every cache empty, one report hulls each set of integer rows
     # (D, D*p) at most once, in whatever column order it is asked for:
     # conv(V), conv(W), conv(Lambda°) and the polar sides are shared by
-    # every caller through one cache
+    # every caller through one cache.  Polar points are solved cone by
+    # cone (`polar_vertex_matrix`) only for kV° and k̂W° on the fan's
+    # cones: the indices, reflexivity, the face fan and a family's polar
+    # points are read off the hull rows
     import glob
     import os
     from collections import Counter
 
     import toriq
     from toriq import polytope
+    from toriq.classify import enumerate_qgorenstein_family
+    from toriq.fans import face_fan
+    from toriq.gale import gale_dual
 
     caches = [
         fn
@@ -521,22 +527,52 @@ def test_report_hulls_each_point_set_once(monkeypatch):
         if hasattr(fn, "cache_clear") and fn.__module__ == mod.__name__
     ]
     hulls = Counter()
-    real = polytope._hull
+    solves = Counter()
+    real, real_solve = polytope._hull, polytope.polar_vertex_matrix
 
     def counted(rows):
         hulls[frozenset(map(tuple, rows))] += 1
         return real(rows)
 
+    def counted_solve(v, fan):
+        solves["calls"] += 1
+        return real_solve(v, fan)
+
     monkeypatch.setattr(polytope, "_hull", counted)
+    for mod in (toriq.polytope, toriq.covering, toriq.classify, toriq.cli):
+        monkeypatch.setattr(mod, "polar_vertex_matrix", counted_solve, raising=False)
+    paths = {}
     for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
         name = os.path.splitext(os.path.basename(path))[0]
+        paths[name] = path
         if name == "mds_W":
             continue  # deliberately non-complete
         for fn in caches:
             fn.cache_clear()
         hulls.clear()
+        solves.clear()
         build_report(*resolve_variety(load_document(path)))
         assert hulls and max(hulls.values()) == 1, (name, hulls)
+        assert solves["calls"] == 2, (name, solves)
+
+    for fn in caches:
+        fn.cache_clear()
+    solves.clear()
+    v, _ = resolve_variety(load_document(paths["mds_Z"]))
+    enumerate_qgorenstein_family(gale_dual(v), 2)
+    assert 0 < solves["calls"] <= 2, solves
+
+    def refused(v, fan):
+        raise RuntimeError("polar points solved cone by cone")
+
+    monkeypatch.setattr(polytope, "polar_vertex_matrix", refused)
+    for name, path in paths.items():
+        for fn in caches:
+            fn.cache_clear()
+        v, _ = resolve_variety(load_document(path))
+        polytope.fmatrix_index(v)
+        polytope.is_reflexive(polytope.VPolytope(v))
+        face_fan(v)
 
 
 def test_report_solves_each_cone_once(monkeypatch):

@@ -296,6 +296,49 @@ def test_fmatrix_index():
     assert fmatrix_index(simplex_matrix(3)) == 1
 
 
+@pytest.mark.filterwarnings("ignore:non-vertex columns pruned")
+def test_hull_rows_match_the_per_facet_solve():
+    # the index, reflexivity and the face fan, read off the hull rows
+    # (c, a), agree with one polar point solved per facet of the public
+    # facet_enumeration, on V and W of every complete fixture, on the
+    # fan-type matrices of the CLI fuzz (seeds 1-3), and on a seeded
+    # U*v*S of each (U unimodular, S a column permutation), whose face fan
+    # cones are permuted back to the columns of v
+    from oracles import facet_columns, index_by_facets
+    from test_fuzz import _documents
+    from test_gale import _scramble
+    from toriq.cli import load_document, resolve_variety
+    from toriq.covering import analyze
+    from toriq.fans import face_fan
+    from toriq.gale import _fan_conditions
+
+    mats = []
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+        if os.path.basename(path) == "mds_W.json":
+            continue  # deliberately non-complete
+        v, fan = resolve_variety(load_document(path))
+        mats += [v, analyze(v, fan).W]
+    complete = len(mats)
+    for seed in (1, 2, 3):
+        for doc in _documents(random.Random(seed), 600):
+            m = IntMatrix(doc["matrix"])
+            if all(_fan_conditions(m)):
+                mats.append(m)
+    rng = random.Random(23)
+    reflexive = 0
+    for v in mats:
+        k = index_by_facets(v)
+        on_one = all(f.offset == 1 for f in facet_enumeration(VPolytope(v)).facets)
+        facets = sorted(facet_columns(v))
+        scrambled, perm = _scramble(rng, v)
+        for w, back in ((v, range(v.cols)), (scrambled, perm)):
+            assert fmatrix_index(w) == k, (v, w)
+            assert is_reflexive(VPolytope(w)) == on_one, (v, w)
+            assert sorted(tuple(sorted(back[j] for j in g)) for g in face_fan(w).max_cones) == facets, (v, w)
+        reflexive += on_one
+    assert complete == 64 and len(mats) > 500 and 0 < reflexive < len(mats)
+
+
 def test_polar_vertex_matrix_blowup():
     fan = FanData(
         BLUP_V,
