@@ -8,7 +8,6 @@ All floors are exact integer divisions; nothing here touches floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, prod
 
 from .errors import OutOfDomain
@@ -26,21 +25,25 @@ def sylvester(n: int) -> int:
 
 
 def mcmullen(n: int, r: int) -> int:
-    """Least facet count of an n-dimensional polytope with n + r
-    vertices (minimum-facet bound), by direct search on the parity-split
-    binomial inequalities."""
+    """Least facet count of an n-dimensional polytope with n + r vertices
+    (minimum-facet bound): the least w > n meeting the parity-split binomial
+    inequality, monotone in w, found in integers by doubling and bisecting."""
     if n < 2 or r < 1:
         raise OutOfDomain("needs n >= 2 and r >= 1")
     half, odd = divmod(n, 2)
-    w = n
-    while True:
-        w += 1
+
+    def holds(w):
         if odd:
-            if 2 * comb(w - half - 1, half) >= 2 * half + r + 1:
-                return w
-        else:
-            if Fraction(w, half) * comb(w - half - 1, half - 1) >= 2 * half + r:
-                return w
+            return 2 * comb(w - half - 1, half) >= 2 * half + r + 1
+        return w * comb(w - half - 1, half - 1) >= half * (2 * half + r)
+
+    lo, hi = n, n + 1  # the answer lies in (lo, hi] once holds(hi)
+    while not holds(hi):
+        lo, hi = hi, 2 * hi - n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 def t_sequence(k: int, n: int) -> int:

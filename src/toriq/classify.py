@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from operator import mul
 
 from .covering import analyze
 from .errors import (
@@ -32,6 +31,7 @@ from .gale import gale_dual, gl_canonical_form, is_reduced_f
 from .intmat import (
     FiniteAbelianGroup,
     IntMatrix,
+    _coordinates,
     _eliminate,
     _hermite_rows,
     cokernel,
@@ -40,6 +40,7 @@ from .intmat import (
     rank,
     snf,
 )
+from .linprog import _dot
 from .polytope import _polytope, fmatrix_index, polar_dual
 
 
@@ -107,20 +108,12 @@ class SubgroupHandle:
 def _annihilator(sub: SubgroupHandle) -> list:
     """The rows of X = diag(f) R^-1, R the subgroup's HNF rows; col(X) is
     the preimage of the annihilator H^perp of H under sum_k a_k x_k / f_k.
-    R is upper triangular with pivots d_t | f_t, so row i of X (the
-    coordinates of f_i e_i in the rows) is solved by back substitution:
-    zero before i, f_i / d_i at i, each later entry from its column of R."""
+    Row i of X, the coordinates of f_i e_i in the rows, is found by back
+    substitution on R (`_coordinates`)."""
     fs = sub.ambient.invariant_factors
-    r = sub.matrix.data
-    x = []
-    for i, f in enumerate(fs):
-        xi = [0] * len(fs)
-        xi[i] = f
-        for k in range(i, len(fs)):
-            xi[k], rem = divmod(xi[k] - _dot(xi[i:k], [row[k] for row in r[i:k]]), r[k][k])
-            if rem:
-                raise NonIntegerQuotient(f"diag{fs} is not in the subgroup lattice")
-        x.append(xi)
+    x = [_coordinates(sub.matrix.data, [f * (k == i) for k in range(len(fs))]) for i, f in enumerate(fs)]
+    if None in x:
+        raise NonIntegerQuotient(f"diag{fs} is not in the subgroup lattice")
     return x
 
 
@@ -129,10 +122,6 @@ _ENUM_BOUND = 100_000  # most subgroups, and largest group order, enumerated
 
 def _divisors(n: int):
     return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _dot(x, y) -> int:
-    return sum(map(mul, x, y))
 
 
 def _column_entries(coords, d):

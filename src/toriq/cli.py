@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import prod
+from math import log2, log10, prod
 
 from . import bounds as bounds_mod
 from .classify import enumerate_qgorenstein_family, unitary_cover
@@ -457,6 +457,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    # s_n > 2^(2^(n-2)) has over 2^(n-2) log10(2) digits: refuse unprintable ones early
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    valid = args.rank >= 1 and (args.index is None or args.index >= 1)
+    if limit and valid and args.dim - 2 > log2(limit / log10(2)):
+        raise TooLarge(f"an output integer has more than {limit} digits, the interpreter's limit")
     out = {
         "dim": args.dim,
         "rank": args.rank,

@@ -16,6 +16,7 @@ from .errors import RankDeficient
 from .intmat import (
     CACHE_SIZE,
     IntMatrix,
+    _coordinates,
     _hermite_rows,
     _hermite_step,
     _maximal_minors,
@@ -54,21 +55,6 @@ def _positive_parallel_pair(cols) -> bool:
     return False
 
 
-def _row_lattice_member(h: IntMatrix, v) -> bool:
-    """Is v in the lattice spanned by the rows of the HNF matrix h?"""
-    v = list(v)
-    for row in h.data:
-        piv = next((c for c, x in enumerate(row) if x), None)
-        if piv is None:
-            break
-        if v[piv]:
-            if v[piv] % row[piv]:
-                return False
-            q = v[piv] // row[piv]
-            v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
-
-
 def _fan_conditions(m: IntMatrix) -> tuple:
     """(F.a, F.b, F.c, F.d): full rank, positively spanning columns, no
     zero column, no positively parallel column pair."""
@@ -100,8 +86,9 @@ def classify_matrix(m: IntMatrix) -> MatrixClassReport:
     of g's columns at S is zero (`positive_relation`).  A row-space vector
     supported on {i, j} with opposite signs exists exactly when g's
     columns i and j are both zero or positively parallel (W.f).  W.e
-    needs the lattice itself, which may be unsaturated, so it is an HNF
-    membership test.
+    needs the lattice itself, which may be unsaturated: a unit vector e_j
+    is in it when back substitution on the nonzero HNF rows of m finds
+    its coordinates (`_coordinates`).
     """
     violated = []
     n = m.rows
@@ -131,13 +118,8 @@ def classify_matrix(m: IntMatrix) -> MatrixClassReport:
     w_positive = positive_relation([k.row(j) for j in support], k.cols)
     if not w_positive:
         violated.append("W.c")
-    no_unit = True
-    for j in range(m.cols):
-        e = [0] * m.cols
-        e[j] = 1
-        if _row_lattice_member(h, e):
-            no_unit = False
-            break
+    basis = [r for r in h.data if any(r)]
+    no_unit = all(_coordinates(basis, [int(k == j) for k in range(m.cols)]) is None for j in range(m.cols))
     if not no_unit:
         violated.append("W.e")
     no_mixed_pair = sum(1 for c in k.data if not any(c)) < 2 and not _positive_parallel_pair(k.data)

@@ -15,8 +15,10 @@ Smith reduction one loop (`_smith`), each with or without the unimodular
 transforms.  Each normal form is computed only as far as its caller reads
 it: `hnf` carries the transform, `kernel_basis` reads the kernel off it,
 `smith_diagonal` (behind `cokernel` and `lattice_index`) carries no
-transform, and `snf` carries both for the callers that read them
-(`solve_integer`, the torsion matrix of `classify`).
+transform, and `snf` carries both for the one caller that reads Smith
+coordinates, the torsion matrix of `classify`.  Lattice coordinates take
+one back substitution on HNF rows (`_coordinates`): `solve_integer`, W.e
+in `gale` and the annihilators of `classify` share it.
 
 All entries are Python ints, so nothing ever overflows.  A rational point
 set is an IntMatrix of numerators over one common denominator (see
@@ -425,6 +427,20 @@ def _hermite_rows(m, u=None) -> int:
     return r
 
 
+def _coordinates(rows, v):
+    """The integer y with y*rows = v, rows the nonzero rows of a row echelon
+    form, by back substitution along their pivots (Cohen, *A Course in
+    Computational Algebraic Number Theory*, ch. 2); None off their span."""
+    v, y = list(v), []
+    for row in rows:
+        c = next(j for j, x in enumerate(row) if x)
+        q = v[c] // row[c]  # a remainder stays at c: the rows below are zero there
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+        y.append(q)
+    return None if any(v) else y
+
+
 def hnf(a: IntMatrix) -> tuple:
     """Row-style Hermite normal form.
 
@@ -582,19 +598,12 @@ def unimodular_inverse(u: IntMatrix) -> IntMatrix:
 
 
 def solve_integer(a: IntMatrix, b):
-    """Some integer solution x of a*x = b, or None if none exists."""
-    dec = snf(a)
-    y = dec.P.mul_vec(tuple(int(x) for x in b))
-    diag = dec.diagonal
-    z = [0] * a.cols
-    for i in range(a.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if y[i] != 0:
-                return None
-        else:
-            if y[i] % d:
-                return None
-            z[i] = y[i] // d
-    return dec.U.mul_vec(tuple(z))
-
+    """Some integer solution x of a*x = b (one of many when a has a
+    kernel), or None if none exists: with H = U*a^T the row HNF, b = y*H
+    on its nonzero rows (`_coordinates`) and x = y*U on the same rows."""
+    m = [list(r) for r in zip(*a.data)]
+    u = [[int(i == j) for j in range(a.cols)] for i in range(a.cols)]
+    if len(b) != a.rows:
+        raise ValueError("shape mismatch")
+    y = _coordinates(m[: _hermite_rows(m, u)], b)
+    return None if y is None else tuple(sum(t * r[j] for t, r in zip(y, u)) for j in range(a.cols))

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import mul
 
 from .intmat import CACHE_SIZE, _eliminate, primitive_kernel
 
 
 def _dot(a, x):
-    return sum(p * q for p, q in zip(a, x))
+    return sum(map(mul, a, x))
 
 
 def _primitive(v) -> tuple:

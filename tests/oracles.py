@@ -39,8 +39,12 @@ per facet of the public `facet_enumeration` (`polar_vertex_matrix`, with
 its degeneracy checks), where the library reads the lcm of the hull
 rows' offsets off the one hull.  The JSON oracle converts a payload to
 plain values and leaves the text to `json.dumps`, where the CLI writes it
-in one walk.  Oracle checks raise explicitly, so they also run under
-`python -O`.
+in one walk.  The integer-solving oracle reads a solution off the Smith
+diagonal and both transforms, where the library takes one back
+substitution on the Hermite rows of the transpose, and the McMullen
+oracle tries every facet count in turn, comparing Fractions, where the
+library doubles and bisects in integers.  Oracle checks raise
+explicitly, so they also run under `python -O`.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from toriq.classify import SubgroupHandle, TorsionMatrix
 from toriq.errors import InconsistentAction, InvalidFan, NotConverged, OutsideMoving, RankDeficient
 from toriq.fans import FanData, _cone_walls, _complement, is_complete, mov_cone
 from toriq.gale import gale_dual
-from toriq.intmat import FiniteAbelianGroup, IntMatrix, SnfDecomposition, cokernel, hnf, kernel_basis, rank
+from toriq.intmat import FiniteAbelianGroup, IntMatrix, SnfDecomposition, cokernel, hnf, kernel_basis, rank, snf
 from toriq.linprog import cone_contains
 from toriq.polytope import VPolytope, facet_enumeration, polar_vertex_matrix
 
@@ -717,3 +721,40 @@ def snf_by_alternating_hnf(a: IntMatrix) -> SnfDecomposition:
             mdata[i] = [-x for x in mdata[i]]
             pdata[i] = [-x for x in pdata[i]]
     return SnfDecomposition(IntMatrix(mdata), IntMatrix(pdata), u)
+
+
+def solve_integer_by_smith(a: IntMatrix, b):
+    """Some integer solution x of a*x = b, or None if none exists, read
+    off the Smith decomposition P*a*U = D (checked): y = P*b, z_i = y_i /
+    d_i on the diagonal (y_i = 0 where d_i = 0) and x = U*z."""
+    dec = snf(a)
+    if dec.P * a * dec.U != dec.D:
+        raise AssertionError(f"P*a*U is not the Smith form of {a}")
+    y = dec.P.mul_vec(tuple(int(x) for x in b))
+    diag = dec.diagonal
+    z = [0] * a.cols
+    for i in range(a.rows):
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            if y[i] != 0:
+                return None
+        else:
+            if y[i] % d:
+                return None
+            z[i] = y[i] // d
+    return dec.U.mul_vec(tuple(z))
+
+
+def mcmullen_by_linear_search(n: int, r: int) -> int:
+    """Least w > n meeting McMullen's parity-split binomial inequality,
+    by trying w = n + 1, n + 2, ... in turn (the even case in Fractions)."""
+    half, odd = divmod(n, 2)
+    w = n
+    while True:
+        w += 1
+        if odd:
+            if 2 * math.comb(w - half - 1, half) >= 2 * half + r + 1:
+                return w
+        else:
+            if Fraction(w, half) * math.comb(w - half - 1, half - 1) >= 2 * half + r:
+                return w

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import mcmullen_by_linear_search
 from toriq.bounds import (
     akln_bound,
     certify,
@@ -31,6 +32,14 @@ def test_mcmullen_closed_forms():
         w = mcmullen(3, r)
         assert 2 * (w - 2) >= 3 + r > 2 * (w - 3)
     assert mcmullen(3, 2) == 5
+
+
+def test_mcmullen_matches_linear_search():
+    # doubling and bisection against the one-step search, on every parity
+    for n in range(2, 15):
+        for r in range(1, 300):
+            assert mcmullen(n, r) == mcmullen_by_linear_search(n, r), (n, r)
+    assert mcmullen(2, 10**9) == 10**9 + 2
 
 
 def test_t_sequence():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, fixture_path, load_fixture
 from oracles import _encode, snf_by_alternating_hnf
 from toriq.cli import build_report, load_document, main, resolve_variety
 from toriq.errors import ToriqError
@@ -230,6 +230,32 @@ def test_bound_beyond_the_digit_limit_is_too_large(capsys):
     assert out["error"]["type"] == "TooLarge"
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer-to-string limit")
+def test_bounds_answer_at_once_on_huge_arguments():
+    # s_64 has more than 2^62 log10(2) digits, so it is refused before any
+    # arithmetic, with the error the printer gives; the McMullen count for
+    # a huge rank is bisected, not searched
+    import subprocess
+
+    import toriq
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(toriq.__file__)))
+
+    def bounds(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "toriq.cli", "bounds", *argv],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        return proc.returncode, json.loads(proc.stdout)
+
+    limit = sys.get_int_max_str_digits()
+    message = f"an output integer has more than {limit} digits, the interpreter's limit"
+    assert bounds("--dim", "64", "--rank", "1") == (2, {"error": {"type": "TooLarge", "message": message}})
+    code, out = bounds("--dim", "2", "--rank", "1000000000")
+    assert code == 0
+    assert out["mcmullen"] == 1000000002
+
+
 def test_verify_failure_exit_code(capsys):
     # hard failures cannot arise from consistent inputs, so exercise the
     # accounting directly through a synthetic certificate
@@ -258,7 +284,7 @@ def test_verify_failure_exit_code(capsys):
 def test_one_based_index_round_trip():
     doc = load_document(fixture_path("blupP3_X"))
     v, fan = resolve_variety(doc)
-    raw = json.load(open(fixture_path("blupP3_X")))
+    raw = load_fixture("blupP3_X")
     assert sorted(fan.cones_1based()) == sorted(sorted(c) for c in raw["fan"])
     assert all(min(c) >= 1 for c in raw["fan"])
     assert all(min(c) >= 0 for c in fan.max_cones)

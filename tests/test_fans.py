@@ -7,13 +7,21 @@ from collections import Counter
 import pytest
 
 from conftest import FIXTURES
-from oracles import cell_supports_by_solving, fan_from_point_by_merging, rays_covered, solve_unique
+from oracles import (
+    cell_supports_by_solving,
+    fan_from_point_by_merging,
+    rays_covered,
+    solve_integer_by_smith,
+    solve_unique,
+)
 from toriq import fans as fans_module
-from toriq import linprog
+from toriq import intmat, linprog
 from toriq.errors import InvalidFan, OriginNotInterior, OutOfDomain, OutsideMoving, ToriqError
 from toriq.fans import (
     FanData,
+    _anticanonical,
     _cell_supports,
+    _complement,
     eff_cone,
     face_fan,
     fan_from_point,
@@ -123,6 +131,52 @@ def test_gorenstein_weight():
         assert is_gorenstein_weight(q, face_fan(w)) is expect
     fan = FanData(BLUP_V, SIGMA)
     assert is_gorenstein_weight(gale_dual(BLUP_V), fan)
+
+
+def _gorenstein_cases():
+    """(Q, fan) for every weight-matrix fixture, with the fan of its
+    anticanonical class, and for every fixture with a fan, its Gale dual."""
+    for name in sorted(os.listdir(FIXTURES)):
+        with open(os.path.join(FIXTURES, name)) as fh:
+            doc = json.load(fh)
+        m = IntMatrix(doc["matrix"])
+        if doc.get("role") == "weight-matrix":
+            yield m, fan_from_point(m, _anticanonical(m))
+        elif "fan" in doc:
+            yield gale_dual(m), FanData(m, [[i - 1 for i in c] for c in doc["fan"]])
+
+
+def test_gorenstein_weight_needs_no_smith_reduction(monkeypatch):
+    # Q*1 is solved over each cone's complementary weights on Hermite rows
+    # alone: with snf stubbed out the answer is the one of the Smith route,
+    # and again on U*Q*S (U a product of +-1 shears, S a column permutation
+    # with the fan re-indexed), the GL x permutation invariance
+    cases = []
+    for q, fan in _gorenstein_cases():
+        b = _anticanonical(q)
+        expect = all(solve_integer_by_smith(q.cols_at(_complement(g, q.cols)), b) is not None for g in fan.max_cones)
+        assert is_gorenstein_weight(q, fan) is expect
+        cases.append((q, fan, expect))
+    assert {expect for _, _, expect in cases} == {True, False}
+
+    def no_snf(a):
+        raise AssertionError("the Gorenstein weight test ran a Smith reduction")
+
+    monkeypatch.setattr(intmat, "snf", no_snf)
+    rng = random.Random(72)
+    for q, fan, expect in cases:
+        assert is_gorenstein_weight(q, fan) is expect, q
+        for _ in range(3):
+            rows = [list(r) for r in q.data]
+            for _ in range(2 * q.rows if q.rows > 1 else 0):
+                i, j = rng.sample(range(q.rows), 2)
+                c = rng.choice((-1, 1))
+                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            perm = rng.sample(range(q.cols), q.cols)  # column k of U*Q*S is column perm[k] of U*Q
+            new_index = {j: k for k, j in enumerate(perm)}
+            q2 = IntMatrix(rows).cols_at(perm)
+            fan2 = FanData(fan.fan_matrix.cols_at(perm), [[new_index[j] for j in g] for g in fan.max_cones])
+            assert is_gorenstein_weight(q2, fan2) is expect, (q, perm)
 
 
 def test_qfano_weight():

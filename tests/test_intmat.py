@@ -5,11 +5,19 @@ from math import gcd, lcm, prod
 
 import pytest
 
-from oracles import det_by_gauss_jordan, eliminate_every_row, integral_rows, snf_by_alternating_hnf, solve_unique
+from oracles import (
+    det_by_gauss_jordan,
+    eliminate_every_row,
+    integral_rows,
+    snf_by_alternating_hnf,
+    solve_integer_by_smith,
+    solve_unique,
+)
 from toriq.errors import NonIntegerQuotient, NotSquare, RankDeficient
 from toriq.intmat import (
     FiniteAbelianGroup,
     IntMatrix,
+    _coordinates,
     _det,
     _eliminate,
     cokernel,
@@ -387,6 +395,34 @@ def test_solve_integer():
     assert solve_integer(a, (4, 9)) == (2, 3)
     assert solve_integer(a, (1, 0)) is None
     assert solve_integer(IntMatrix([[1, 1]]), (5,)) is not None
+
+
+def test_solve_integer_matches_smith_oracle():
+    # 5,000 systems, 1-4 x 1-6, entries in [-6, 6] with about 30% zeros,
+    # half solvable by construction: the Hermite route answers exactly when
+    # the Smith route does, every x it returns solves a*x = b, and the
+    # coordinates on the nonzero HNF rows of a^T agree on membership.
+    # Checks raise explicitly, so they also run under python -O.
+    rng = random.Random(11)
+    solvable = 0
+    for _ in range(5000):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 6)
+        a = IntMatrix([[0 if rng.random() < 0.3 else rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)])
+        if rng.random() < 0.5:
+            b = a.mul_vec(tuple(rng.randint(-3, 3) for _ in range(cols)))
+        else:
+            b = tuple(rng.randint(-6, 6) for _ in range(rows))
+        x, expect = solve_integer(a, b), solve_integer_by_smith(a, b)
+        if (x is None) != (expect is None):
+            raise AssertionError(f"solve_integer({a}, {b}) is {x}, the Smith route gives {expect}")
+        if x is not None and a.mul_vec(x) != b:
+            raise AssertionError(f"solve_integer({a}, {b}) = {x} does not solve the system")
+        h = [r for r in hnf(a.t())[0].data if any(r)]
+        if (_coordinates(h, b) is None) != (expect is None):
+            raise AssertionError(f"_coordinates disagrees with the Smith route on {a}, {b}")
+        solvable += x is not None
+    if not 2500 <= solvable < 5000:
+        raise AssertionError(f"{solvable} solvable systems of 5,000")
 
 
 def test_unimodular_inverse():
