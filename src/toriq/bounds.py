@@ -1,6 +1,8 @@
 """Integer sequences and multiplicity bounds, plus the certificate
-evaluator that re-checks every applicable bound and divisibility on a
-completed analysis.
+evaluator that re-checks every applicable bound, divisibility and
+identity on a completed analysis.  Every certificate comes from one
+builder (`_cert`), whose verdict depends on its kind: an upper bound, a
+divisibility or an identity.
 
 All floors are exact integer divisions; nothing here touches floats.
 """
@@ -11,6 +13,7 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .errors import OutOfDomain
+from .polytope import interior_lattice_points, normalized_volume
 
 
 def sylvester(n: int) -> int:
@@ -141,47 +144,23 @@ class BoundCertificate:
         return self.applicable and not self.conjectural and not self.satisfied
 
 
-def _cert_upper(name, inputs, bound, observed, applicable=True, conjectural=False):
-    return BoundCertificate(
-        bound_name=name,
-        inputs=tuple(inputs),
-        bound_value=int(bound),
-        observed=int(observed),
-        satisfied=int(observed) <= int(bound),
-        conjectural=conjectural,
-        applicable=applicable,
-        kind="upper",
-    )
-
-
-def _cert_divides(name, inputs, divisor, dividend, applicable=True):
-    return BoundCertificate(
-        bound_name=name,
-        inputs=tuple(inputs),
-        bound_value=int(dividend),
-        observed=int(divisor),
-        satisfied=int(dividend) % int(divisor) == 0,
-        applicable=applicable,
-        kind="divides",
-    )
-
-
-def _cert_equals(name, inputs, expected, observed):
-    return BoundCertificate(
-        bound_name=name,
-        inputs=tuple(inputs),
-        bound_value=int(expected),
-        observed=int(observed),
-        satisfied=int(expected) == int(observed),
-        kind="equals",
-    )
+def _cert(kind, name, inputs, bound, observed, applicable=True, conjectural=False):
+    """The one certificate builder: its verdict is observed <= bound for
+    kind "upper", observed | bound for "divides", observed == bound for
+    "equals"."""
+    bound, observed = int(bound), int(observed)
+    if kind == "upper":
+        satisfied = observed <= bound
+    elif kind == "divides":
+        satisfied = bound % observed == 0
+    else:
+        satisfied = bound == observed
+    return BoundCertificate(name, tuple(inputs), bound, observed, satisfied, conjectural, applicable, kind)
 
 
 def is_canonical_input(cd) -> bool:
     """Canonical singularities: the only interior lattice point of the
     fan polytope is the origin."""
-    from .polytope import interior_lattice_points
-
     pts = interior_lattice_points(cd.fan_polytope)
     return pts == [tuple(0 for _ in range(cd.n))]
 
@@ -209,32 +188,25 @@ def certify(cd) -> list:
     dual_deg = cd.dual_cover_degree
 
     certs = []
-    certs.append(_cert_divides("mult-divides-extended-weight-order", (n, h), mult, g_hat))
+    certs.append(_cert("divides", "mult-divides-extended-weight-order", (n, h), g_hat, mult))
     if h == 1:
-        certs.append(_cert_divides("mult-divides-weight-order", (n,), mult, g_q))
-    certs.append(_cert_divides("polar-modulus-divides-degree", (k,), mod_polar, deg_scaled))
-    certs.append(_cert_divides("degree-divides-cover-degree", (k,), deg_scaled, cover_deg_k))
-    certs.append(
-        _cert_equals("cover-degree-identity", (k,), g_hat * mod_polar, cover_deg_k)
-    )
+        certs.append(_cert("divides", "mult-divides-weight-order", (n,), g_q, mult))
+    certs.append(_cert("divides", "polar-modulus-divides-degree", (k,), deg_scaled, mod_polar))
+    certs.append(_cert("divides", "degree-divides-cover-degree", (k,), cover_deg_k, deg_scaled))
+    certs.append(_cert("equals", "cover-degree-identity", (k,), g_hat * mod_polar, cover_deg_k))
     scaled_dual = k ** n * dual_deg
     assert scaled_dual.denominator == 1
-    certs.append(
-        _cert_equals("dual-cover-degree-identity", (k,), g_hat * mod, int(scaled_dual))
-    )
-    from .polytope import normalized_volume
-
+    certs.append(_cert("equals", "dual-cover-degree-identity", (k,), g_hat * mod, scaled_dual))
     vol = normalized_volume(cd.fan_polytope)
     assert vol.denominator == 1
-    certs.append(_cert_equals("mult-modulus-volume-identity", (n,), mult * mod, int(vol)))
+    certs.append(_cert("equals", "mult-modulus-volume-identity", (n,), mult * mod, vol))
     canonical = is_canonical_input(cd)
     if k == 1:
-        certs.append(
-            _cert_upper("fano-mult-bound", (n, r_prime), fano_bound(n, r_prime), mult)
-        )
+        certs.append(_cert("upper", "fano-mult-bound", (n, r_prime), fano_bound(n, r_prime), mult))
     else:
         certs.append(
-            _cert_upper(
+            _cert(
+                "upper",
                 "canonical-mult-bound",
                 (n, r_prime, k),
                 qgorenstein_bound(n, r_prime, k),
@@ -243,12 +215,11 @@ def certify(cd) -> list:
             )
         )
         if cd.r == 1:
-            certs.append(
-                _cert_upper("fake-wps-mult-bound", (n, k), fake_wps_bound(n, k), mult)
-            )
+            certs.append(_cert("upper", "fake-wps-mult-bound", (n, k), fake_wps_bound(n, k), mult))
         if k >= 2:
             certs.append(
-                _cert_upper(
+                _cert(
+                    "upper",
                     "conjectural-mult-bound",
                     (n, r_prime, k),
                     conjecture_bound(n, r_prime, k),

@@ -1,12 +1,13 @@
 """Exact dense integer matrices, with the integer normal forms (Smith,
 Hermite), kernels, cokernels and the matrix-division operation that
 every quotient construction in the library is built on.  Null space,
-inverse, quotients and the cone predicates share one fraction-free
-Gauss-Jordan elimination (`_eliminate`); determinant and rank take its
-forward half only (`_forward`).  Both pay only for entries that change:
-Bareiss's update (piv*x - f*y) // prev divides exactly by Sylvester's
-identity, so a row with f = 0 becomes piv*x // prev (x itself when
-piv = prev, which is skipped), and no division is made when prev = 1.
+inverse, quotients, the cone predicates, determinant and rank share one
+fraction-free elimination loop (`_eliminate`): Gauss-Jordan for the
+first four, forward-only for the last two.  It pays only for entries
+that change: Bareiss's update (piv*x - f*y) // prev divides exactly by
+Sylvester's identity, so a row with f = 0 becomes piv*x // prev (x
+itself when piv = prev, which is skipped), and no division is made when
+prev = 1.
 When every maximal minor is wanted at once, `_maximal_minors` builds them
 all by one Laplace expansion.
 
@@ -58,10 +59,10 @@ def _as_int(x) -> int:
     return x
 
 
-def _eliminate(rows):
+def _eliminate(rows, forward=False):
     """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss,
     Math. Comp. 1968): the one exact elimination behind kernels,
-    inverses, matrix division and the cone predicates.
+    inverses, matrix division, the cone predicates, determinant and rank.
 
     Returns (m, pivots, d, sign): m is d times the reduced row echelon
     form (pivot rows first), pivots its pivot columns, d the last pivot
@@ -71,6 +72,11 @@ def _eliminate(rows):
     cannot change a row is skipped: a row with m[i][c] = 0 is left as it
     is when piv = prev and only scaled, piv*row_i // prev, otherwise, and
     no division is made when prev = 1.
+
+    With forward set (determinant and rank), each pivot updates only the
+    rows below it, with the same skips: pivots, d and sign come out the
+    same, and m is a row echelon form, each pivot row as it stood when its
+    pivot was taken.
     """
     m = [list(r) for r in rows]
     nr = len(m)
@@ -87,7 +93,7 @@ def _eliminate(rows):
             m[r], m[p] = m[p], m[r]
             sign = -sign
         top, piv = m[r], m[r][c]
-        for i in range(nr):
+        for i in range(r + 1 if forward else 0, nr):
             if i == r:
                 continue
             row = m[i]
@@ -104,44 +110,10 @@ def _eliminate(rows):
     return m, pivots, prev, sign
 
 
-def _forward(rows) -> tuple:
-    """(rank, d, sign) of integer rows by forward-only fraction-free
-    elimination: each pivot updates only the rows below it, on the columns
-    right of it, with the updates of `_eliminate` (and the same skips).
-    d is the last pivot, which on a nonsingular square matrix is sign
-    times its determinant."""
-    m = [list(r) for r in rows]  # the rows not yet pivoted, from the current column on
-    rank, prev, sign = 0, 1, 1
-    while m and m[0]:
-        p = next((i for i, row in enumerate(m) if row[0]), None)
-        if p is None:
-            m = [row[1:] for row in m]
-            continue
-        if p:
-            m[0], m[p] = m[p], m[0]
-            sign = -sign
-        top = m[0]
-        piv, tail = top[0], top[1:]
-        nxt = []
-        for row in m[1:]:
-            f = row[0]
-            if f:
-                if prev == 1:
-                    nxt.append([piv * x - f * y for x, y in zip(row[1:], tail)])
-                else:
-                    nxt.append([(piv * x - f * y) // prev for x, y in zip(row[1:], tail)])
-            elif piv == prev:
-                nxt.append(row[1:])
-            else:
-                nxt.append([piv * x // prev for x in row[1:]])
-        m, prev, rank = nxt, piv, rank + 1
-    return rank, prev, sign
-
-
 def _det(rows) -> int:
     """Determinant of square integer rows, by one forward pass."""
-    rank, d, sign = _forward(rows)
-    return sign * d if rank == len(rows) else 0
+    _, pivots, d, sign = _eliminate(rows, forward=True)
+    return sign * d if len(pivots) == len(rows) else 0
 
 
 def _maximal_minors(rows) -> dict:
@@ -454,7 +426,7 @@ def hnf(a: IntMatrix) -> tuple:
 
 
 def rank(a: IntMatrix) -> int:
-    return _forward(a.data)[0]
+    return len(_eliminate(a.data, forward=True)[1])
 
 
 _SNF_ROUNDS = 500

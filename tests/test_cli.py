@@ -232,9 +232,11 @@ def test_bound_beyond_the_digit_limit_is_too_large(capsys):
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer-to-string limit")
 def test_bounds_answer_at_once_on_huge_arguments():
-    # s_64 has more than 2^62 log10(2) digits, so it is refused before any
-    # arithmetic, with the error the printer gives; the McMullen count for
-    # a huge rank is bisected, not searched
+    # s_64 has more than 2^62 log10(2) digits, and t_{k,15} >= k^(2^14)
+    # behind the fake-wps and conjectural bounds has more than 16 million
+    # at k = 10^1000, so both are refused before any arithmetic, with the
+    # error the printer gives; the McMullen count for a huge rank is
+    # bisected, not searched
     import subprocess
 
     import toriq
@@ -251,6 +253,8 @@ def test_bounds_answer_at_once_on_huge_arguments():
     limit = sys.get_int_max_str_digits()
     message = f"an output integer has more than {limit} digits, the interpreter's limit"
     assert bounds("--dim", "64", "--rank", "1") == (2, {"error": {"type": "TooLarge", "message": message}})
+    huge_t = bounds("--dim", "15", "--rank", "1", "--index", str(10**1000), "--fake-wps", "--conjecture")
+    assert huge_t == (2, {"error": {"type": "TooLarge", "message": message}})
     code, out = bounds("--dim", "2", "--rank", "1000000000")
     assert code == 0
     assert out["mcmullen"] == 1000000002
@@ -279,6 +283,29 @@ def test_verify_failure_exit_code(capsys):
     assert _print_failures(report) == 1
     cert = BoundCertificate("synthetic", (), 1, 2, False)
     assert cert.hard_failure()
+
+
+def test_failed_identity_is_reported_not_raised(capsys, monkeypatch):
+    # a covering identity that fails is a certificate, not an exception:
+    # with |Q| off by one, analyze still exits 0 with the identity
+    # unsatisfied, and verify exits 1 with one FAIL line per hard failure.
+    # Checks raise explicitly, so they also run under python -O
+    from toriq import covering
+
+    real = covering.weight_modulus
+    monkeypatch.setattr(covering, "weight_modulus", lambda q: real(q) + 1)
+    path = fixture_path("dim2_r2_1")
+    code, report = run_cli(capsys, "analyze", path)
+    volume = next(c for c in report["certificates"] if c["name"] == "mult-modulus-volume-identity")
+    if code != 0 or volume["satisfied"]:
+        raise AssertionError(f"analyze exits {code} with {volume}")
+    code = main(["verify", path])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    hard = [c["name"] for c in out["certificates"] if c["applicable"] and not c["conjectural"] and not c["satisfied"]]
+    failed = [line.split(":")[0][len("FAIL ") :] for line in captured.err.splitlines() if line.startswith("FAIL ")]
+    if code != 1 or "mult-modulus-volume-identity" not in hard or failed != hard or out["failures"] != len(hard):
+        raise AssertionError(f"verify exits {code}, hard failures {hard}, FAIL lines {failed}")
 
 
 def test_one_based_index_round_trip():

@@ -351,9 +351,9 @@ def sparse_rows(rng, nr, nc):
 
 
 def test_skipped_updates_match_full_gauss_jordan():
-    # the elimination that skips the updates that cannot change a row, and
-    # the forward pass behind det and rank, give exactly what applying
-    # every update gives
+    # the elimination that skips the updates that cannot change a row, in
+    # full and in the forward-only mode behind det and rank, gives exactly
+    # what applying every update gives
     rng = random.Random(13)
     seen = Counter()
     for _ in range(20000):
@@ -361,6 +361,7 @@ def test_skipped_updates_match_full_gauss_jordan():
         rows = sparse_rows(rng, nr, nc)
         want = eliminate_every_row(rows)
         assert _eliminate(rows) == want, rows
+        assert _eliminate(rows, forward=True)[1:] == want[1:], rows
         assert rank(IntMatrix(rows)) == len(want[1]), rows
         k = min(nr, nc)
         block = [row[:k] for row in rows[:k]]
@@ -375,19 +376,25 @@ def test_skipped_updates_match_full_gauss_jordan():
 
 
 def test_det_and_rank_run_no_gauss_jordan(monkeypatch):
-    # det and rank take the forward pass only: no call of _eliminate
+    # det and rank take the forward pass only: every _eliminate call they
+    # make is forward-only
     from toriq import intmat
 
-    def refuse(rows):
-        raise AssertionError("Gauss-Jordan elimination in a det or rank")
+    real, modes = intmat._eliminate, []
 
-    monkeypatch.setattr(intmat, "_eliminate", refuse)
+    def recorded(rows, forward=False):
+        modes.append(forward)
+        return real(rows, forward=forward)
+
+    monkeypatch.setattr(intmat, "_eliminate", recorded)
     rng = random.Random(29)
     for _ in range(200):
         n = rng.randint(0, 6)
         m = IntMatrix(sparse_rows(rng, n, n)) if n else IntMatrix([])
         assert m.det() == det_by_gauss_jordan(m.data)
         assert rank(m) == len(eliminate_every_row(m.data)[1])
+    if len(modes) != 400 or not all(modes):  # raises, so it also runs under python -O
+        raise AssertionError(f"det and rank made {len(modes)} eliminations, not 400 forward-only ones")
 
 
 def test_solve_integer():
