@@ -9,10 +9,9 @@ All floors are exact integer divisions; nothing here touches floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, prod
 
-from .errors import OutOfDomain
+from .errors import OutOfDomain, Record
 from .polytope import interior_lattice_points, normalized_volume
 
 
@@ -120,8 +119,7 @@ def conjecture_bound(n: int, r_prime: int, k: int) -> int:
     return 2 * t_sequence(k, n) ** 2 * k ** n // (k * mcmullen(n, r_prime))
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(Record):
     """One checked bound or divisibility: observed value against the
     bound, with applicability and conjectural flags.
 

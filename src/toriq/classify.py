@@ -14,7 +14,6 @@ no Smith reduction (Cohen, *A Course in Computational Algebraic Number Theory*).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 from .covering import analyze
@@ -24,6 +23,7 @@ from .errors import (
     NotFanoWeight,
     OutOfDomain,
     RankDeficient,
+    Record,
     TooLarge,
 )
 from .fans import _anticanonical, fan_from_point, is_gorenstein_weight
@@ -44,8 +44,7 @@ from .linprog import _dot
 from .polytope import _polytope, fmatrix_index, polar_dual
 
 
-@dataclass(frozen=True)
-class TorsionMatrix:
+class TorsionMatrix(Record):
     """Torsion part of the class map: one ambient-group element per ray,
     stored as residue vectors against the ambient invariant factors."""
 
@@ -83,8 +82,7 @@ def torsion_matrix(v: IntMatrix) -> TorsionMatrix:
     return TorsionMatrix(ambient=FiniteAbelianGroup(factors, 0), columns=cols)
 
 
-@dataclass(frozen=True)
-class SubgroupHandle:
+class SubgroupHandle(Record):
     """Subgroup of a finite abelian group, canonicalized as the row HNF
     of its preimage lattice between diag(d) Z^s and Z^s."""
 
@@ -182,7 +180,7 @@ def subgroups(g: FiniteAbelianGroup, order: int | None = None):
     for rows, _ in prefixes:
         sub_order = total // prod(r[i] for i, r in enumerate(rows))
         if order is None or sub_order == order:
-            out.append(SubgroupHandle(ambient=g, matrix=IntMatrix._of(rows), order=sub_order))
+            out.append(SubgroupHandle(g, IntMatrix._of(rows), sub_order))
     out.sort(key=lambda sub: (sub.order, sub.matrix.data))
     return out
 
@@ -317,8 +315,7 @@ def enumerate_fano_family(q: IntMatrix):
     return [cls[0] for cls in _gl_classes(entries)]
 
 
-@dataclass(frozen=True)
-class QGorensteinFamily:
+class QGorensteinFamily(Record):
     """Factor-h classification output: admissible subgroups with their
     quotient fan matrices, plus the rejected subgroups with the column
     witnessing non-reducedness.  indices runs parallel to kept: the

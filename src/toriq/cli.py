@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import log2, log10, prod
@@ -559,14 +560,19 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except InvalidInput as exc:
-        emit({"error": {"type": "invalid-input", "message": str(exc)}})
-        return 2
-    except ToriqError as exc:
-        emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return 2
+    with warnings.catch_warnings(record=True) as caught:  # printed as toriq's own lines, once each
+        warnings.simplefilter("always")
+        try:
+            return args.func(args)
+        except InvalidInput as exc:
+            emit({"error": {"type": "invalid-input", "message": str(exc)}})
+            return 2
+        except ToriqError as exc:
+            emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+            return 2
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"toriq: warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -18,10 +18,9 @@ built, by exact division.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidFan, NonIntegerQuotient, NonIntegralFactor, NotReflexive
+from .errors import InvalidFan, NonIntegerQuotient, NonIntegralFactor, NotReflexive, Record
 from .fans import FanData, _anticanonical, _complement, _cone_walls, fan_from_point, is_complete
 from .gale import gale_dual
 from .intmat import (
@@ -43,8 +42,7 @@ from .polytope import (
 )
 
 
-@dataclass(frozen=True)
-class CoveringData:
+class CoveringData(Record):
     """All covering/polar invariants of one complete toric variety.
 
     The polar fields are scaled to lattice points: Vpolar = k·V°,

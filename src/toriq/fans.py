@@ -21,17 +21,15 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from dataclasses import dataclass
 
-from .errors import InvalidFan, OriginNotInterior, OutOfDomain, OutsideMoving, RankDeficient
+from .errors import InvalidFan, OriginNotInterior, OutOfDomain, OutsideMoving, RankDeficient, Record
 from .gale import gale_dual
 from .intmat import CACHE_SIZE, IntMatrix, _maximal_minors, rank, solve_integer
 from .linprog import _cone_facets, _dot, _facets_contain, cone_contains
 from .polytope import _bits, _full_hull, _polytope
 
 
-@dataclass(frozen=True)
-class FanData:
+class FanData(Record):
     """A fan matrix together with the generator index sets of the
     maximal cones."""
 
@@ -40,8 +38,7 @@ class FanData:
 
     def __init__(self, fan_matrix: IntMatrix, max_cones):
         cones = tuple(sorted(tuple(sorted(set(c))) for c in max_cones))
-        object.__setattr__(self, "fan_matrix", fan_matrix)
-        object.__setattr__(self, "max_cones", cones)
+        super().__init__(fan_matrix, cones)
         n = fan_matrix.rows
         for g in cones:
             if any(j < 0 or j >= fan_matrix.cols for j in g):
@@ -114,8 +111,7 @@ def is_complete(fan: FanData) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GkzCone:
+class GkzCone(Record):
     """Rational polyhedral cone in divisor-class space, stored by
     primitive integer generators."""
 

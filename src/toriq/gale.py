@@ -9,10 +9,9 @@ quotient-matrix equation in the covering pipeline literally aligned.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from math import gcd
 
-from .errors import RankDeficient
+from .errors import RankDeficient, Record
 from .intmat import (
     CACHE_SIZE,
     IntMatrix,
@@ -29,8 +28,7 @@ from .intmat import (
 from .linprog import _cone_facets, _dot, positive_relation
 
 
-@dataclass(frozen=True)
-class MatrixClassReport:
+class MatrixClassReport(Record):
     """Which of the fan-side (F.a-F.e) and weight-side (W.a-W.f)
     conditions a matrix satisfies."""
 
@@ -38,7 +36,7 @@ class MatrixClassReport:
     is_CF: bool
     is_W: bool
     is_reduced: bool
-    violated_conditions: tuple = field(default_factory=tuple)
+    violated_conditions: tuple = ()
 
 
 def _positive_parallel_pair(cols) -> bool:

@@ -36,12 +36,11 @@ quotients) is built by the trusted `_of`, which stores the rows as given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
-from .errors import NonIntegerQuotient, NotConverged, NotSquare, RankDeficient
+from .errors import NonIntegerQuotient, NotConverged, NotSquare, RankDeficient, Record
 
 # Entries kept by each memoized library function (least recently used
 # first out).  Matrices are immutable and hashable, so they are the keys;
@@ -282,8 +281,7 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.data]})"
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Record):
     """Isomorphism type of a finitely generated abelian group.
 
     invariant_factors is the ordered chain d1 | d2 | ... with every di >= 2;
@@ -293,14 +291,14 @@ class FiniteAbelianGroup:
     invariant_factors: tuple
     free_rank: int = 0
 
-    def __post_init__(self):
-        fs = tuple(int(d) for d in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", fs)
+    def __init__(self, invariant_factors, free_rank=0):
+        fs = tuple(int(d) for d in invariant_factors)
         if any(d < 2 for d in fs):
             raise ValueError("invariant factors must be >= 2")
         for a, b in zip(fs, fs[1:]):
             if b % a != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
+        super().__init__(fs, free_rank)
 
     @property
     def order(self):
@@ -325,8 +323,7 @@ class FiniteAbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(Record):
     """Smith decomposition P*A*U = D with P, U unimodular and D a
     nonnegative diagonal divisibility chain."""
 

@@ -42,7 +42,7 @@ def _dd(rows, dim):
     Double description (Fukuda & Prodon 1996): start from the whole space
     as a lineality basis, pivot rows that meet the lineality space into
     rays, and cut by the others, pairing a positive with a negative ray
-    exactly when no third ray is tight on every row both are tight on.
+    exactly when ANDing the tight-ray bitsets of their common rows gives the pair.
     """
     lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays = []
@@ -65,7 +65,7 @@ def _dd(rows, dim):
             continue
         vals = [_dot(a, r) for r, _ in rays]
         need = dim - len(lin) - 2
-        new = []
+        new, tight = [], None  # tight: built for the first pair that passes the count test
         for ri, ((r, mr), vr) in enumerate(zip(rays, vals)):
             if vr <= 0:
                 continue
@@ -73,11 +73,19 @@ def _dd(rows, dim):
                 if vs >= 0:
                     continue
                 common = mr & ms
-                if common.bit_count() < need or any(
-                    mt & common == common
-                    for ti, (_, mt) in enumerate(rays)
-                    if ti != ri and ti != si
-                ):
+                if common.bit_count() < need:
+                    continue
+                if tight is None:
+                    tight = [0] * i
+                    for t, (_, mt) in enumerate(rays):
+                        while mt:  # over the set bits of mt, lowest first
+                            tight[(mt & -mt).bit_length() - 1] |= 1 << t
+                            mt &= mt - 1
+                pair, on, rest = 1 << ri | 1 << si, (1 << len(rays)) - 1, common
+                while on != pair and rest:
+                    on &= tight[(rest & -rest).bit_length() - 1]
+                    rest &= rest - 1
+                if on != pair:
                     continue
                 new.append((_primitive([vr * y - vs * x for x, y in zip(r, s)]), common | bit))
         rays = [(r, m | bit if v == 0 else m) for (r, m), v in zip(rays, vals) if v >= 0] + new

@@ -30,10 +30,9 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateCone, NotFMatrix, NotFullDimensional, OriginNotInterior
+from .errors import DegenerateCone, NotFMatrix, NotFullDimensional, OriginNotInterior, Record
 from .gale import _fan_conditions
 from .intmat import CACHE_SIZE, IntMatrix, _det, _eliminate
 from .linprog import _cone_facets
@@ -166,8 +165,7 @@ def _polytope(matrix: IntMatrix, den: int = 1) -> VPolytope:
     return p
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(Record):
     """Supporting halfspace <normal, x> >= -offset with primitive integer
     normal; `incident` lists the vertex indices on the facet."""
 
@@ -176,8 +174,7 @@ class Facet:
     incident: tuple
 
 
-@dataclass(frozen=True)
-class HPolytope:
+class HPolytope(Record):
     facets: tuple
 
     def contains(self, point, strict: bool = False) -> bool:

@@ -12,8 +12,10 @@ which are exact for the piecewise-polynomial sections of a polytope), so
 it shares no code path with the library's facet-pyramid triangulation.
 The simplex oracle is a two-phase Bland simplex over Fractions, against
 which the library's cone predicates (read off the facets of one double
-description) are checked, and the lattice-point oracle scans the whole
-bounding box.  The subgroup oracle builds every upper-triangular HNF
+description) are checked; the double-description oracle tests each pair
+of rays for adjacency by scanning every third ray, where the library
+ANDs one bitset of tight rays per common row; and the lattice-point
+oracle scans the whole bounding box.  The subgroup oracle builds every upper-triangular HNF
 candidate and keeps those whose lattice contains diag(f), where the
 library's column walk never builds a candidate that fails.  The
 canonical-form oracle runs a full `hnf` on every prefix of its search,
@@ -59,7 +61,7 @@ from toriq.errors import InconsistentAction, InvalidFan, NotConverged, OutsideMo
 from toriq.fans import FanData, _cone_walls, _complement, is_complete, mov_cone
 from toriq.gale import gale_dual
 from toriq.intmat import FiniteAbelianGroup, IntMatrix, SnfDecomposition, cokernel, hnf, kernel_basis, rank, snf
-from toriq.linprog import cone_contains
+from toriq.linprog import _dot, _primitive, cone_contains
 from toriq.polytope import VPolytope, facet_enumeration, polar_vertex_matrix
 
 _SAFE = 1 << 53
@@ -228,6 +230,50 @@ def positive_kernel_vector_by_fractions(a_rows):
     rhs = [-sum(Fraction(x) for x in r) for r in a_rows]
     status, _, s = lp_max_by_fractions([_ZERO] * len(a_rows[0]), a_rows, rhs)
     return None if status != "optimal" else tuple(_ONE + x for x in s)
+
+
+def dd_by_third_ray_scan(rows, dim):
+    """`linprog._dd` with the adjacency test written out: a positive and a
+    negative ray are paired exactly when no third ray is tight on every
+    row both are tight on, found by scanning every other ray."""
+    lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays = []
+    for i, a in enumerate(rows):
+        bit = 1 << i
+        p = next((j for j, l in enumerate(lin) if _dot(a, l)), None)
+        if p is not None:
+            piv = lin.pop(p)
+            s = _dot(a, piv)
+            if s < 0:
+                piv, s = tuple(-x for x in piv), -s
+
+            def project(v):
+                t = _dot(a, v)
+                return _primitive([s * x - t * y for x, y in zip(v, piv)]) if t else v
+
+            lin = [project(l) for l in lin]
+            rays = [(project(r), m | bit) for r, m in rays]
+            rays.append((piv, bit - 1))
+            continue
+        vals = [_dot(a, r) for r, _ in rays]
+        need = dim - len(lin) - 2
+        new = []
+        for ri, ((r, mr), vr) in enumerate(zip(rays, vals)):
+            if vr <= 0:
+                continue
+            for si, ((s, ms), vs) in enumerate(zip(rays, vals)):
+                if vs >= 0:
+                    continue
+                common = mr & ms
+                if common.bit_count() < need or any(
+                    mt & common == common
+                    for ti, (_, mt) in enumerate(rays)
+                    if ti != ri and ti != si
+                ):
+                    continue
+                new.append((_primitive([vr * y - vs * x for x, y in zip(r, s)]), common | bit))
+        rays = [(r, m | bit if v == 0 else m) for (r, m), v in zip(rays, vals) if v >= 0] + new
+    return rays
 
 
 def rational_vertices(p: VPolytope):

@@ -149,7 +149,6 @@ def _family_invariants(out):
     )
 
 
-@pytest.mark.filterwarnings("ignore:non-vertex columns pruned")
 def test_classify_family_does_not_depend_on_torsion_coordinates(capsys, monkeypatch):
     # the torsion matrix reads its coordinates off the Smith transforms;
     # another valid pair (the alternating-HNF oracle's) may pair subgroup
@@ -435,11 +434,36 @@ def test_column_in_no_maximal_cone_is_a_named_error(tmp_path, capsys):
         [1, 88, 75, 43, -56, -68, -83],
         [0, 112, 96, 56, -71, -87, -106],
     ]}))
-    with pytest.warns(UserWarning, match="non-vertex"):
-        code, out = run_cli(capsys, "analyze", str(doc))
+    code = main(["analyze", str(doc)])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
     assert code == 2
     assert out["error"]["type"] == "InvalidFan"
     assert "column 6" in out["error"]["message"]
+    assert captured.err == "toriq: warning: non-vertex columns pruned from polytope input\n"
+
+
+@pytest.mark.parametrize("name, code, out", [
+    ("dim2_r1_2", 0, {"normalized_volume": 1}),
+    ("dim2_r1_1", 2, {"error": {"type": "NotFullDimensional", "message": "polytope is not full-dimensional"}}),
+])
+def test_volume_prints_library_warnings_as_toriq_lines(tmp_path, name, code, out):
+    # a weight-matrix document's columns include non-vertices of their
+    # hull: the library's warning reaches stderr as one toriq line that
+    # names no source file, whatever the working directory
+    import os
+    import subprocess
+    import sys
+
+    import toriq
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(toriq.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toriq.cli", "volume", os.path.abspath(fixture_path(name))],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, json.loads(proc.stdout)) == (code, out)
+    assert proc.stderr == "toriq: warning: non-vertex columns pruned from polytope input\n"
 
 
 NON_EXTREME_GENERATORS = [
@@ -454,7 +478,6 @@ NON_EXTREME_GENERATORS = [
 
 
 @pytest.mark.parametrize("doc, message", NON_EXTREME_GENERATORS, ids=["fan-matrix", "weight-matrix"])
-@pytest.mark.filterwarnings("ignore:non-vertex columns pruned")
 def test_generator_inside_its_cone_is_a_named_error(tmp_path, capsys, doc, message):
     # the covering identities fail on such a fan; analyze and verify end in
     # exit 2 with the column and the cone named, also without asserts
@@ -472,7 +495,7 @@ def test_generator_inside_its_cone_is_a_named_error(tmp_path, capsys, doc, messa
         assert out["error"] == {"type": "InvalidFan", "message": message}
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(toriq.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-O", "-W", "ignore", "-m", "toriq.cli", "verify", str(path)],
+        [sys.executable, "-O", "-m", "toriq.cli", "verify", str(path)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 2, proc.stdout + proc.stderr
@@ -735,7 +758,6 @@ def test_emit_matches_json_dumps_on_edge_values(capsys):
         assert capsys.readouterr().out == _dumped(payload), payload
 
 
-@pytest.mark.filterwarnings("ignore:non-vertex columns pruned")
 def test_emit_matches_json_dumps_on_every_payload(capsys, monkeypatch, tmp_path):
     # every fixture's payloads, the golden families and cells at moving
     # points of the golden weight matrices, errors included

@@ -52,7 +52,6 @@ def _run(capsys, argv, doc):
         pytest.fail(f"exit 2 without an error object from {argv[0]} on {doc}")
 
 
-@pytest.mark.filterwarnings("ignore:non-vertex columns pruned")
 def test_cli_fuzz(capsys, tmp_path):
     rng = random.Random(1)
     path = tmp_path / "doc.json"

@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 from oracles import (
+    dd_by_third_ray_scan,
     lp_max_by_fractions,
     positive_kernel_vector_by_fractions,
     strict_solution_by_fractions,
@@ -142,6 +143,45 @@ def test_simplicial_facets_match_double_description():
             seen["singular"] += 1
             seen["singular with facets"] += bool(got[1])
     assert seen["singular with facets"] >= 100, seen
+
+
+def test_double_description_matches_third_ray_scan(monkeypatch):
+    # the bitset adjacency test pairs exactly the rays the third-ray scan
+    # pairs: same rays and masks, in the same order, on seeded systems of
+    # rank dim and on every cone that analyze of dim2_r3_3 x dim2_r4_1
+    # sends to the double description
+    import toriq
+    from toriq import covering, linprog
+    from toriq.cli import load_document, resolve_variety
+
+    from conftest import fixture_path
+
+    rng = random.Random(23)
+    cuts = 0
+    for _ in range(500):
+        dim = rng.randint(2, 5)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(dim, dim + 6))]
+        if rank(IntMatrix(rows)) < dim:
+            continue
+        rays = _dd(rows, dim)
+        assert rays == dd_by_third_ray_scan(rows, dim), rows
+        cuts += len(rays) > dim
+    assert cuts >= 100, cuts
+
+    calls = []
+    real_dd = linprog._dd
+    monkeypatch.setattr(linprog, "_dd", lambda rows, dim: calls.append((rows, dim)) or real_dd(rows, dim))
+    for mod in (toriq.covering, toriq.fans, toriq.gale, toriq.linprog, toriq.polytope):
+        for fn in vars(mod).values():
+            if hasattr(fn, "cache_clear") and fn.__module__ == mod.__name__:
+                fn.cache_clear()
+    (a, fa), (b, fb) = (resolve_variety(load_document(fixture_path(n))) for n in ("dim2_r3_3", "dim2_r4_1"))
+    v = IntMatrix([r + (0,) * b.cols for r in a.data] + [(0,) * a.cols + r for r in b.data])
+    cones = [g + tuple(a.cols + j for j in h) for g in fa.max_cones for h in fb.max_cones]
+    covering.analyze(v, FanData(v, cones))
+    assert len(calls) >= 5, len(calls)
+    for rows, dim in calls:
+        assert real_dd(rows, dim) == dd_by_third_ray_scan(rows, dim), (rows, dim)
 
 
 def test_square_cone_contains_matches_fraction_simplex():

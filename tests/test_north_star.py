@@ -1,12 +1,17 @@
 """Guard for the library's ground rules, read from the source of
 `src/toriq`: exact arithmetic only (no float literal, no use of the name
 `float`), the standard library only, and no threads or worker
-processes."""
+processes.  Importing the CLI loads no standard-library module beyond
+those the sources import themselves, so start-up pays for nothing else."""
 
 import ast
 import glob
+import json
 import os
+import subprocess
 import sys
+
+import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "toriq")
 BANNED_MODULES = {"threading", "concurrent", "multiprocessing"}
@@ -62,3 +67,40 @@ def test_guard_catches_each_rule():
         "float literal 0.5",
         "the name float",
     ]
+
+
+def _imported_modules():
+    """Every absolute module name an import in `src/toriq` names."""
+    names = set()
+    for path in glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True):
+        with open(path, encoding="utf-8") as fh:
+            for node in ast.walk(ast.parse(fh.read())):
+                if isinstance(node, ast.Import):
+                    names.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names.add(node.module)
+    return sorted(names)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_cli_import_adds_only_toriq_modules(flags):
+    # with the standard-library modules toriq imports already loaded,
+    # importing the CLI adds toriq's own modules and nothing else; in
+    # particular it loads neither dataclasses nor inspect (which alone
+    # import ast, dis and tokenize)
+    modules = _imported_modules()
+    assert "json" in modules and not any(m.startswith("toriq") for m in modules)
+    code = "; ".join([
+        "import json, sys",
+        f"import {', '.join(modules)}",
+        "before = set(sys.modules)",
+        "import toriq.cli",
+        "added = sorted(set(sys.modules) - before)",
+        "print(json.dumps([added, [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True)
+    added, heavy = json.loads(out.stdout)
+    assert "toriq.cli" in added
+    assert all(m == "toriq" or m.startswith("toriq.") for m in added), added
+    assert heavy == [], heavy
