@@ -4,9 +4,8 @@ from operator import attrgetter
 
 
 class Record:
-    """Base of the immutable value types: the fields are the annotations, in
-    order, with defaults as class attributes; equal only within one class,
-    hashed by the field tuple, frozen, with a `__dict__` for cached_property."""
+    """Base of the immutable value types: the fields are the annotations, in order, with
+    defaults as class attributes; equal only within one class, hashed by the field tuple."""
 
     def __init_subclass__(cls):
         cls._fields = fields = tuple(cls.__annotations__)
@@ -19,7 +18,8 @@ class Record:
             if len(args) > len(fields) or not kwargs.keys() <= rest or not rest - kwargs.keys() <= defaults.keys():
                 raise TypeError(f"{type(self).__name__}() got an unexpected, repeated or missing argument")
             args += tuple(kwargs[f] if f in kwargs else defaults[f] for f in fields[len(args):])
-        self.__dict__.update(zip(self._fields, args))
+        for name, value in zip(self._fields, args):  # not via __dict__, which makes every read slower
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
