@@ -8,14 +8,13 @@ the 53-bit safe range become decimal strings.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 import warnings
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import log2, log10, prod
+from types import SimpleNamespace
 
 from . import bounds as bounds_mod
 from .classify import enumerate_qgorenstein_family, unitary_cover
@@ -499,71 +498,146 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command line parser, built on first use and kept for the
-    process (in-process callers run `main` many times)."""
-    parser = argparse.ArgumentParser(
-        prog="toriq",
-        description="Exact lattice-combinatorial invariants of complete toric varieties",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# command: (handler, summary, takes a path, {option: (type, default, help)},
+# required options); an option of type bool is a flag
+_COMMANDS = {
+    "analyze": (cmd_analyze, "full invariant report for one variety", True,
+                {"--table": (bool, False, "also print a human-readable table")}, ()),
+    "gale": (cmd_gale, "Gale dual and matrix classification", True, {}, ()),
+    "polar": (cmd_polar, "polar vertices, index and polar weight matrix", True, {}, ()),
+    "volume": (cmd_volume, "normalized volume of the column hull", True, {}, ()),
+    "cover": (cmd_cover, "universal and unitary 1-covering data", True, {}, ()),
+    "fan": (cmd_fan, "fan of the secondary-fan cell of a point", True,
+            {"--point": (str, None, "comma-separated class, default the anticanonical class")}, ()),
+    "qfano": (cmd_qfano, "anticanonically polarized representative", True, {}, ()),
+    "classify": (cmd_classify, "enumerate the factor-h family of a weight matrix", True,
+                 {"--factor": (int, 1, "the factor h, default 1")}, ()),
+    "bounds": (cmd_bounds, "bound table for given dimension and rank", False,
+               {"--dim": (int, None, "dimension n"),
+                "--rank": (int, None, "rank r"),
+                "--index": (int, None, "Gorenstein index k, for the index bounds"),
+                "--fake-wps": (bool, False, "with --index, also the fake weighted projective space bound"),
+                "--conjecture": (bool, False, "with --index, also the conjectured bound")},
+               ("--dim", "--rank")),
+    "verify": (cmd_verify, "run all certificates; exit 1 on any hard failure", True, {}, ()),
+}
 
-    p = sub.add_parser("analyze", help="full invariant report for one variety")
-    p.add_argument("path")
-    p.add_argument("--table", action="store_true", help="also print a human-readable table")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("gale", help="Gale dual and matrix classification")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_gale)
+def _synopsis(opt: str, kind) -> str:
+    return opt if kind is bool else f"{opt} {opt[2:].upper()}"
 
-    p = sub.add_parser("polar", help="polar vertices, index and polar weight matrix")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_polar)
 
-    p = sub.add_parser("volume", help="normalized volume of the column hull")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_volume)
+def _usage(command) -> str:
+    """The usage line of one command, or of toriq when command is None."""
+    if command is None:
+        return f"usage: toriq [-h] {{{','.join(_COMMANDS)}}} ..."
+    _, _, takes_path, options, required = _COMMANDS[command]
+    words = ["usage: toriq", command, "[-h]"]
+    for opt, (kind, _, _) in options.items():
+        word = _synopsis(opt, kind)
+        words.append(word if opt in required else f"[{word}]")
+    return " ".join(words + ["path"] * takes_path)
 
-    p = sub.add_parser("cover", help="universal and unitary 1-covering data")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_cover)
 
-    p = sub.add_parser("fan", help="fan of the secondary-fan cell of a point")
-    p.add_argument("path")
-    p.add_argument("--point", help="comma-separated class, default the anticanonical class")
-    p.set_defaults(func=cmd_fan)
+def _help(command) -> str:
+    """The help text of one command, or of toriq when command is None."""
+    options = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        text = "Exact lattice-combinatorial invariants of complete toric varieties"
+        sections = [("commands", [(name, spec[1]) for name, spec in _COMMANDS.items()]), ("options", options)]
+    else:
+        text = _COMMANDS[command][1]
+        options += [(_synopsis(opt, kind), line) for opt, (kind, _, line) in _COMMANDS[command][3].items()]
+        sections = [("options", options)]
+    width = max(len(left) for _, rows in sections for left, _ in rows)
+    lines = [_usage(command), "", text]
+    for title, rows in sections:
+        lines += ["", f"{title}:"] + [f"  {left.ljust(width)}  {right}" for left, right in rows]
+    return "\n".join(lines)
 
-    p = sub.add_parser("qfano", help="anticanonically polarized representative")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_qfano)
 
-    p = sub.add_parser("classify", help="enumerate the factor-h family of a weight matrix")
-    p.add_argument("path")
-    p.add_argument("--factor", type=int, default=1)
-    p.set_defaults(func=cmd_classify)
+def _usage_error(command, reason: str):
+    print(_usage(command), file=sys.stderr)
+    print(f"toriq: error: {reason}", file=sys.stderr)
+    raise SystemExit(2)
 
-    p = sub.add_parser("bounds", help="bound table for given dimension and rank")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--index", type=int)
-    p.add_argument("--fake-wps", action="store_true")
-    p.add_argument("--conjecture", action="store_true")
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("verify", help="run all certificates; exit 1 on any hard failure")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_verify)
-    return parser
+def _option(token: str, names) -> str | None:
+    """The option a token names, by its full name or an unambiguous
+    prefix of a long name; None for no option or several."""
+    if token == "-h":
+        return "--help"
+    if token in names:
+        return token
+    found = [name for name in names if name.startswith(token)] if token.startswith("--") and token != "--" else []
+    return found[0] if len(found) == 1 else None
+
+
+def _parse(argv) -> tuple:
+    """The handler of a command line and its arguments, read off
+    `_COMMANDS`.  -h prints help to stdout and exits 0; a usage error
+    prints the usage and the reason to stderr and exits 2.  An option's
+    value is the token after it, even one that starts with "-"."""
+    if argv and _option(argv[0], ("--help",)):
+        print(_help(None))
+        raise SystemExit(0)
+    if not argv:
+        _usage_error(None, "the following arguments are required: command")
+    if argv[0] not in _COMMANDS:
+        _usage_error(None, f"invalid choice: {argv[0]!r} (choose from {', '.join(map(repr, _COMMANDS))})")
+    command = argv[0]
+    handler, _, takes_path, options, required = _COMMANDS[command]
+    names = (*options, "--help")
+    values = {opt: default for opt, (_, default, _) in options.items()}
+    paths = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":  # the rest are paths
+            paths += tokens
+            break
+        if token == "-" or not token.startswith("-"):
+            paths.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        opt = _option(name, names)
+        if opt is None:
+            _usage_error(command, f"unrecognized arguments: {token}")
+        if opt == "--help":
+            print(_help(command))
+            raise SystemExit(0)
+        kind = options[opt][0]
+        if kind is bool:
+            if eq:
+                _usage_error(command, f"argument {opt}: ignored explicit argument {value!r}")
+            values[opt] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                _usage_error(command, f"argument {opt}: expected one argument")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(command, f"argument {opt}: invalid int value: {value!r}")
+        values[opt] = value
+    missing = [opt for opt in required if values[opt] is None] + ["path"] * (takes_path and not paths)
+    if missing:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    if len(paths) > takes_path:
+        _usage_error(command, f"unrecognized arguments: {' '.join(paths[takes_path:])}")
+    args = SimpleNamespace(**{opt[2:].replace("-", "_"): value for opt, value in values.items()})
+    if takes_path:
+        args.path = paths[0]
+    return handler, args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    handler, args = _parse(sys.argv[1:] if argv is None else argv)
     with warnings.catch_warnings(record=True) as caught:  # printed as toriq's own lines, once each
         warnings.simplefilter("always")
         try:
-            return args.func(args)
+            return handler(args)
         except InvalidInput as exc:
             emit({"error": {"type": "invalid-input", "message": str(exc)}})
             return 2

@@ -49,6 +49,8 @@ CACHE_SIZE = 1024
 
 
 def _as_int(x) -> int:
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction):
         if x.denominator != 1:
             raise ValueError(f"non-integer entry {x}")
@@ -165,7 +167,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data", "_columns")
 
     def __init__(self, data):
-        rows = tuple(tuple(_as_int(x) for x in row) for row in data)
+        rows = tuple(tuple(map(_as_int, row)) for row in data)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
         self.data = rows

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import FIXTURES, fixture_path, load_fixture
 from oracles import _encode, snf_by_alternating_hnf
-from toriq.cli import build_report, load_document, main, resolve_variety
+from toriq.cli import _parse, build_report, load_document, main, resolve_variety
 from toriq.errors import ToriqError
 from toriq.intmat import IntMatrix
 
@@ -509,6 +509,122 @@ def test_fan_point_of_the_wrong_length_is_invalid_input(capsys):
         code, out = run_cli(capsys, "fan", fixture_path(name), "--point", point)
         assert code == 2, (name, point)
         assert out["error"]["type"] == "invalid-input"
+
+
+# Command lines and what argparse parsed them to, recorded before the
+# command table replaced it: the handler and every attribute.
+PARSED = [
+    (["analyze", "x"], "cmd_analyze", {"path": "x", "table": False}),
+    (["analyze", "--table", "x"], "cmd_analyze", {"path": "x", "table": True}),
+    (["gale", "x"], "cmd_gale", {"path": "x"}),
+    (["polar", "x"], "cmd_polar", {"path": "x"}),
+    (["volume", "x"], "cmd_volume", {"path": "x"}),
+    (["cover", "x"], "cmd_cover", {"path": "x"}),
+    (["fan", "x"], "cmd_fan", {"path": "x", "point": None}),
+    (["fan", "x", "--point", "1,2"], "cmd_fan", {"path": "x", "point": "1,2"}),
+    (["fan", "--point=3,4", "x"], "cmd_fan", {"path": "x", "point": "3,4"}),
+    (["fan", "x", "--point=-1,2"], "cmd_fan", {"path": "x", "point": "-1,2"}),
+    (["qfano", "x"], "cmd_qfano", {"path": "x"}),
+    (["classify", "x"], "cmd_classify", {"path": "x", "factor": 1}),
+    (["classify", "x", "--factor", "2"], "cmd_classify", {"path": "x", "factor": 2}),
+    (["classify", "x", "--factor=3"], "cmd_classify", {"path": "x", "factor": 3}),
+    (["classify", "x", "--fac", "3"], "cmd_classify", {"path": "x", "factor": 3}),
+    (["classify", "x", "--factor", "-2"], "cmd_classify", {"path": "x", "factor": -2}),
+    (["classify", "x", "--factor", "+2"], "cmd_classify", {"path": "x", "factor": 2}),
+    (
+        ["bounds", "--rank", "2", "--dim", "3"],
+        "cmd_bounds",
+        {"dim": 3, "rank": 2, "index": None, "fake_wps": False, "conjecture": False},
+    ),
+    (
+        ["bounds", "--dim", "3", "--rank", "2", "--index", "2", "--fake-wps", "--conjecture"],
+        "cmd_bounds",
+        {"dim": 3, "rank": 2, "index": 2, "fake_wps": True, "conjecture": True},
+    ),
+    (
+        ["bounds", "--d", "3", "--r=2", "--i", "4", "--fake", "--conj"],
+        "cmd_bounds",
+        {"dim": 3, "rank": 2, "index": 4, "fake_wps": True, "conjecture": True},
+    ),
+    (["verify", "x"], "cmd_verify", {"path": "x"}),
+    (["analyze", "-"], "cmd_analyze", {"path": "-", "table": False}),
+    (["analyze", "--", "x"], "cmd_analyze", {"path": "x", "table": False}),
+]
+
+
+@pytest.mark.parametrize("argv, handler, attrs", PARSED, ids=[" ".join(a) for a, _, _ in PARSED])
+def test_command_table_parses_as_argparse_did(argv, handler, attrs):
+    func, args = _parse(argv)
+    assert func.__name__ == handler
+    assert vars(args) == attrs
+
+
+# Usage errors, each of which argparse ended with SystemExit(2), and the
+# reason now printed after the usage line.
+USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "invalid choice: 'bogus' (choose from 'analyze', 'gale', 'polar', 'volume', 'cover', "
+                "'fan', 'qfano', 'classify', 'bounds', 'verify')"),
+    (["analyze"], "the following arguments are required: path"),
+    (["analyze", "x", "--bogus"], "unrecognized arguments: --bogus"),
+    (["gale", "x", "--table"], "unrecognized arguments: --table"),
+    (["analyze", "x", "y"], "unrecognized arguments: y"),
+    (["fan", "x", "--point"], "argument --point: expected one argument"),
+    (["classify", "x", "--factor", "two"], "argument --factor: invalid int value: 'two'"),
+    (["classify", "x", "--factor=2.0"], "argument --factor: invalid int value: '2.0'"),
+    (["bounds", "--dim", "3"], "the following arguments are required: --rank"),
+    (["bounds"], "the following arguments are required: --dim, --rank"),
+    (["bounds", "--dim", "3", "--rank", "2", "--index"], "argument --index: expected one argument"),
+    (["analyze", "x", "--table=1"], "argument --table: ignored explicit argument '1'"),
+]
+
+
+@pytest.mark.parametrize("argv, reason", USAGE_ERRORS, ids=[" ".join(a) or "-" for a, _ in USAGE_ERRORS])
+def test_usage_error_exits_2_with_usage_and_reason(argv, reason, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.splitlines()
+    command = argv[0] if argv and argv[0] != "bogus" else "[-h]"
+    assert usage.startswith(f"usage: toriq {command}")
+    assert error == f"toriq: error: {reason}"
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [(["-h"], None), (["--help", "bogus"], None), (["--he"], None), (["analyze", "-h"], "analyze"),
+     (["bounds", "--h"], "bounds"), (["classify", "x", "--help"], "classify")],
+)
+def test_help_goes_to_stdout_and_exits_0(argv, command, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["toriq", *argv])  # main() reads sys.argv
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith(f"usage: toriq {command or '[-h]'}")
+    if command is None:
+        assert all(f"\n  {name} " in out for name in ("analyze", "fan", "bounds", "verify"))
+    if command == "bounds":
+        assert "usage: toriq bounds [-h] --dim DIM --rank RANK [--index INDEX] [--fake-wps] [--conjecture]\n" in out
+
+
+def test_fan_point_may_start_with_a_minus_sign(tmp_path, capsys):
+    # argparse took "-1,3" after --point for an option and exited 2; the
+    # point is the class 3,2 of mds_Zprime's moving cone, in the basis of
+    # rows r2 - r1, r1 of its weight matrix
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"matrix": [[1, -1, 0, -1, 1], [0, 2, 1, 1, 1]], "role": "weight-matrix"}))
+    assert main(["fan", str(path), "--point", "-1,3"]) == 0
+    out = capsys.readouterr().out
+    assert main(["fan", str(path), "--point=-1,3"]) == 0
+    assert capsys.readouterr().out == out
+    assert json.loads(out)["complete"]
+    # an option's value is the next token whatever it looks like
+    code, out = run_cli(capsys, "fan", str(path), "--point", "--table")
+    assert code == 2 and out["error"] == {"type": "invalid-input", "message": "bad integer string '--table'"}
 
 
 def test_classify_factor_below_one_is_out_of_domain(capsys):

@@ -468,3 +468,26 @@ def test_library_caches_are_bounded():
         assert gale_dual.cache_info().hits == hits + 1
         assert gale_dual.cache_info().currsize <= CACHE_SIZE
     assert gale_dual.cache_info().currsize == CACHE_SIZE
+
+
+def _largest_entry(m: IntMatrix) -> int:
+    return max((abs(x) for row in m.data for x in row), default=0)
+
+
+def test_gale_dual_entry_size_is_bounded():
+    # the nonnegative basis is lifted from one vector, and the lift can
+    # multiply its imbalance: these bounds are the largest entries the
+    # present construction gives, so a change that lets them grow fails
+    # here (the kernel HNF of the first matrix has entries up to 29)
+    m = IntMatrix([[1, 1, 4, 2, -3, 0, -4], [-5, -3, 2, -2, -1, 5, 1], [5, -1, 1, 3, 1, 4, 0]])
+    assert _largest_entry(gale_dual(m)) <= 1796
+    rng = random.Random(5)
+    largest, full = 0, 0
+    for _ in range(1000):
+        rows, cols = rng.randint(1, 3), rng.randint(2, 7)
+        q = IntMatrix([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)])
+        if rank(q) == rows:
+            full += 1
+            largest = max(largest, _largest_entry(gale_dual(q)))
+    assert full == 929
+    assert largest <= 9165

@@ -455,6 +455,8 @@ def test_group_direct_sum():
 def test_public_constructors_reject_non_integer_entries(bad):
     with pytest.raises(ValueError):
         IntMatrix([[1, bad], [0, 1]])
+    with pytest.raises(ValueError):  # after plain ints in its row
+        IntMatrix([[0, 1, 2, bad]])
     with pytest.raises(ValueError):
         IntMatrix.from_columns([(1, 0), (bad, 1)])
 

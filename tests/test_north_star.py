@@ -87,7 +87,7 @@ def test_cli_import_adds_only_toriq_modules(flags):
     # with the standard-library modules toriq imports already loaded,
     # importing the CLI adds toriq's own modules and nothing else; in
     # particular it loads neither dataclasses nor inspect (which alone
-    # import ast, dis and tokenize)
+    # import ast, dis and tokenize), nor argparse and its gettext
     modules = _imported_modules()
     assert "json" in modules and not any(m.startswith("toriq") for m in modules)
     code = "; ".join([
@@ -96,7 +96,7 @@ def test_cli_import_adds_only_toriq_modules(flags):
         "before = set(sys.modules)",
         "import toriq.cli",
         "added = sorted(set(sys.modules) - before)",
-        "print(json.dumps([added, [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))",
+        "print(json.dumps([added, [m for m in ('dataclasses', 'inspect', 'argparse', 'gettext') if m in sys.modules]]))",
     ])
     env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
     out = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True)
