@@ -269,10 +269,11 @@ def _polar_index_of_image(s: IntMatrix, polar: IntMatrix, d: int) -> int:
     conv(W), the columns of polar/d, read off its hull rows: the facets
     of conv(W) are the facets of conv(S*W) on the same column sets, and
     <x, S w_j> = -1 exactly when <S^T x, w_j> = -1, so the polar vertices
-    of S*W are S^-T polar / d.  No `polar_vertex_matrix` checks are
-    needed: each hull facet spans its hyperplane, and the origin is
-    interior to conv(W) (F.b), so every facet has a polar vertex, and S
-    keeps both.  One elimination of [S^T | polar] gives
+    of S*W are S^-T polar / d.  These are the points a/c of the hull rows,
+    one per facet, as `polar_vertex_matrix` reads them for a fan's cones,
+    with no fan to check: the origin is interior to conv(W) (F.b), so
+    every c is positive, and S keeps the facets.  One elimination of
+    [S^T | polar] gives
     e*[I | S^-T polar] (e its last pivot); the index is the lcm of the
     reduced denominators of the columns over e*d.
     """

@@ -232,10 +232,6 @@ def emit(payload: dict) -> None:
     print("".join(out))
 
 
-def _rows(mat) -> list:
-    return [list(r) for r in mat.data]
-
-
 # ---------------------------------------------------------------------------
 # report assembly
 
@@ -323,7 +319,7 @@ def cmd_gale(args) -> int:
     rep = classify_matrix(m)
     emit(
         {
-            "gale_dual": _rows(dual),
+            "gale_dual": dual,
             "input_class": {
                 "is_F": rep.is_F,
                 "is_CF": rep.is_CF,
@@ -339,14 +335,14 @@ def cmd_gale(args) -> int:
 def cmd_polar(args) -> int:
     doc = load_document(args.path)
     v, fan = resolve_variety(doc)
-    # one polar point per cone: cd.Vpolar keeps only the first of equal columns
-    vpolar, d = polar_vertex_matrix(v, fan)
     cd = analyze(v, fan)
+    # one polar point per cone off the cached hull (cd.Vpolar keeps only the first of equal columns)
+    vpolar, d = polar_vertex_matrix(v, fan)
     emit(
         {
             "polar_vertices": [[Fraction(x, d) for x in row] for row in vpolar.data],
             "k": cd.k,
-            "polar_weight": _rows(cd.Qpolar),
+            "polar_weight": cd.Qpolar,
             "degree_scaled": cd.degree_scaled,
         }
     )
@@ -366,12 +362,12 @@ def cmd_cover(args) -> int:
     cd = analyze(v, fan)
     emit(
         {
-            "cover_fan_matrix": _rows(cd.W),
+            "cover_fan_matrix": cd.W,
             "cover_fan": cd.fan.cones_1based(),
-            "quotient_matrix": _rows(cd.B),
+            "quotient_matrix": cd.B,
             "covering_group": str(cd.G),
             "mult": cd.mult,
-            "unitary_cover": _rows(unitary_cover(v, fan)),
+            "unitary_cover": unitary_cover(v, fan),
         }
     )
     return 0
@@ -394,7 +390,7 @@ def cmd_fan(args) -> int:
     fan = fan_from_point(q, point)  # raises unless the fan is complete
     emit(
         {
-            "fan_matrix": _rows(fan.fan_matrix),
+            "fan_matrix": fan.fan_matrix,
             "max_cones": fan.cones_1based(),
             "complete": True,
             "simplicial": is_simplicial(fan),
@@ -427,8 +423,8 @@ def cmd_classify(args) -> int:
     kept = [
         {
             "order": sub.order,
-            "subgroup": _rows(sub.matrix),
-            "fan_matrix": _rows(mat),
+            "subgroup": sub.matrix,
+            "fan_matrix": mat,
             "mult": mult,
             "index": index,
         }
@@ -437,8 +433,8 @@ def cmd_classify(args) -> int:
     rejected = [
         {
             "order": sub.order,
-            "subgroup": _rows(sub.matrix),
-            "fan_matrix": _rows(mat),
+            "subgroup": sub.matrix,
+            "fan_matrix": mat,
             "witness_column": wit + 1,
         }
         for sub, mat, wit in fam.rejected

@@ -21,7 +21,7 @@ import functools
 from fractions import Fraction
 
 from .errors import InvalidFan, NonIntegerQuotient, NonIntegralFactor, NotReflexive, Record
-from .fans import FanData, _anticanonical, _complement, _cone_walls, fan_from_point, is_complete
+from .fans import FanData, _anticanonical, _complement, fan_from_point, is_complete
 from .gale import gale_dual
 from .intmat import (
     CACHE_SIZE,
@@ -198,11 +198,11 @@ def weight_modulus(q: IntMatrix) -> int:
     return int(vol)
 
 
-def _lattice_polar(v: IntMatrix, fan: FanData, k: int) -> IntMatrix:
-    """k times the polar points of the cones of `fan`, first of equal
-    columns kept; raises NonIntegerQuotient unless they are lattice
+def _lattice_polar(points: tuple, k: int) -> IntMatrix:
+    """k times the polar points (P, d) of `polar_vertex_matrix`, first of
+    equal columns kept; raises NonIntegerQuotient unless they are lattice
     points."""
-    p, d = polar_vertex_matrix(v, fan)
+    p, d = points
     # gcd(d, P) = 1, so k*P/d is integral exactly when d divides k
     if k % d:
         raise NonIntegerQuotient(f"{k} times the polar points are not integral (denominator {d})")
@@ -211,22 +211,12 @@ def _lattice_polar(v: IntMatrix, fan: FanData, k: int) -> IntMatrix:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def analyze(v: IntMatrix, fan: FanData) -> CoveringData:
-    """Build the full covering bundle for a complete fan over v."""
+    """Build the full covering bundle for a complete fan over v that
+    refines the face fan of conv(v) and uses only its vertices
+    (`polar_vertex_matrix` raises InvalidFan otherwise)."""
     if not is_complete(fan):
         raise InvalidFan("covering invariants need a complete fan")
-    rays = {j for g in fan.max_cones for j in g}
-    if len(rays) < v.cols:
-        lost = min(set(range(v.cols)) - rays)
-        raise InvalidFan(f"column {lost + 1} of the fan matrix is a ray of no maximal cone")
-    for g in fan.max_cones:
-        # a generator is an extreme ray when the walls through it meet in it
-        # alone; only a cone with more generators than dimensions can fail
-        if len(g) > v.rows:
-            walls = [set(wall) for _, wall in _cone_walls(v, g)]
-            for j in g:
-                if set(g).intersection(*(w for w in walls if j in w)) != {j}:
-                    cone = tuple(i + 1 for i in g)
-                    raise InvalidFan(f"column {j + 1} of the fan matrix is not an extreme ray of the cone {cone}")
+    v_points = polar_vertex_matrix(v, fan)
     q = gale_dual(v)
     w, b, g = universal_cover(v)
 
@@ -236,8 +226,10 @@ def analyze(v: IntMatrix, fan: FanData) -> CoveringData:
         raise NonIntegralFactor(f"covering index {k_hat} does not divide index {k}")
     h = k // k_hat
 
-    vpolar = _lattice_polar(v, fan, k)
-    wpolar = _lattice_polar(w, fan, k_hat)
+    vpolar = _lattice_polar(v_points, k)
+    # V = B*W with B nonsingular, so conv(W) has the faces of conv(V) on
+    # the same column sets and the fan passes the check on W as well
+    wpolar = _lattice_polar(polar_vertex_matrix(w, fan), k_hat)
     assert b.t() * vpolar == wpolar * h, "polar quotient relation failed"
 
     qpolar = gale_dual(vpolar)

@@ -60,10 +60,6 @@ class OriginNotInterior(ToriqError):
     pass
 
 
-class DegenerateCone(ToriqError):
-    pass
-
-
 class NotFMatrix(ToriqError):
     pass
 

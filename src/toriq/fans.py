@@ -7,11 +7,12 @@ GENERATOR column indices (0-based).  The dual weight-side cone of a
 maximal cone uses the complementary index set; `_complement` is the one
 conversion point.
 
-Caches, each bounded by CACHE_SIZE: `eff_cone` and `mov_cone` keyed by
-the weight matrix, `nef_cone` keyed by (weight matrix, fan), and the
-chamber record `_chambers`, which keeps, per (weight matrix, fan
-matrix), up to CACHE_SIZE cell fans that `fan_from_point` has
-validated, so each secondary-fan chamber is computed once.  Every cone's
+Caches, each bounded by CACHE_SIZE: `mov_cone` keyed by the weight
+matrix, `nef_cone` keyed by (weight matrix, fan), and the chamber
+record `_chambers`, which keeps, per (weight matrix, fan matrix), up to
+CACHE_SIZE cell fans that `fan_from_point` has validated, so each
+secondary-fan chamber is computed once.  `eff_cone` is not cached: no
+pipeline asks for it twice.  Every cone's
 facets, behind fan validity, walls, completeness and membership, come
 from the one cache of `linprog._cone_facets`.
 """
@@ -150,7 +151,6 @@ def _cone_intersection(gen_lists, dim) -> tuple:
     return tuple(sorted(gens))
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def eff_cone(q: IntMatrix) -> GkzCone:
     """Cone spanned by the weight columns (pseudo-effective classes)."""
     return GkzCone(_cone_intersection([tuple(q.columns())], q.rows))

@@ -65,7 +65,6 @@ def _fan_conditions(m: IntMatrix) -> tuple:
     )
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def classify_matrix(m: IntMatrix) -> MatrixClassReport:
     """Evaluate every fan-matrix and weight-matrix condition on m.
 

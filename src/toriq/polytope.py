@@ -32,9 +32,9 @@ import math
 import warnings
 from fractions import Fraction
 
-from .errors import DegenerateCone, NotFMatrix, NotFullDimensional, OriginNotInterior, Record
+from .errors import InvalidFan, NotFMatrix, NotFullDimensional, OriginNotInterior, Record
 from .gale import _fan_conditions
-from .intmat import CACHE_SIZE, IntMatrix, _det, _eliminate
+from .intmat import CACHE_SIZE, IntMatrix, _det
 from .linprog import _cone_facets
 
 _PRUNED = "non-vertex columns pruned from polytope input"
@@ -314,25 +314,35 @@ def fmatrix_index(v: IntMatrix) -> int:
 
 
 def polar_vertex_matrix(v: IntMatrix, fan) -> tuple:
-    """One polar point per maximal cone: the solution of <x, v_j> = -1
-    over the cone's generators, columns ordered like fan.max_cones.
+    """One polar point per maximal cone, columns ordered like
+    fan.max_cones: the point a/c of the hull row (c, a) of conv(v) whose
+    facet holds every generator of the cone (c + <a, v_j> = 0), the
+    unique solution of <x, v_j> = -1 over a full-dimensional cone.
 
+    This is the vertex of the polar of conv(v) dual to that facet, so the
+    fan must refine the face fan of conv(v) and use only its vertices:
+    raises InvalidFan naming the first column of v that is not a vertex
+    (a repeated column counts once), else the first cone on no facet.
     Returns (P, d) with the points the columns of P/d: d > 0 is the lcm
     of the reduced denominators of the points, so gcd(d, P) = 1.  Accepts
     anything with a `max_cones` attribute (or a raw list of generator
     index sets).
     """
-    max_cones = getattr(fan, "max_cones", fan)
-    n = v.rows
+    p = _polytope(v)
+    facets = _full_hull(p)
+    if any(c <= 0 for (c, *_), _ in facets):
+        raise OriginNotInterior("polar points need the origin interior to conv(v)")
+    vertex = {r[1:]: i for i, r in enumerate(p._rows)}
+    bit = []
+    for j, x in enumerate(v.columns()):
+        if x not in vertex:
+            raise InvalidFan(f"column {j + 1} of the fan matrix is not a vertex of the hull of the columns")
+        bit.append(1 << vertex.pop(x))
     points = []
-    for g in max_cones:
-        # one elimination of [sub^T | -1]: rank n, and no pivot on the -1 column
-        m, pivots, d, _ = _eliminate([v.col(j) + (-1,) for j in g])
-        if len(pivots) < n or pivots[n - 1] != n - 1:
-            raise DegenerateCone(f"cone {tuple(g)} has no nonsingular n x n submatrix")
-        if len(pivots) > n:
-            raise DegenerateCone(
-                f"cone {tuple(g)} generators do not lie on a common polar hyperplane"
-            )
-        points.append((d, *(m[i][n] for i in range(n))))
+    for g in getattr(fan, "max_cones", fan):
+        cone = sum(bit[j] for j in g)
+        row = next((r for r, mask in facets if mask & cone == cone), None)
+        if row is None:
+            raise InvalidFan(f"cone {tuple(j + 1 for j in g)} lies on no facet of the hull of the columns")
+        points.append(row)
     return _over_lcm(points)

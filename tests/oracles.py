@@ -36,10 +36,13 @@ permutation and repairs the divisibility chain by adding one column to
 another and starting over, where the library runs one Hermite loop and
 folds each pivot pair by a Bezout step.  The line-interval oracle for
 lattice points always takes the last coordinate as the line, where the
-library takes the widest one.  The index oracle solves one polar point
-per facet of the public `facet_enumeration` (`polar_vertex_matrix`, with
-its degeneracy checks), where the library reads the lcm of the hull
-rows' offsets off the one hull.  The JSON oracle converts a payload to
+library takes the widest one.  The polar-point oracle solves
+<x, v_j> = -1 over each cone's generators by one full elimination, with
+its uniqueness checked, where the library reads the point a/c off the
+hull row (c, a) whose facet holds the cone; the index oracle takes the
+lcm of its denominators over the facets of the public
+`facet_enumeration`, where the library reads the lcm of the hull rows'
+offsets off the one hull.  The JSON oracle converts a payload to
 plain values and leaves the text to `json.dumps`, where the CLI writes it
 in one walk.  The integer-solving oracle reads a solution off the Smith
 diagonal and both transforms, where the library takes one back
@@ -62,7 +65,7 @@ from toriq.fans import FanData, _cone_walls, _complement, is_complete, mov_cone
 from toriq.gale import gale_dual
 from toriq.intmat import FiniteAbelianGroup, IntMatrix, SnfDecomposition, cokernel, hnf, kernel_basis, rank, snf
 from toriq.linprog import _dot, _primitive, cone_contains
-from toriq.polytope import VPolytope, facet_enumeration, polar_vertex_matrix
+from toriq.polytope import VPolytope, facet_enumeration
 
 _SAFE = 1 << 53
 
@@ -299,11 +302,29 @@ def facet_columns(v: IntMatrix) -> list:
     ]
 
 
+def polar_points_by_elimination(v: IntMatrix, cones) -> tuple:
+    """(P, d) of the solutions x of <x, v_j> = -1 over the generators of
+    each cone (column index sets), as `polar_vertex_matrix` gives them:
+    one full Gauss-Jordan elimination of [v_j^T | -1] per cone, and the
+    points the columns of P/d with d the lcm of their denominators.
+    Raises ValueError when a cone's system has no unique solution."""
+    n = v.rows
+    points = []
+    for g in cones:
+        m, pivots, d, _ = eliminate_every_row([v.col(j) + (-1,) for j in g])
+        if pivots != list(range(n)):
+            raise ValueError(f"cone {tuple(g)} has no unique polar point")
+        points.append([Fraction(m[i][n], d) for i in range(n)])
+    den = math.lcm(*(x.denominator for p in points for x in p))
+    return IntMatrix([[int(p[i] * den) for p in points] for i in range(n)]), den
+
+
 def index_by_facets(v: IntMatrix, facets=None) -> int:
     """The least k making k times the polar points of v on the facets of
     conv(v) (or on the given column sets) integral: one elimination per
-    facet (`polar_vertex_matrix`), then the lcm of the denominators."""
-    return polar_vertex_matrix(v, facet_columns(v) if facets is None else facets)[1]
+    facet (`polar_points_by_elimination`), then the lcm of the
+    denominators."""
+    return polar_points_by_elimination(v, facet_columns(v) if facets is None else facets)[1]
 
 
 def lattice_points_by_box(p: VPolytope, strict: bool = False):

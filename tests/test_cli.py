@@ -466,21 +466,34 @@ def test_volume_prints_library_warnings_as_toriq_lines(tmp_path, name, code, out
     assert proc.stderr == "toriq: warning: non-vertex columns pruned from polytope input\n"
 
 
-NON_EXTREME_GENERATORS = [
+OFF_FACE_FAN = [
     # column 3 = (-2, 0) lies inside the face fan's cone over columns 1, 3, 5
     ({"matrix": [[-2, -1, -2, 2, -2, 3, 0], [-1, -3, 0, 3, 1, 2, -3]], "role": "fan-matrix"},
-     "column 3 of the fan matrix is not an extreme ray of the cone (1, 3, 5)"),
+     "column 3 of the fan matrix is not a vertex of the hull of the columns"),
     # -K = (-3, 0) is on the boundary of Mov(Q); its cell fan's cone over
     # columns 1, 2, 4 has column 4 inside it
     ({"matrix": [[-2, -1, -2, 2], [2, 1, 0, -3]], "role": "weight-matrix"},
-     "column 4 of the fan matrix is not an extreme ray of the cone (1, 2, 4)"),
+     "column 4 of the fan matrix is not a vertex of the hull of the columns"),
+    # column 2 = (1, 0) lies on the facet x = 1 between columns 1 and 3 and
+    # generates two simplicial cones of the explicit fan
+    ({"matrix": [[1, 1, 1, -1, -1], [-1, 0, 1, 1, -1]], "fan": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 1]]},
+     "column 2 of the fan matrix is not a vertex of the hull of the columns"),
+    # every column is a vertex, but the explicit fan (the face fan of a
+    # rescaling of the columns) has a cone over 1, 3, 5 on no facet
+    ({"matrix": [[-2, 2, -1, 1, 2], [1, 0, 1, -1, -1], [-2, 1, 0, 3, -1]],
+      "fan": [[1, 3, 4], [1, 3, 5], [1, 4, 5], [2, 3, 4], [2, 3, 5], [2, 4, 5]]},
+     "cone (1, 3, 5) lies on no facet of the hull of the columns"),
 ]
 
 
-@pytest.mark.parametrize("doc, message", NON_EXTREME_GENERATORS, ids=["fan-matrix", "weight-matrix"])
+@pytest.mark.parametrize(
+    "doc, message", OFF_FACE_FAN, ids=["fan-matrix", "weight-matrix", "non-vertex-on-facet", "cone-on-no-facet"]
+)
 def test_generator_inside_its_cone_is_a_named_error(tmp_path, capsys, doc, message):
-    # the covering identities fail on such a fan; analyze and verify end in
-    # exit 2 with the column and the cone named, also without asserts
+    # the covering identities need a fan that refines the face fan of the
+    # columns' hull and uses only its vertices; on any other complete fan
+    # analyze and verify end in exit 2 with the column or the cone named,
+    # also without asserts
     import os
     import subprocess
     import sys
@@ -698,10 +711,10 @@ def test_report_hulls_each_point_set_once(monkeypatch):
     # with every cache empty, one report hulls each set of integer rows
     # (D, D*p) at most once, in whatever column order it is asked for:
     # conv(V), conv(W), conv(Lambda°) and the polar sides are shared by
-    # every caller through one cache.  Polar points are solved cone by
-    # cone (`polar_vertex_matrix`) only for kV° and k̂W° on the fan's
-    # cones: the indices, reflexivity, the face fan and a family's polar
-    # points are read off the hull rows
+    # every caller through one cache.  The polar points of the fan's cones
+    # (`polar_vertex_matrix`, read off those hull rows) are asked for once
+    # for V and once for W; the indices, reflexivity, the face fan and a
+    # family's polar points are read off the hull rows directly
     import glob
     import os
     from collections import Counter

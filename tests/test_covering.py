@@ -131,6 +131,7 @@ def test_polar_sides_in_lattice_coordinates():
     from fractions import Fraction
 
     from toriq.covering import _lattice_polar
+    from toriq.polytope import polar_vertex_matrix
 
     fan = face_fan(BAUERLE_V)
     cd = analyze(BAUERLE_V, fan)
@@ -138,10 +139,11 @@ def test_polar_sides_in_lattice_coordinates():
     assert cd.B.t() * cd.Vpolar == cd.Wpolar * cd.h
     assert cd.Lambda == cd.A * cd.W
     assert cd.degree == Fraction(cd.degree_scaled, 6 ** 2) == Fraction(4, 3)
-    assert _lattice_polar(BAUERLE_V, fan, 12) == cd.Vpolar * 2
+    points = polar_vertex_matrix(BAUERLE_V, fan)
+    assert _lattice_polar(points, 12) == cd.Vpolar * 2
     for k in (1, 3, 4):
         with pytest.raises(NonIntegerQuotient):
-            _lattice_polar(BAUERLE_V, fan, k)
+            _lattice_polar(points, k)
 
 
 def test_fano_splitting_blowup():

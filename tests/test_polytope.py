@@ -303,8 +303,11 @@ def test_hull_rows_match_the_per_facet_solve():
     # facet_enumeration, on V and W of every complete fixture, on the
     # fan-type matrices of the CLI fuzz (seeds 1-3), and on a seeded
     # U*v*S of each (U unimodular, S a column permutation), whose face fan
-    # cones are permuted back to the columns of v
-    from oracles import facet_columns, index_by_facets
+    # cones are permuted back to the columns of v; the polar point of each
+    # cone of a fixture's fan (face fans and their refinements), read off
+    # the hull row whose facet holds it, is the one solved over its
+    # generators, for V and W
+    from oracles import facet_columns, index_by_facets, polar_points_by_elimination
     from test_fuzz import _documents
     from test_gale import _scramble
     from toriq.cli import load_document, resolve_variety
@@ -318,6 +321,8 @@ def test_hull_rows_match_the_per_facet_solve():
             continue  # deliberately non-complete
         v, fan = resolve_variety(load_document(path))
         mats += [v, analyze(v, fan).W]
+        for x in mats[-2:]:
+            assert polar_vertex_matrix(x, fan) == polar_points_by_elimination(x, fan.max_cones), (path, x)
     complete = len(mats)
     for seed in (1, 2, 3):
         for doc in _documents(random.Random(seed), 600):
