@@ -41,7 +41,7 @@ from .intmat import (
     snf,
 )
 from .linprog import _dot
-from .polytope import _polytope, fmatrix_index, polar_dual
+from .polytope import fmatrix_index
 
 
 class TorsionMatrix(Record):
@@ -266,16 +266,12 @@ def _quotients(w: IntMatrix, a: IntMatrix):
 
 def _polar_index_of_image(s: IntMatrix, polar: IntMatrix, d: int) -> int:
     """Index of S*W for nonsingular S, given the polar vertices of
-    conv(W), the columns of polar/d, read off its hull rows: the facets
-    of conv(W) are the facets of conv(S*W) on the same column sets, and
-    <x, S w_j> = -1 exactly when <S^T x, w_j> = -1, so the polar vertices
-    of S*W are S^-T polar / d.  These are the points a/c of the hull rows,
-    one per facet, as `polar_vertex_matrix` reads them for a fan's cones,
-    with no fan to check: the origin is interior to conv(W) (F.b), so
-    every c is positive, and S keeps the facets.  One elimination of
-    [S^T | polar] gives
-    e*[I | S^-T polar] (e its last pivot); the index is the lcm of the
-    reduced denominators of the columns over e*d.
+    conv(W) as the columns of polar/d (the bundle's k̂W° over k̂): the
+    facets of conv(W) are the facets of conv(S*W) on the same column
+    sets, and <x, S w_j> = -1 exactly when <S^T x, w_j> = -1, so the
+    polar vertices of S*W are S^-T polar / d.  One elimination of
+    [S^T | polar] gives e*[I | S^-T polar] (e its last pivot); the index
+    is the lcm of the reduced denominators of the columns over e*d.
     """
     n = s.rows
     m, _, e, _ = _eliminate([row + prow for row, prow in zip(s.t().data, polar.data)])
@@ -337,25 +333,23 @@ def enumerate_qgorenstein_family(q: IntMatrix, h: int) -> QGorensteinFamily:
     kept entries are (subgroup, fan matrix, multiplicity); rejected
     entries are (subgroup, fan matrix, witness column index).  Every
     quotient S*W is a linear image of the covering fan matrix W, so
-    conv(S*W) has the facets of conv(W) on the same column sets: W is
-    hulled once, its polar vertices are read off that hull, and each
-    kept index is read off one elimination with S
-    (`_polar_index_of_image`).  The action W*Gamma and its frame are
-    formed once for the family (`_quotients`).
+    conv(S*W) has the facets of conv(W) on the same column sets: each
+    kept index is read off the covering bundle's polar vertices k̂W°
+    and k̂ by one elimination with S (`_polar_index_of_image`).  The
+    action W*Gamma and its frame are formed once for the family
+    (`_quotients`).
     """
     if h < 1:
         raise OutOfDomain("needs h >= 1")
     fan = fan_from_point(q, _anticanonical(q))
     cd = analyze(fan.fan_matrix, fan)
-    polar = polar_dual(_polytope(cd.W))
-    points, d = polar.vertices, polar.den
     kept = []
     indices = []
     rejected = []
     for sub, s, v_h in _quotients(cd.W, cd.A * h):
         if is_reduced_f(v_h):
             kept.append((sub, v_h, sub.order))
-            indices.append(_polar_index_of_image(s, points, d))
+            indices.append(_polar_index_of_image(s, cd.Wpolar, cd.k_hat))
         else:
             witness = next(
                 j

@@ -5,14 +5,14 @@ of these invariants.
 
 The whole chain lives on one column index space: V, Q = G(V) and
 W = G(Q) share m columns; the polar side kV°, Q° = G(kV°) and
-Λ° = G(Q°) share the m° columns indexed by the fan's maximal cones.
+Λ° = G(Q°) share m° columns, one per facet of conv(V).
 That alignment is what makes every quotient equation (V = B·W,
 kV° = C·Λ°, k̂W° = Aᵀ·Λ°) hold literally, not just up to permutation.
 
 The polar sides are kept in integer coordinates, as the lattice
 polytopes k·P° of the paper: `Vpolar` is kV°, `Wpolar` is k̂W° and
-`Lambda` is k̂Λ = A·W.  Their integrality is checked where they are
-built, by exact division.
+`Lambda` is k̂Λ = A·W.  `polar_vertex_matrix` reads kV° and k̂W° off
+the hull rows over their lcm denominators, the indices k and k̂.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .errors import InvalidFan, NonIntegerQuotient, NonIntegralFactor, NotReflexive, Record
+from .errors import InvalidFan, NonIntegralFactor, NotReflexive, Record
 from .fans import FanData, _anticanonical, _complement, fan_from_point, is_complete
 from .gale import gale_dual
 from .intmat import (
@@ -106,11 +106,11 @@ class CoveringData(Record):
     def h_extension_order(self) -> int:
         return self.h ** self.n * self.weight_order
 
-    @property
+    @functools.cached_property
     def modulus(self) -> int:
         return weight_modulus(self.Q)
 
-    @property
+    @functools.cached_property
     def modulus_polar(self) -> int:
         return weight_modulus(self.Qpolar)
 
@@ -168,7 +168,6 @@ def multiplicity(v: IntMatrix) -> int:
     return lattice_index(v)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def weight_modulus(q: IntMatrix) -> int:
     """Normalized volume of conv(G(q)), cross-checked against the sum of
     the maximal weight minors over a boundary-supported simplicial fan.
@@ -198,38 +197,26 @@ def weight_modulus(q: IntMatrix) -> int:
     return int(vol)
 
 
-def _lattice_polar(points: tuple, k: int) -> IntMatrix:
-    """k times the polar points (P, d) of `polar_vertex_matrix`, first of
-    equal columns kept; raises NonIntegerQuotient unless they are lattice
-    points."""
-    p, d = points
-    # gcd(d, P) = 1, so k*P/d is integral exactly when d divides k
-    if k % d:
-        raise NonIntegerQuotient(f"{k} times the polar points are not integral (denominator {d})")
-    return IntMatrix._of(zip(*dict.fromkeys(p.columns()))) * (k // d)
-
-
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def analyze(v: IntMatrix, fan: FanData) -> CoveringData:
     """Build the full covering bundle for a complete fan over v that
     refines the face fan of conv(v) and uses only its vertices
-    (`polar_vertex_matrix` raises InvalidFan otherwise)."""
+    (`polar_vertex_matrix` raises InvalidFan otherwise).  Every facet
+    then holds a cone, so the polar points come over the index k (k̂ on W)."""
     if not is_complete(fan):
         raise InvalidFan("covering invariants need a complete fan")
-    v_points = polar_vertex_matrix(v, fan)
+    vpolar, k = polar_vertex_matrix(v, fan)
     q = gale_dual(v)
     w, b, g = universal_cover(v)
-
-    k = fmatrix_index(v)
-    k_hat = fmatrix_index(w)
+    # V = B*W with B nonsingular, so conv(W) has the faces of conv(V) on
+    # the same column sets and the fan passes the check on W as well
+    wpolar, k_hat = polar_vertex_matrix(w, fan)
     if k % k_hat:
         raise NonIntegralFactor(f"covering index {k_hat} does not divide index {k}")
     h = k // k_hat
 
-    vpolar = _lattice_polar(v_points, k)
-    # V = B*W with B nonsingular, so conv(W) has the faces of conv(V) on
-    # the same column sets and the fan passes the check on W as well
-    wpolar = _lattice_polar(polar_vertex_matrix(w, fan), k_hat)
+    # one column per facet: the first of the equal columns of its cones
+    vpolar, wpolar = (IntMatrix._of(zip(*dict.fromkeys(p.columns()))) for p in (vpolar, wpolar))
     assert b.t() * vpolar == wpolar * h, "polar quotient relation failed"
 
     qpolar = gale_dual(vpolar)
@@ -290,10 +277,10 @@ def mds_multiplicity(q: IntMatrix, fan: FanData) -> int:
     reported by the bound module.
     """
     mult = multiplicity(fan.fan_matrix)
-    w = gale_dual(q)
-    n = w.rows
-    h = fmatrix_index(fan.fan_matrix) // fmatrix_index(w)
+    k = fmatrix_index(fan.fan_matrix)
+    # the fan matrix of qfan is G(q), so the bundle holds its index
     qfan = fan_from_point(q, _anticanonical(q))
     cd = analyze(qfan.fan_matrix, qfan)
-    assert (h ** n * cd.weight_order) % mult == 0, "multiplicity fails the weight-order bound"
+    h = k // cd.k
+    assert (h ** cd.n * cd.weight_order) % mult == 0, "multiplicity fails the weight-order bound"
     return mult

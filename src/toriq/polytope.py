@@ -16,12 +16,14 @@ pruning, triangulation, fan walls and cone intersections are read off
 them, and `facet_enumeration` is their public Fraction view.  Volumes
 are determinants of the integer rows, divided once by a power of D.
 
-The library builds the polytope of a matrix in one place, `_polytope`, a
-bounded cache keyed by the sorted distinct columns: each point set of a
-report (conv(V), conv(W) and conv(Lambda°), the polar sides behind the
-degrees) is hulled once, in whichever column order the face fan, the
-Gorenstein index, the weight modulus or the covering bundle asks first,
-and its callers map vertices back to their columns by value.
+The library builds the polytope of a point set in one place,
+`_polytope`, a bounded cache keyed by the sorted distinct columns: each
+point set of a report (conv(V), conv(W) and conv(Lambda°), the polar
+sides behind the degrees, and conv(Lambda), which `polar_dual` builds
+from the hull of conv(Lambda°)) is hulled once, in whichever column
+order the face fan, the polar points, the weight modulus or the covering
+bundle asks first, and its callers map vertices back to their columns by
+value.
 """
 
 from __future__ import annotations
@@ -80,22 +82,23 @@ class VPolytope:
     combinations of the others) are pruned with a warning; `pruned`
     records whether that happened.  A column is a vertex exactly when
     the facets through it share no other column.  The hull that decides
-    this is kept (see `hull`), so it is built once per polytope, and so is
-    the normalized volume.  The vertices are stored as the integer rows
-    (D, D*v), reduced by the gcd of D and every vertex entry: `den` is D,
-    and the polytope is a lattice polytope exactly when `den == 1`.
+    this is built on construction and kept (see `hull`), so it is built
+    once per polytope, and so is the normalized volume.  The vertices are
+    stored as the integer rows (D, D*v), reduced by the gcd of D and
+    every vertex entry: `den` is D, and the polytope is a lattice
+    polytope exactly when `den == 1`.
     """
 
     __slots__ = ("dim", "pruned", "den", "_rows", "_facets", "_volume")
 
-    def __init__(self, matrix: IntMatrix, den: int = 1, prune: bool = True):
+    def __init__(self, matrix: IntMatrix, den: int = 1):
         if den < 1:
             raise ValueError(f"common denominator {den} is not positive")
         rows = [(den, *c) for c in zip(*matrix.data)]
         uniq = list(dict.fromkeys(rows))
         pruned = len(uniq) < len(rows)
         self._facets = self._volume = None
-        if prune and len(uniq) > 1:
+        if len(uniq) > 1:
             eqs, facets = _hull(uniq)
             kept = []
             for i in range(len(uniq)):
@@ -204,15 +207,21 @@ def facet_enumeration(p: VPolytope) -> HPolytope:
     return HPolytope(facets=tuple(facets))
 
 
-def polar_dual(p: VPolytope) -> VPolytope:
-    """Polar polytope {u : <u, v> >= -1 for all v in P}; requires the
-    origin to be interior.  The facet <a, x> >= -c gives the vertex a/c,
-    in lowest terms as the hull row (c, a) is primitive, so the polar's
-    `den` is the lcm of the c."""
+def _polar_rows(p: VPolytope) -> list:
+    """The hull rows (c, a) of p, whose facet <a, x> >= -c gives the polar
+    vertex a/c, in lowest terms as (c, a) is primitive; raises
+    OriginNotInterior unless every c is positive."""
     rows = [r for r, _ in _full_hull(p)]
     if any(r[0] <= 0 for r in rows):
         raise OriginNotInterior("origin is not an interior point")
-    return VPolytope(*_over_lcm(rows), prune=False)
+    return rows
+
+
+def polar_dual(p: VPolytope) -> VPolytope:
+    """Polar polytope {u : <u, v> >= -1 for all v in P}; requires the
+    origin to be interior.  It is the shared `_polytope` of the points a/c
+    of the hull rows (`_polar_rows`), so its `den` is the lcm of the c."""
+    return _polytope(*_over_lcm(_polar_rows(p)))
 
 
 def _simplices(verts, facets, face, d):
@@ -299,18 +308,17 @@ def is_reflexive(p: VPolytope) -> bool:
     lattice polytope: every hull row (c, a) has c = 1."""
     if p.den != 1:
         raise OriginNotInterior("reflexivity is defined for lattice polytopes")
-    return polar_dual(p).den == 1
+    return all(c == 1 for c, *_ in _polar_rows(p))
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def fmatrix_index(v: IntMatrix) -> int:
     """Least k making k times the polar of conv(v) a lattice polytope
     (the Gorenstein index when v is the fan matrix of a Q-Fano variety):
-    the `den` of the polar read off the hull of conv(v), the lcm of its
-    rows' c, all positive as F.b puts the origin inside."""
+    the lcm of the c of the hull rows (c, a) of conv(v), the denominators
+    of the polar vertices a/c; no polar polytope is built."""
     if not all(_fan_conditions(v)):
         raise NotFMatrix("index is defined for fan-type matrices only")
-    return polar_dual(_polytope(v)).den
+    return math.lcm(*(c for c, *_ in _polar_rows(_polytope(v))))
 
 
 def polar_vertex_matrix(v: IntMatrix, fan) -> tuple:
@@ -324,9 +332,10 @@ def polar_vertex_matrix(v: IntMatrix, fan) -> tuple:
     raises InvalidFan naming the first column of v that is not a vertex
     (a repeated column counts once), else the first cone on no facet.
     Returns (P, d) with the points the columns of P/d: d > 0 is the lcm
-    of the reduced denominators of the points, so gcd(d, P) = 1.  Accepts
-    anything with a `max_cones` attribute (or a raw list of generator
-    index sets).
+    of the reduced denominators of the points, so gcd(d, P) = 1; on a
+    complete fan every facet holds a cone, so d is `fmatrix_index(v)`.
+    Accepts anything with a `max_cones` attribute (or a raw list of
+    generator index sets).
     """
     p = _polytope(v)
     facets = _full_hull(p)

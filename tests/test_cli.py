@@ -284,13 +284,17 @@ def test_verify_failure_exit_code(capsys):
     assert cert.hard_failure()
 
 
-def test_failed_identity_is_reported_not_raised(capsys, monkeypatch):
+def test_failed_identity_is_reported_not_raised(capsys, monkeypatch, request):
     # a covering identity that fails is a certificate, not an exception:
     # with |Q| off by one, analyze still exits 0 with the identity
     # unsatisfied, and verify exits 1 with one FAIL line per hard failure.
-    # Checks raise explicitly, so they also run under python -O
+    # Checks raise explicitly, so they also run under python -O.  The
+    # bundle keeps its modulus, so analyze's cache is emptied on entry
+    # (no bundle read the real one) and at teardown (none keeps the wrong one)
     from toriq import covering
 
+    covering.analyze.cache_clear()
+    request.addfinalizer(covering.analyze.cache_clear)
     real = covering.weight_modulus
     monkeypatch.setattr(covering, "weight_modulus", lambda q: real(q) + 1)
     path = fixture_path("dim2_r2_1")
@@ -305,6 +309,37 @@ def test_failed_identity_is_reported_not_raised(capsys, monkeypatch):
     failed = [line.split(":")[0][len("FAIL ") :] for line in captured.err.splitlines() if line.startswith("FAIL ")]
     if code != 1 or "mult-modulus-volume-identity" not in hard or failed != hard or out["failures"] != len(hard):
         raise AssertionError(f"verify exits {code}, hard failures {hard}, FAIL lines {failed}")
+
+
+def test_report_reads_each_modulus_once(capsys, monkeypatch, request):
+    # an `analyze` report of each complete fixture computes the weight
+    # modulus twice, of Q and of Q°: the bundle keeps both.  And conv(Λ),
+    # which polar_dual builds from the hull of conv(Λ°), is the polytope
+    # that dual_cover_degree reads
+    import glob
+
+    from toriq import covering
+    from toriq.polytope import _polytope, polar_dual
+
+    calls = []
+    real = covering.weight_modulus
+    monkeypatch.setattr(covering, "weight_modulus", lambda q: calls.append(q) or real(q))
+    request.addfinalizer(covering.analyze.cache_clear)
+    checked = 0
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+        if os.path.basename(path) == "mds_W.json":
+            continue  # deliberately non-complete
+        covering.analyze.cache_clear()
+        calls.clear()
+        code, _ = run_cli(capsys, "analyze", path)
+        cd = covering.analyze(*resolve_variety(load_document(path)))
+        if code != 0 or len(calls) != 2 or cd.Q not in calls or cd.Qpolar not in calls:
+            raise AssertionError(f"{path}: exit {code}, weight_modulus on {calls}")
+        if polar_dual(_polytope(cd.LambdaPolar)) is not _polytope(cd.Lambda, cd.k_hat):
+            raise AssertionError(f"{path}: conv(Lambda) is built twice")
+        checked += 1
+    if checked != 32:
+        raise AssertionError(f"{checked} fixtures checked")
 
 
 def test_one_based_index_round_trip():

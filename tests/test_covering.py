@@ -8,7 +8,7 @@ from toriq.covering import (
     universal_cover,
     weight_modulus,
 )
-from toriq.errors import NonIntegerQuotient, NotReflexive, RankDeficient
+from toriq.errors import NotReflexive, RankDeficient
 from toriq.fans import FanData, face_fan, fan_from_point
 from toriq.gale import gale_dual, gl_equivalent
 from toriq.intmat import FiniteAbelianGroup, IntMatrix, cokernel
@@ -126,11 +126,10 @@ def test_degrees():
 
 
 def test_polar_sides_in_lattice_coordinates():
-    # Vpolar = k V°, Wpolar = k̂ W° and Lambda = k̂ Λ = A W; scaling the
-    # polar points by a k that their denominator 6 does not divide raises
+    # Vpolar = k V°, Wpolar = k̂ W° and Lambda = k̂ Λ = A W; on the face
+    # fan the cones' polar points are the columns of Vpolar over k
     from fractions import Fraction
 
-    from toriq.covering import _lattice_polar
     from toriq.polytope import polar_vertex_matrix
 
     fan = face_fan(BAUERLE_V)
@@ -139,11 +138,7 @@ def test_polar_sides_in_lattice_coordinates():
     assert cd.B.t() * cd.Vpolar == cd.Wpolar * cd.h
     assert cd.Lambda == cd.A * cd.W
     assert cd.degree == Fraction(cd.degree_scaled, 6 ** 2) == Fraction(4, 3)
-    points = polar_vertex_matrix(BAUERLE_V, fan)
-    assert _lattice_polar(points, 12) == cd.Vpolar * 2
-    for k in (1, 3, 4):
-        with pytest.raises(NonIntegerQuotient):
-            _lattice_polar(points, k)
+    assert polar_vertex_matrix(BAUERLE_V, fan) == (cd.Vpolar, cd.k)
 
 
 def test_fano_splitting_blowup():

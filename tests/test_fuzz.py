@@ -24,7 +24,7 @@ from toriq.errors import InvalidFan
 from toriq.fans import FanData, face_fan
 from toriq.gale import _fan_conditions
 from toriq.intmat import IntMatrix
-from toriq.polytope import VPolytope, polar_vertex_matrix
+from toriq.polytope import VPolytope, fmatrix_index, polar_vertex_matrix
 
 COMMANDS = (
     ["analyze", "--table"],
@@ -103,7 +103,8 @@ def test_cli_fuzz_explicit_fans(capsys, tmp_path):
     # one that refines the face fan of the columns' hull and uses only its
     # vertices, and name the column or the cone of any other.  Where
     # analyze accepts the fan, the polar points of V and W match one
-    # elimination per cone
+    # elimination per cone, and the bundle's k and k̂, read off those
+    # points, are the indices that fmatrix_index reads off every hull row
     rng = random.Random(2)
     path = tmp_path / "doc.json"
     accepted = refused = 0
@@ -114,13 +115,15 @@ def test_cli_fuzz_explicit_fans(capsys, tmp_path):
         v = IntMatrix(doc["matrix"])
         fan = FanData(v, [[j - 1 for j in c] for c in doc["fan"]])
         try:
-            w = analyze(v, fan).W
+            cd = analyze(v, fan)
         except InvalidFan:
             refused += 1
             continue
         accepted += 1
-        for x in (v, w):
+        for x in (v, cd.W):
             if polar_vertex_matrix(x, fan) != polar_points_by_elimination(x, fan.max_cones):
                 pytest.fail(f"polar points of {x} differ from the per-cone elimination on {doc}")
+        if (cd.k, cd.k_hat) != (fmatrix_index(v), fmatrix_index(cd.W)):
+            pytest.fail(f"indices {cd.k}, {cd.k_hat} differ from fmatrix_index on {doc}")
     if not (accepted > 50 and refused > 20):
         pytest.fail(f"{accepted} fans accepted and {refused} refused")

@@ -1,8 +1,9 @@
 """Guard for the library's ground rules, read from the source of
 `src/toriq`: exact arithmetic only (no float literal, no use of the name
-`float`), the standard library only, and no threads or worker
-processes.  Importing the CLI loads no standard-library module beyond
-those the sources import themselves, so start-up pays for nothing else."""
+`float`), the standard library only, no threads or worker processes,
+and no module-level import that the module does not use.  Importing
+the CLI loads no standard-library module beyond those the sources import
+themselves, so start-up pays for nothing else."""
 
 import ast
 import glob
@@ -67,6 +68,48 @@ def test_guard_catches_each_rule():
         "float literal 0.5",
         "the name float",
     ]
+
+
+def _unused_imports(tree):
+    """Names that a module-level import binds and the module neither uses
+    nor lists in `__all__` (`from __future__` imports bind none)."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [(line, f"unused import {name}") for name, line in bound.items() if name not in used]
+
+
+def test_source_imports_only_what_it_uses():
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True)):
+        name = os.path.relpath(path, SRC)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        found.extend(f"{name}:{line}: {what}" for line, what in _unused_imports(tree))
+    assert not found, found
+
+
+def test_unused_import_guard_catches_each_case():
+    src = "\n".join([
+        "from __future__ import annotations",
+        "import os.path",
+        "import json as j",
+        "from .errors import NonIntegerQuotient, Record",
+        "from .polytope import _polytope, polar_dual",
+        "__all__ = ['polar_dual']",
+        "def f(x: Record):",
+        "    return os.path.join(x)",
+    ])
+    found = [what for _, what in _unused_imports(ast.parse(src))]
+    assert found == ["unused import j", "unused import NonIntegerQuotient", "unused import _polytope"]
 
 
 def _imported_modules():

@@ -99,7 +99,7 @@ def test_hull_built_once_per_polytope(monkeypatch):
     assert len(calls) == 1
     # the pruning hull's facet bitmasks, re-indexed to the kept vertices,
     # equal those of a hull built on the vertices alone
-    fresh = VPolytope(p.vertices, p.den, prune=False)
+    fresh = VPolytope(p.vertices, p.den)
     assert facet_enumeration(fresh) == facets
     assert normalized_volume(fresh) == volume == 12
     assert polytope.lattice_points(fresh) == points
@@ -320,7 +320,11 @@ def test_hull_rows_match_the_per_facet_solve():
         if os.path.basename(path) == "mds_W.json":
             continue  # deliberately non-complete
         v, fan = resolve_variety(load_document(path))
-        mats += [v, analyze(v, fan).W]
+        cd = analyze(v, fan)
+        # k and k̂ come from the cones' polar points; fmatrix_index reads
+        # the lcm over every hull row, and is checked against the oracle below
+        assert (cd.k, cd.k_hat) == (fmatrix_index(v), fmatrix_index(cd.W)), path
+        mats += [v, cd.W]
         for x in mats[-2:]:
             assert polar_vertex_matrix(x, fan) == polar_points_by_elimination(x, fan.max_cones), (path, x)
     complete = len(mats)
