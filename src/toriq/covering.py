@@ -168,6 +168,7 @@ def multiplicity(v: IntMatrix) -> int:
     return lattice_index(v)
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def weight_modulus(q: IntMatrix) -> int:
     """Normalized volume of conv(G(q)), cross-checked against the sum of
     the maximal weight minors over a boundary-supported simplicial fan.
@@ -277,10 +278,10 @@ def mds_multiplicity(q: IntMatrix, fan: FanData) -> int:
     reported by the bound module.
     """
     mult = multiplicity(fan.fan_matrix)
-    k = fmatrix_index(fan.fan_matrix)
-    # the fan matrix of qfan is G(q), so the bundle holds its index
+    w = gale_dual(q)
+    n = w.rows
+    h = fmatrix_index(fan.fan_matrix) // fmatrix_index(w)
     qfan = fan_from_point(q, _anticanonical(q))
     cd = analyze(qfan.fan_matrix, qfan)
-    h = k // cd.k
-    assert (h ** cd.n * cd.weight_order) % mult == 0, "multiplicity fails the weight-order bound"
+    assert (h ** n * cd.weight_order) % mult == 0, "multiplicity fails the weight-order bound"
     return mult

@@ -220,7 +220,8 @@ def _polar_rows(p: VPolytope) -> list:
 def polar_dual(p: VPolytope) -> VPolytope:
     """Polar polytope {u : <u, v> >= -1 for all v in P}; requires the
     origin to be interior.  It is the shared `_polytope` of the points a/c
-    of the hull rows (`_polar_rows`), so its `den` is the lcm of the c."""
+    of the hull rows (`_polar_rows`), so its vertices come in sorted
+    column order and its `den` is the lcm of the c."""
     return _polytope(*_over_lcm(_polar_rows(p)))
 
 
@@ -311,6 +312,7 @@ def is_reflexive(p: VPolytope) -> bool:
     return all(c == 1 for c, *_ in _polar_rows(p))
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def fmatrix_index(v: IntMatrix) -> int:
     """Least k making k times the polar of conv(v) a lattice polytope
     (the Gorenstein index when v is the fan matrix of a Q-Fano variety):

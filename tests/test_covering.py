@@ -8,7 +8,7 @@ from toriq.covering import (
     universal_cover,
     weight_modulus,
 )
-from toriq.errors import NotReflexive, RankDeficient
+from toriq.errors import NotFMatrix, NotReflexive, RankDeficient
 from toriq.fans import FanData, face_fan, fan_from_point
 from toriq.gale import gale_dual, gl_equivalent
 from toriq.intmat import FiniteAbelianGroup, IntMatrix, cokernel
@@ -199,6 +199,16 @@ def test_fano_triple_product():
     cd = analyze(BLUP_V, fan)
     g_pol = cokernel(cd.C.t())
     assert (cd.G.order or 1) * (g_pol.order or 1) == cd.weight_order
+
+
+def test_mds_multiplicity_checks_the_gale_dual_first():
+    # G(q) is checked as a fan matrix before the anticanonical fan of q is
+    # built: a repeated column (F.d) raises NotFMatrix, not InvalidFan,
+    # and a zero column (F.c) raises NotFMatrix, not OutsideMoving
+    p2 = IntMatrix([[1, 0, -1], [0, 1, -1]])
+    for v in ([[1, 0, -1, 1], [0, 1, -1, 0]], [[1, 0, -1, 0], [0, 1, -1, 0]]):
+        with pytest.raises(NotFMatrix):
+            mds_multiplicity(gale_dual(IntMatrix(v)), face_fan(p2))
 
 
 def test_mds_multiplicity_free_class_group():

@@ -456,7 +456,7 @@ def test_library_caches_are_bounded():
         for fn in vars(mod).values()
         if hasattr(fn, "cache_parameters") and fn.__module__ == mod.__name__
     ]
-    assert len(cached) == 7
+    assert len(cached) == 9
     assert all(fn.cache_parameters()["maxsize"] == CACHE_SIZE for fn in cached)
     # each (weight matrix, fan matrix) keeps at most CACHE_SIZE chambers
     q = IntMatrix([[1, 1, 1]])

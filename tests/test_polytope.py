@@ -283,6 +283,19 @@ def test_polar_involution():
         assert set(back.vertices.columns()) == set(p.vertices.columns())
 
 
+def test_polar_dual_is_the_shared_polytope_in_sorted_order():
+    # polar_dual returns the one cached polytope of the polar points, so
+    # its vertices come in sorted column order, not in hull-row order, and
+    # a second call returns the same object
+    from toriq.polytope import _polytope
+
+    for m in (P2P1_W, simplex_matrix(3), BLUP_V, BAUERLE_V):
+        polar = polar_dual(VPolytope(m))
+        cols = polar.vertices.columns()
+        assert cols == sorted(cols), m
+        assert polar is _polytope(polar.vertices, polar.den) is polar_dual(VPolytope(m))
+
+
 def test_polar_requires_interior_origin():
     shifted = IntMatrix.from_columns([[1, 0], [2, 0], [1, 1]])
     with pytest.raises(OriginNotInterior):
