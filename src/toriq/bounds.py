@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import comb, prod
 
-from .errors import OutOfDomain, Record
+from .errors import OutOfDomain, Record, check
 from .polytope import interior_lattice_points, normalized_volume
 
 
@@ -193,12 +193,11 @@ def certify(cd) -> list:
     certs.append(_cert("divides", "degree-divides-cover-degree", (k,), cover_deg_k, deg_scaled))
     certs.append(_cert("equals", "cover-degree-identity", (k,), g_hat * mod_polar, cover_deg_k))
     scaled_dual = k ** n * dual_deg
-    assert scaled_dual.denominator == 1
+    check(scaled_dual.denominator == 1, "scaled dual cover degree is not an integer")
     certs.append(_cert("equals", "dual-cover-degree-identity", (k,), g_hat * mod, scaled_dual))
     vol = normalized_volume(cd.fan_polytope)
-    assert vol.denominator == 1
+    check(vol.denominator == 1, "fan polytope has a non-integral normalized volume")
     certs.append(_cert("equals", "mult-modulus-volume-identity", (n,), mult * mod, vol))
-    canonical = is_canonical_input(cd)
     if k == 1:
         certs.append(_cert("upper", "fano-mult-bound", (n, r_prime), fano_bound(n, r_prime), mult))
     else:
@@ -209,7 +208,7 @@ def certify(cd) -> list:
                 (n, r_prime, k),
                 qgorenstein_bound(n, r_prime, k),
                 mult,
-                applicable=canonical,
+                applicable=is_canonical_input(cd),
             )
         )
         if cd.r == 1:

@@ -25,6 +25,7 @@ from .errors import (
     RankDeficient,
     Record,
     TooLarge,
+    check,
 )
 from .fans import _anticanonical, fan_from_point, is_gorenstein_weight
 from .gale import gale_dual, gl_canonical_form, is_reduced_f
@@ -64,7 +65,7 @@ def torsion_matrix(v: IntMatrix) -> TorsionMatrix:
     The coordinates follow the Smith transforms, so they are one valid
     choice among many: another unimodular pair gives the same group
     with other coordinates (an automorphism of it).  The free component
-    spans the same row lattice as the Gale dual of v, which is asserted.
+    spans the same row lattice as the Gale dual of v, which is checked.
     """
     n, m = v.rows, v.cols
     if rank(v) < n:
@@ -78,7 +79,7 @@ def torsion_matrix(v: IntMatrix) -> TorsionMatrix:
     if free_rows:
         free_h, _ = hnf(IntMatrix._of(free_rows))
         dual_h, _ = hnf(gale_dual(v))
-        assert free_h == dual_h, "free part of the class map disagrees with the Gale dual"
+        check(free_h == dual_h, "free part of the class map disagrees with the Gale dual")
     return TorsionMatrix(ambient=FiniteAbelianGroup(factors, 0), columns=cols)
 
 
@@ -256,7 +257,7 @@ def _quotients(w: IntMatrix, a: IntMatrix):
     if lattice_index(w) != 1:
         raise InconsistentAction("covering fan matrix does not span the lattice")
     gamma = torsion_matrix(a * w)
-    assert gamma.ambient == cokernel(a.t())
+    check(gamma.ambient == cokernel(a.t()), "torsion matrix group is not the weight group")
     action = _action(w, gamma)
     frame = _frame(action, gamma.ambient.invariant_factors)
     for sub in subgroups(gamma.ambient):
@@ -304,10 +305,10 @@ def enumerate_fano_family(q: IntMatrix):
     if not is_gorenstein_weight(q, fan):
         raise NotFanoWeight("weight matrix admits no anticanonically polarized model")
     cd = analyze(fan.fan_matrix, fan)
-    assert cd.k == 1 and cd.k_hat == 1
+    check(cd.k == 1 and cd.k_hat == 1, "Gorenstein weight gives a non-reflexive covering")
     entries = []
     for sub, _, v_h in _quotients(cd.W, cd.A):
-        assert is_reduced_f(v_h), "reflexive-case quotient must stay reduced"
+        check(is_reduced_f(v_h), "reflexive-case quotient must stay reduced")
         entries.append((sub, v_h, sub.order))
     return [cls[0] for cls in _gl_classes(entries)]
 
@@ -372,7 +373,7 @@ def unitary_cover(v: IntMatrix, fan: FanData) -> IntMatrix:
     stacked = cd.B.vstack(cd.A)
     basis, _ = hnf(stacked)
     rows = [r for r in basis.data if any(r)]
-    assert len(rows) == cd.n
+    check(len(rows) == cd.n, "stacked quotient matrices do not have full rank")
     v1 = IntMatrix._of(rows) * cd.W
-    assert fmatrix_index(v1) == cd.k_hat, "unitary covering must have factor 1"
+    check(fmatrix_index(v1) == cd.k_hat, "unitary covering must have factor 1")
     return v1

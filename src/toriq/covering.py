@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .errors import InvalidFan, NonIntegralFactor, NotReflexive, Record
+from .errors import InvalidFan, NonIntegralFactor, NotReflexive, Record, check
 from .fans import FanData, _anticanonical, _complement, fan_from_point, is_complete
 from .gale import gale_dual
 from .intmat import (
@@ -159,7 +159,7 @@ def universal_cover(v: IntMatrix):
     w = gale_dual(q)
     b = quotient_matrix(v, w)
     g = cokernel(b.t())
-    assert abs(b.det()) == (g.order or 0)
+    check(abs(b.det()) == (g.order or 0), "covering group order is not the multiplicity")
     return w, b, g
 
 
@@ -181,7 +181,7 @@ def weight_modulus(q: IntMatrix) -> int:
     w = gale_dual(q)
     p = _polytope(w)
     vol = normalized_volume(p)
-    assert vol.denominator == 1
+    check(vol.denominator == 1, "weight hull has a non-integral normalized volume")
     m = q.cols
     # cone over a triangulation of every facet of the hull; the identities
     # hold when every column is a vertex, and the simplices only ever use
@@ -194,7 +194,7 @@ def weight_modulus(q: IntMatrix) -> int:
         for g in _simplices(verts, facets, f, w.rows - 1):
             comp = _complement([column[verts[i]] for i in g], m)
             minor_sum += abs(q.cols_at(list(comp)).det())
-    assert minor_sum == vol, (minor_sum, vol)
+    check(minor_sum == vol, "maximal weight minors do not sum to the normalized volume")
     return int(vol)
 
 
@@ -218,23 +218,22 @@ def analyze(v: IntMatrix, fan: FanData) -> CoveringData:
 
     # one column per facet: the first of the equal columns of its cones
     vpolar, wpolar = (IntMatrix._of(zip(*dict.fromkeys(p.columns()))) for p in (vpolar, wpolar))
-    assert b.t() * vpolar == wpolar * h, "polar quotient relation failed"
+    check(b.t() * vpolar == wpolar * h, "polar quotient relation failed")
 
     qpolar = gale_dual(vpolar)
-    assert gale_dual(vpolar * 2) == qpolar
+    check(gale_dual(vpolar * 2) == qpolar, "polar Gale dual changes under scaling")
     lambda_polar = gale_dual(qpolar)
     k_lambda = fmatrix_index(lambda_polar)  # NotFMatrix unless Lambda° is a fan matrix
-    assert k_lambda == k_hat, "dual covering index mismatch"
+    check(k_lambda == k_hat, "dual covering index mismatch")
 
     a_t = quotient_matrix(wpolar, lambda_polar)
     a = a_t.t()
     c = quotient_matrix(vpolar, lambda_polar)
     lam = a * w
-    assert set(lam.columns()) == set(polar_dual(_polytope(lambda_polar)).vertices.columns()), (
-        "polar-of-polar disagrees with the quotient construction"
-    )
+    vertices = polar_dual(_polytope(lambda_polar)).vertices.columns()
+    check(set(lam.columns()) == set(vertices), "polar-of-polar disagrees with the quotient construction")
     if k == 1:
-        assert a == c.t() * b, "covering factorization failed in the reflexive case"
+        check(a == c.t() * b, "covering factorization failed in the reflexive case")
 
     return CoveringData(
         V=v,
@@ -264,9 +263,8 @@ def fano_splitting(v: IntMatrix, fan: FanData):
         raise NotReflexive(f"input has Gorenstein index {cd.k}, not 1")
     g = cd.G
     g_polar = cokernel(cd.C.t())
-    assert cd.A == cd.C.t() * cd.B
-    assert (g.order or 0) * (g_polar.order or 0) == cd.weight_order
-    assert g.direct_sum(g_polar) == cd.weight_group_type
+    check((g.order or 0) * (g_polar.order or 0) == cd.weight_order, "|G| * |G polar| is not the weight order")
+    check(g.direct_sum(g_polar) == cd.weight_group_type, "weight group is not the sum G + G polar")
     return cd.B, cd.C, cd.A, g, g_polar
 
 
@@ -274,7 +272,7 @@ def mds_multiplicity(q: IntMatrix, fan: FanData) -> int:
     """Multiplicity of the sharp completion carried by `fan`, which also
     bounds the multiplicity of any space embedded in it.
 
-    The divisibility certificate mult | h^n g_Q is asserted here and
+    The divisibility certificate mult | h^n g_Q is checked here and
     reported by the bound module.
     """
     mult = multiplicity(fan.fan_matrix)
@@ -283,5 +281,5 @@ def mds_multiplicity(q: IntMatrix, fan: FanData) -> int:
     h = fmatrix_index(fan.fan_matrix) // fmatrix_index(w)
     qfan = fan_from_point(q, _anticanonical(q))
     cd = analyze(qfan.fan_matrix, qfan)
-    assert (h ** n * cd.weight_order) % mult == 0, "multiplicity fails the weight-order bound"
+    check((h ** n * cd.weight_order) % mult == 0, "multiplicity fails the weight-order bound")
     return mult

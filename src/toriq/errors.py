@@ -1,4 +1,4 @@
-"""Exception hierarchy and record base shared by all toriq modules."""
+"""Exception hierarchy, record base and invariant check shared by all toriq modules."""
 
 from operator import attrgetter
 
@@ -78,6 +78,16 @@ class NotFanoWeight(ToriqError):
 
 class NotReflexive(ToriqError):
     pass
+
+
+class InvariantViolation(ToriqError):
+    """An identity that the theory guarantees failed on computed values: a library fault."""
+
+
+def check(cond, name: str) -> None:
+    """Raise InvariantViolation(name) unless cond holds; unlike assert, it also runs under python -O."""
+    if not cond:
+        raise InvariantViolation(name)
 
 
 class NonIntegralFactor(ToriqError):

@@ -313,9 +313,7 @@ def fan_from_point(q: IntMatrix, w, fan_matrix: IntMatrix | None = None) -> FanD
 
 
 def qfano_representative(v: IntMatrix) -> FanData:
-    """Fan over v of the model on which a positive anticanonical multiple
-    is ample (same variety up to isomorphism in codimension 1)."""
+    """Fan over v of the model on which a positive anticanonical multiple is ample (same
+    variety up to isomorphism in codimension 1); `fan_from_point` checks it is Q-Fano."""
     q = gale_dual(v)
-    fan = fan_from_point(q, _anticanonical(q), fan_matrix=v)
-    assert is_qfano_weight(q, fan)
-    return fan
+    return fan_from_point(q, _anticanonical(q), fan_matrix=v)

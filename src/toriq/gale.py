@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from math import gcd
 
-from .errors import RankDeficient, Record
+from .errors import RankDeficient, Record, check
 from .intmat import (
     CACHE_SIZE,
     IntMatrix,
@@ -200,9 +200,9 @@ def gale_dual(m: IntMatrix) -> IntMatrix:
     computed from the lattice alone, never from m, so equal kernels give
     bit-equal duals.
     """
-    if rank(m) < m.rows:
+    h, _ = hnf(kernel_basis(m).t())  # one row per kernel basis vector
+    if m.cols - h.rows < m.rows:  # rank(m) = m.cols - dim ker(m)
         raise RankDeficient("Gale dual requires full row rank")
-    h, _ = hnf(kernel_basis(m).t())
     rows = [r for r in h.data if any(r)]
     if not rows:
         return IntMatrix._of(())
@@ -333,7 +333,7 @@ def gl_equivalent(m1: IntMatrix, m2: IntMatrix):
     s2 = _perm_matrix(p2, m2.cols)
     p = unimodular_inverse(u2) * u1
     s = s1 * unimodular_inverse(s2)
-    assert p * m1 * s == m2
+    check(p * m1 * s == m2, "GL witness does not map the first matrix to the second")
     return True, p, s
 
 

@@ -311,6 +311,32 @@ def test_failed_identity_is_reported_not_raised(capsys, monkeypatch, request):
         raise AssertionError(f"verify exits {code}, hard failures {hard}, FAIL lines {failed}")
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_failed_internal_check_is_an_error_object(flags):
+    # a covering identity that fails on computed values is a library fault:
+    # with polar_dual returning a wrong polytope, analyze's polar-of-polar
+    # check raises InvariantViolation, and verify exits 2 with its name as
+    # one JSON error object and no traceback, also under python -O
+    import subprocess
+
+    import toriq
+
+    code = "; ".join([
+        "import sys",
+        "from toriq import covering, polytope",
+        "covering.polar_dual = lambda p: polytope._polytope(polytope.polar_dual(p).vertices * 2)",
+        "from toriq.cli import main",
+        f"sys.exit(main(['verify', {fixture_path('bauerle')!r}]))",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(toriq.__file__)))
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "error": {"type": "InvariantViolation", "message": "polar-of-polar disagrees with the quotient construction"}
+    }
+
+
 def test_report_reads_each_modulus_once(capsys, monkeypatch, request):
     # an `analyze` report of each complete fixture computes the weight
     # modulus twice, of Q and of Q°: the bundle keeps both.  And conv(Λ),
@@ -528,7 +554,7 @@ def test_generator_inside_its_cone_is_a_named_error(tmp_path, capsys, doc, messa
     # the covering identities need a fan that refines the face fan of the
     # columns' hull and uses only its vertices; on any other complete fan
     # analyze and verify end in exit 2 with the column or the cone named,
-    # also without asserts
+    # also under python -O
     import os
     import subprocess
     import sys

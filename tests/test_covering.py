@@ -1,5 +1,12 @@
+import itertools
+import os
+import random
+from math import lcm
+
 import pytest
 
+from conftest import FIXTURES, fixture_path
+from toriq.cli import load_document, resolve_variety
 from toriq.covering import (
     analyze,
     fano_splitting,
@@ -215,3 +222,28 @@ def test_mds_multiplicity_free_class_group():
     p2 = IntMatrix([[1, 0, -1], [0, 1, -1]])
     q = gale_dual(p2)
     assert mds_multiplicity(q, face_fan(p2)) == 1
+
+
+def test_product_invariants_follow_the_factors():
+    # X x Y has fan matrix V_X + V_Y (block diagonal) with the product
+    # cones; its fan polytope is the free sum of the factors', whose polar
+    # is the product of their polars.  On a seeded 15 of the 105 products
+    # of the 13 reflexive surfaces and bauerle (n = 4): mult and |Q|
+    # multiply, k and k-hat are lcms, G is the direct sum, and the degree
+    # and cover degree are C(4, 2) = 6 times the product of the factors'.
+    # The weight order is not multiplicative: the polar side of a
+    # product is not a product
+    names = sorted(f[:-5] for f in os.listdir(FIXTURES) if f.startswith("dim2_")) + ["bauerle"]
+    assert len(names) == 14
+    pairs = random.Random(31).sample(list(itertools.combinations_with_replacement(names, 2)), 15)
+    for x, y in pairs:
+        (vx, fx), (vy, fy) = (resolve_variety(load_document(fixture_path(name))) for name in (x, y))
+        v = IntMatrix([list(r) + [0] * vy.cols for r in vx.data] + [[0] * vx.cols + list(r) for r in vy.data])
+        fan = FanData(v, [tuple(g) + tuple(vx.cols + j for j in h) for g in fx.max_cones for h in fy.max_cones])
+        cd, cx, cy = analyze(v, fan), analyze(vx, fx), analyze(vy, fy)
+        assert cd.mult == cx.mult * cy.mult, (x, y)
+        assert cd.modulus == cx.modulus * cy.modulus, (x, y)
+        assert (cd.k, cd.k_hat) == (lcm(cx.k, cy.k), lcm(cx.k_hat, cy.k_hat)), (x, y)
+        assert cd.G == cx.G.direct_sum(cy.G), (x, y)
+        assert cd.degree == 6 * cx.degree * cy.degree, (x, y)
+        assert cd.cover_degree == 6 * cx.cover_degree * cy.cover_degree, (x, y)

@@ -1,7 +1,9 @@
 """Guard for the library's ground rules, read from the source of
 `src/toriq`: exact arithmetic only (no float literal, no use of the name
 `float`), the standard library only, no threads or worker processes,
-and no module-level import that the module does not use.  Importing
+no `assert` statement (the library states its identities with
+`errors.check`, which `python -O` cannot switch off), and no
+module-level import that the module does not use.  Importing
 the CLI loads no standard-library module beyond those the sources import
 themselves, so start-up pays for nothing else."""
 
@@ -24,6 +26,8 @@ def _violations(tree):
             yield node.lineno, f"float literal {node.value!r}"
         elif isinstance(node, ast.Name) and node.id == "float":
             yield node.lineno, "the name float"
+        elif isinstance(node, ast.Assert):  # gone under python -O: the library calls errors.check
+            yield node.lineno, "assert statement"
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom):
                 if node.level:
@@ -59,12 +63,14 @@ def test_guard_catches_each_rule():
         "from . import intmat",
         "x = 0.5",
         "y = float(1)",
+        "assert x",
     ])
     found = [what for _, what in _violations(ast.parse(src))]
     assert found == [
         "import of threading",
         "import of concurrent.futures",
         "import of numpy, outside the standard library",
+        "assert statement",
         "float literal 0.5",
         "the name float",
     ]
