@@ -5,9 +5,9 @@ Torsion matrices are canonical only up to automorphisms of the group, so
 family fixtures are always compared through the quotient fan matrices
 (up to GL-equivalence), never through torsion entries.
 
-A family reads each subgroup's invariant lattice off one frame of its
-action (`_frame`: a section and the kernel, checked onto) by one small
-Hermite reduction checked by index and pairing (`_invariant_basis`), with
+A family checks once that its torsion action is onto (`_check_onto`) and
+reads each subgroup's invariant lattice off its defining congruences by
+one small Hermite reduction, checked by index (`_invariant_basis`), with
 no Smith reduction (Cohen, *A Course in Computational Algebraic Number Theory*).
 """
 
@@ -99,21 +99,16 @@ class SubgroupHandle(Record):
         )
 
     def group_type(self) -> FiniteAbelianGroup:
-        """coker(X^T), X = diag(f) R^-1 (`_annihilator`): G/H^perp, which
-        is isomorphic to H; off the family path (`_invariant_basis`)."""
-        return cokernel(IntMatrix._of(zip(*_annihilator(self))))
-
-
-def _annihilator(sub: SubgroupHandle) -> list:
-    """The rows of X = diag(f) R^-1, R the subgroup's HNF rows; col(X) is
-    the preimage of the annihilator H^perp of H under sum_k a_k x_k / f_k.
-    Row i of X, the coordinates of f_i e_i in the rows, is found by back
-    substitution on R (`_coordinates`)."""
-    fs = sub.ambient.invariant_factors
-    x = [_coordinates(sub.matrix.data, [f * (k == i) for k in range(len(fs))]) for i, f in enumerate(fs)]
-    if None in x:
-        raise NonIntegerQuotient(f"diag{fs} is not in the subgroup lattice")
-    return x
+        """coker(X^T), X = diag(f) R^-1, R the HNF rows: col(X) is the
+        preimage of the annihilator H^perp of H under sum_k a_k x_k / f_k,
+        so this is G/H^perp, which is isomorphic to H.  Row i of X, the
+        coordinates of f_i e_i in the rows, is found by back substitution
+        on R (`_coordinates`)."""
+        fs = self.ambient.invariant_factors
+        x = [_coordinates(self.matrix.data, [f * (k == i) for k in range(len(fs))]) for i, f in enumerate(fs)]
+        if None in x:
+            raise NonIntegerQuotient(f"diag{fs} is not in the subgroup lattice")
+        return cokernel(IntMatrix._of(zip(*x)))
 
 
 _ENUM_BOUND = 100_000  # most subgroups, and largest group order, enumerated
@@ -190,13 +185,14 @@ def quotient_by_subgroup(w: IntMatrix, gamma: TorsionMatrix, sub: SubgroupHandle
     """Fan matrix of the quotient of the variety with fan matrix w by the
     subgroup, acting through the torsion matrix: S * w, S the HNF basis of
     its invariant lattice (`_invariant_basis`), or w for the trivial one.
-    InconsistentAction if the action is not onto or S fails a check."""
+    InconsistentAction if the action is not onto (`_check_onto`)."""
     if gamma.ambient != sub.ambient:
         raise InconsistentAction("subgroup ambient differs from the action's group")
     if sub.order == 1:
         return w
     action = _action(w, gamma)
-    return _invariant_basis(action, _frame(action, sub.ambient.invariant_factors), sub) * w
+    _check_onto(action, sub.ambient.invariant_factors)
+    return _invariant_basis(action, sub) * w
 
 
 def _action(w: IntMatrix, gamma: TorsionMatrix) -> IntMatrix:
@@ -205,63 +201,56 @@ def _action(w: IntMatrix, gamma: TorsionMatrix) -> IntMatrix:
     return w * IntMatrix._of(gamma.columns)
 
 
-def _frame(action: IntMatrix, fs) -> tuple:
-    """The frame (P, K) of phi: Z^n -> G, m -> X m mod f, X = action^T:
-    the rows of a section P, X P = I (mod f), and of the HNF basis K of
-    ker phi.  The rows (X^T e_i | e_i), (-f_k e_k | 0) span {(X m - f y, m)}
-    of rank n + t: their row HNF is [[I, P^T], [0, K]] iff phi is onto."""
-    n, t = action.rows, len(fs)
-    rows = [list(a) + [int(i == j) for j in range(n)] for i, a in enumerate(action.data)]
-    rows += [[-f * (i == k) for k in range(t)] + [0] * n for i, f in enumerate(fs)]
+def _check_onto(action: IntMatrix, fs) -> None:
+    """InconsistentAction unless phi: Z^n -> G, m -> X m mod f, X =
+    action^T, is onto: the rows of the action and f_k e_k span Z^t."""
+    rows = [list(a) for a in action.data] + [[f * (i == k) for k in range(len(fs))] for i, f in enumerate(fs)]
     _hermite_rows(rows)
-    if any(rows[k][k] != 1 for k in range(t)):
+    if any(rows[k][k] != 1 for k in range(len(fs))):
         raise InconsistentAction("the torsion action does not reach every element of its group")
-    return list(zip(*(row[t:] for row in rows[:t]))), [row[t:] for row in rows[t:]]
 
 
-def _invariant_basis(action: IntMatrix, frame, sub: SubgroupHandle) -> IntMatrix:
-    """The HNF basis S of M_H = phi^-1(H^perp), the invariant lattice of
-    H, from the frame (P, K) of the action: H^perp has the preimage
-    col(X_H) (`_annihilator`), so M_H = ker phi + col(P X_H), the HNF of
-    n + t rows.  InconsistentAction unless (i) the pivots of S multiply to
-    |H| and (ii) each row s of S pairs integrally with each row a of the
-    HNF of H, sum_k a_k (X s)_k / f_k in Z.  As (iii) phi is onto
-    (`_frame`), [Z^n : phi^-1(H^perp)] = |G/H^perp| = |H| = [Z^n : row(S)],
-    so the inclusion (ii) is equality: Z^n/M_H is G/H^perp, the group of
-    `SubgroupHandle.group_type`, with no Smith reduction."""
-    section, kernel = frame
-    rows = kernel + [[_dot(xc, p) for p in section] for xc in zip(*_annihilator(sub))]
-    _hermite_rows(rows)
-    s = rows[: action.rows]
-    if prod(row[i] for i, row in enumerate(s)) != sub.order:
-        raise InconsistentAction(f"invariant lattice does not have the subgroup's index {sub.order}")
+def _invariant_basis(action: IntMatrix, sub: SubgroupHandle) -> IntMatrix:
+    """The HNF basis S of the invariant lattice M_H = phi^-1(H^perp) of H:
+    m is in M_H when phi(m) pairs integrally with each row a of the HNF
+    of H, sum_k a_k (X m)_k / f_k in Z, that is g_a . X m = 0 (mod big),
+    big = lcm(f), g_a = (big / f_k * a_k)_k.  The row HNF of (C e_i mod
+    big | e_i) and (big e_k | 0), C e_i = (g_a . X e_i)_a, spans {(C m -
+    big y, m)}; its rows past the first t pivots are S.  With phi onto
+    (`_check_onto`), [Z^n : M_H] = |G/H^perp| = |H|, which is checked:
+    Z^n/M_H is the group of `SubgroupHandle.group_type`, with no Smith
+    reduction."""
     fs = sub.ambient.invariant_factors
+    n, t = action.rows, len(fs)
     big = lcm(*fs)
     gens = [[big // f * a for f, a in zip(fs, row)] for row in sub.matrix.data]
-    ys = [[_dot(row, c) for c in action.columns()] for row in s]
-    if any(_dot(g, y) % big for y in ys for g in gens):
-        raise InconsistentAction("invariant lattice pairs non-integrally with the subgroup")
+    rows = [[_dot(g, x) % big for g in gens] + [int(i == j) for j in range(n)] for i, x in enumerate(action.data)]
+    rows += [[big * (i == k) for k in range(t)] + [0] * n for i in range(t)]
+    _hermite_rows(rows)
+    s = [row[t:] for row in rows[t:]]
+    check(prod(row[i] for i, row in enumerate(s)) == sub.order, "invariant lattice does not have the subgroup's index")
     return IntMatrix._of(s)
 
 
 def _quotients(w: IntMatrix, a: IntMatrix):
     """(subgroup, S, quotient fan matrix S*w) for every subgroup of
     coker(a^T), acting on the covering fan matrix w through the torsion
-    matrix of a*w.  The action W*Gamma and its frame (`_frame`) are formed
-    once; each S is one small Hermite reduction (`_invariant_basis`).
+    matrix of a*w.  The action W*Gamma is formed and checked onto
+    (`_check_onto`) once; each S is one small Hermite reduction of the
+    subgroup's congruences (`_invariant_basis`).
 
-    The columns of w span Z^n, so the multiplicity of a quotient S*w, the
-    index of its column lattice, is |det S|; `_invariant_basis` has
-    checked that it is the subgroup's order.
+    W = G(Q) is a basis of a saturated lattice, so its columns span Z^n
+    (checked), and the multiplicity of a quotient S*w, the index of its
+    column lattice, is |det S|; `_invariant_basis` has checked that it is
+    the subgroup's order.
     """
-    if lattice_index(w) != 1:
-        raise InconsistentAction("covering fan matrix does not span the lattice")
+    check(lattice_index(w) == 1, "covering fan matrix does not span the lattice")
     gamma = torsion_matrix(a * w)
     check(gamma.ambient == cokernel(a.t()), "torsion matrix group is not the weight group")
     action = _action(w, gamma)
-    frame = _frame(action, gamma.ambient.invariant_factors)
+    _check_onto(action, gamma.ambient.invariant_factors)
     for sub in subgroups(gamma.ambient):
-        s = _invariant_basis(action, frame, sub)
+        s = _invariant_basis(action, sub)
         yield sub, s, IntMatrix._of([[_dot(r, c) for c in w.columns()] for r in s.data])
 
 
@@ -337,7 +326,7 @@ def enumerate_qgorenstein_family(q: IntMatrix, h: int) -> QGorensteinFamily:
     conv(S*W) has the facets of conv(W) on the same column sets: each
     kept index is read off the covering bundle's polar vertices k̂W°
     and k̂ by one elimination with S (`_polar_index_of_image`).  The
-    action W*Gamma and its frame are formed once for the family
+    action W*Gamma is formed and checked onto once for the family
     (`_quotients`).
     """
     if h < 1:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .errors import InvalidFan, NonIntegralFactor, NotReflexive, Record, check
+from .errors import InvalidFan, NotReflexive, Record, check
 from .fans import FanData, _anticanonical, _complement, fan_from_point, is_complete
 from .gale import gale_dual
 from .intmat import (
@@ -202,8 +202,11 @@ def weight_modulus(q: IntMatrix) -> int:
 def analyze(v: IntMatrix, fan: FanData) -> CoveringData:
     """Build the full covering bundle for a complete fan over v that
     refines the face fan of conv(v) and uses only its vertices
-    (`polar_vertex_matrix` raises InvalidFan otherwise).  Every facet
-    then holds a cone, so the polar points come over the index k (k̂ on W)."""
+    (`polar_vertex_matrix` raises InvalidFan otherwise, and so does a
+    fan over another matrix).  Every facet then holds a cone, so the
+    polar points come over the index k (k̂ on W)."""
+    if fan.fan_matrix != v:
+        raise InvalidFan("the fan is not over the given fan matrix")
     if not is_complete(fan):
         raise InvalidFan("covering invariants need a complete fan")
     vpolar, k = polar_vertex_matrix(v, fan)
@@ -212,8 +215,8 @@ def analyze(v: IntMatrix, fan: FanData) -> CoveringData:
     # V = B*W with B nonsingular, so conv(W) has the faces of conv(V) on
     # the same column sets and the fan passes the check on W as well
     wpolar, k_hat = polar_vertex_matrix(w, fan)
-    if k % k_hat:
-        raise NonIntegralFactor(f"covering index {k_hat} does not divide index {k}")
+    # W's polar points are B^T times V's, so k̂ divides k
+    check(k % k_hat == 0, "covering index does not divide the index")
     h = k // k_hat
 
     # one column per facet: the first of the equal columns of its cones

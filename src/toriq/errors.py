@@ -90,12 +90,8 @@ def check(cond, name: str) -> None:
         raise InvariantViolation(name)
 
 
-class NonIntegralFactor(ToriqError):
-    """A covering index failed to divide the quotient's index (invariant violation)."""
-
-
 class InconsistentAction(ToriqError):
-    """A finite quotient produced a cokernel that differs from the acting subgroup."""
+    """A torsion action that does not fit the acting subgroup: another group, or not onto."""
 
 
 class NotConverged(ToriqError):

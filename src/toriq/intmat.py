@@ -19,7 +19,7 @@ it: `hnf` carries the transform, `kernel_basis` reads the kernel off it,
 transform, and `snf` carries both for the one caller that reads Smith
 coordinates, the torsion matrix of `classify`.  Lattice coordinates take
 one back substitution on HNF rows (`_coordinates`): `solve_integer`, W.e
-in `gale` and the annihilators of `classify` share it.
+in `gale` and a subgroup's group type in `classify` share it.
 
 All entries are Python ints, so nothing ever overflows.  A rational point
 set is an IntMatrix of numerators over one common denominator (see

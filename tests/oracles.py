@@ -25,7 +25,8 @@ minor off one Laplace table.  The quotient
 oracle finds the invariant lattice of a subgroup as the projection of a
 saturated kernel, and the congruence oracle as one wide row HNF of the
 subgroup's scaled congruences, checked by two Smith reductions, where the
-library reads it off the frame of the action with one small HNF.  The
+library reduces the same congruences mod lcm(f) in one HNF checked by its
+index.  The
 elimination oracle applies every Bareiss update of a full Gauss-Jordan
 pass, where the library skips the updates that cannot change a row and
 takes determinants and ranks from a forward pass; `solve_unique` reads a

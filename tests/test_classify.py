@@ -15,7 +15,7 @@ from toriq.classify import (
     unitary_cover,
 )
 from toriq.covering import analyze
-from toriq.errors import InconsistentAction, NotFanoWeight, OutOfDomain, ToriqError, TooLarge
+from toriq.errors import InconsistentAction, InvariantViolation, NotFanoWeight, OutOfDomain, ToriqError, TooLarge
 from toriq.fans import FanData, face_fan, fan_from_point
 from toriq.gale import gale_dual, gl_equivalent
 from toriq.intmat import FiniteAbelianGroup, IntMatrix, cokernel, lattice_index, quotient_matrix
@@ -237,9 +237,10 @@ def _covering(q):
     return analyze(fan.fan_matrix, fan)
 
 
-def test_frame_gives_the_congruence_hnf_basis():
-    # the frame of the action gives, on every subgroup, the S that one wide
-    # HNF of the scaled congruences (checked by two Smith reductions) gives
+def test_invariant_basis_is_the_congruence_hnf_basis():
+    # the Hermite reduction of each subgroup's congruences gives, on every
+    # subgroup, the S that one wide HNF of the scaled congruences (checked
+    # by two Smith reductions) gives
     import json
     import os
 
@@ -253,12 +254,22 @@ def test_frame_gives_the_congruence_hnf_basis():
         for h in (1, 2) if name == "mds_Z" else (1, 2, 3):
             gamma = torsion_matrix(cd.A * h * cd.W)
             action = classify._action(cd.W, gamma)
-            frame = classify._frame(action, gamma.ambient.invariant_factors)
             for sub in subgroups(gamma.ambient):
-                got = classify._invariant_basis(action, frame, sub)
+                got = classify._invariant_basis(action, sub)
                 assert got == invariant_basis_by_congruence_hnf(action, sub), (name, h, sub.matrix)
                 checked += 1
     assert checked == 768 + 1296  # mds_Z at h = 2 has 1,296
+
+
+def test_quotients_match_kernel_projection_at_factor_four():
+    # a seeded sample of the 9,792 subgroups of mds_Z's weight group at
+    # h = 4, where the invariant factors are largest
+    cd = _covering(gale_dual(MDS_V))
+    gamma = torsion_matrix(cd.A * 4 * cd.W)
+    subs = subgroups(gamma.ambient)
+    assert len(subs) == 9792
+    for sub in random.Random(4).sample(subs, 300):
+        assert quotient_by_subgroup(cd.W, gamma, sub) == quotient_fan_matrix_by_kernel(cd.W, gamma, sub), sub.matrix
 
 
 def _not_onto(gamma):
@@ -273,7 +284,7 @@ def test_an_action_that_is_not_onto_is_refused(monkeypatch):
     bogus = _not_onto(gamma)
     for sub in subgroups(gamma.ambient):
         if sub.order == 1:
-            # the trivial subgroup builds no frame, so no action is read
+            # the trivial subgroup returns w before the action is read
             assert quotient_by_subgroup(cd.W, bogus, sub) == cd.W
             assert quotient_by_subgroup(cd.W, TorsionMatrix(gamma.ambient, ()), sub) == cd.W
         else:
@@ -284,28 +295,27 @@ def test_an_action_that_is_not_onto_is_refused(monkeypatch):
         next(classify._quotients(cd.W, cd.A))
 
 
-def test_a_wrong_section_trips_a_check(monkeypatch):
-    # a section moved off X P = I (mod f) by one unit in any entry gives a
-    # lattice that is not phi^-1(H^perp) on some subgroup: the index check
-    # or the pairing check catches each move, and each check catches one
-    real = classify._frame
+def test_an_action_that_is_not_onto_trips_the_index_check(monkeypatch):
+    # with the onto check switched off, the congruences of an action that
+    # misses part of its group give a lattice of the wrong index on some
+    # subgroups, and the index check refuses it as a library fault
     cd = _covering(gale_dual(MDS_V))
-    assert len(list(classify._quotients(cd.W, cd.A))) == 96
-    caught = set()
-    for i in range(cd.W.rows):
-        for k in range(2):
-
-            def moved(action, fs, i=i, k=k):
-                section, kernel = real(action, fs)
-                rows = [list(p) for p in section]
-                rows[i][k] += 1
-                return rows, kernel
-
-            monkeypatch.setattr(classify, "_frame", moved)
-            with pytest.raises(InconsistentAction, match="index|pairs") as exc:
-                list(classify._quotients(cd.W, cd.A))
-            caught.add("index" if "index" in str(exc.value) else "pairs")
-    assert caught == {"index", "pairs"}
+    gamma = torsion_matrix(cd.A * cd.W)
+    bogus = _not_onto(gamma)
+    monkeypatch.setattr(classify, "_check_onto", lambda action, fs: None)
+    subs = subgroups(gamma.ambient)
+    assert len(subs) == 96
+    caught = 0
+    for sub in subs:
+        try:
+            quotient_by_subgroup(cd.W, bogus, sub)
+        except InvariantViolation as exc:
+            assert "index" in str(exc)
+            caught += 1
+    assert caught == 48
+    monkeypatch.setattr(classify, "torsion_matrix", lambda v: _not_onto(torsion_matrix(v)))
+    with pytest.raises(InvariantViolation, match="index"):
+        list(classify._quotients(cd.W, cd.A))
 
 
 def test_qgorenstein_family_needs_positive_factor():

@@ -736,11 +736,11 @@ def test_family_work_counts(capsys, monkeypatch):
     assert counts["snf"] <= 1
 
 
-def test_family_reads_each_quotient_off_one_frame(capsys, monkeypatch):
-    # the frame of the action is reduced once per family; each of the
-    # 1,296 subgroups then costs one small Hermite reduction and no Smith
-    # reduction (the congruence HNF with two Smith reductions per subgroup
-    # ran _smith 2,596 times here): counts, not timings
+def test_family_reads_each_quotient_off_one_hermite_reduction(capsys, monkeypatch):
+    # the action is checked onto once per family; each of the 1,296
+    # subgroups then costs one small Hermite reduction of its congruences
+    # and no Smith reduction (the congruence HNF with two Smith reductions
+    # per subgroup ran _smith 2,596 times here): counts, not timings
     import sys
 
     from toriq import intmat

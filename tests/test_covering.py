@@ -15,7 +15,7 @@ from toriq.covering import (
     universal_cover,
     weight_modulus,
 )
-from toriq.errors import NotFMatrix, NotReflexive, RankDeficient
+from toriq.errors import InvalidFan, NotFMatrix, NotReflexive, RankDeficient
 from toriq.fans import FanData, face_fan, fan_from_point
 from toriq.gale import gale_dual, gl_equivalent
 from toriq.intmat import FiniteAbelianGroup, IntMatrix, cokernel
@@ -206,6 +206,16 @@ def test_fano_triple_product():
     cd = analyze(BLUP_V, fan)
     g_pol = cokernel(cd.C.t())
     assert (cd.G.order or 1) * (g_pol.order or 1) == cd.weight_order
+
+
+def test_analyze_refuses_a_fan_over_another_matrix():
+    # the cones are checked on the fan's own matrix, so a fan over another
+    # matrix would have certified the wrong one
+    v = IntMatrix([[1, 0, -1, 0], [0, 1, 0, -1]])
+    cones = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    assert analyze(v, FanData(v, cones)).fan.fan_matrix == v
+    with pytest.raises(InvalidFan, match="not over"):
+        analyze(v, FanData(IntMatrix([[1, 0, -1, -1], [0, 1, 1, -1]]), cones))
 
 
 def test_mds_multiplicity_checks_the_gale_dual_first():
